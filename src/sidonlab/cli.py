@@ -356,14 +356,14 @@ def _run_mesh_report(params, seed, pool):
 
 def _run_select(params, seed, pool):
     from .selection import (
+        SAMPLING_CAP_DEFAULT,
+        SearchFailure,
         SelectionConfig,
         SelectionError,
-        estimate_tied_probability,
         lemma_search,
-        sample_lambda,
+        tied_probability_check,
+        trial_statistics,
     )
-
-    from .selection import SAMPLING_CAP_DEFAULT
 
     cfg = SelectionConfig(
         p=params["p"], nu=params["nu"], ell=params["ell"], seed=seed,
@@ -377,7 +377,9 @@ def _run_select(params, seed, pool):
     # beyond it (direct mode).
     pointwise = cfg.space_size <= SAMPLING_CAP_DEFAULT
     if pointwise:
-        sizes = list(pool.map(lambda t: len(sample_lambda(cfg, t)), range(cfg.trials)))
+        # one draw per trial feeds both the size statistics and the tied count
+        stats = list(pool.map(lambda t: trial_statistics(cfg, t), range(cfg.trials)))
+        sizes = [size for size, _ in stats]
         mean = sum(sizes) / len(sizes)
         expected = cfg.space_size * cfg.alpha
         se = math.sqrt(expected * (1 - cfg.alpha)) / math.sqrt(cfg.trials)
@@ -393,7 +395,7 @@ def _run_select(params, seed, pool):
         checks.append(Check("size-window-frequency", freq, q - slack, freq >= q - slack))
 
         try:
-            estimate, bound = estimate_tied_probability(cfg)
+            estimate, bound = tied_probability_check(cfg, sum(tied for _, tied in stats))
             checks.append(Check("tied-probability", estimate, bound, True))
         except SelectionError:
             checks.append(Check("tied-probability", 1.0, cfg.p ** (-cfg.nu / 2), False))
@@ -413,7 +415,7 @@ def _run_select(params, seed, pool):
             "trial_found": cert.trial_found,
             "K": cert.K,
         }
-    except Exception as exc:  # search failure is reported, not fatal
+    except SearchFailure as exc:  # an exhausted retry budget is a failed check
         checks.append(Check("certificate-reverify", 0.0, 1.0, False))
         artifacts["search_error"] = str(exc)
     return checks, artifacts

@@ -11,13 +11,14 @@ Counting routes (all exact):
 * generic enumeration of the member set (capped);
 * a digit route for one-dimensional super-increasing integer bases, where
   membership is decided by greedy digit extraction without enumeration;
-* a vectorized route for F_p vector bases (hash-bucketed with exact row
-  comparison, so hashing never affects the result).
+* a vectorized route for F_p vector bases: the coefficient domain is
+  reduced mod p first (a height-h box becomes min(2h+1, p)^k residue rows),
+  the members are one matrix product mod p, and the count is an exact join
+  on whole-row keys against Lambda, encoded once per (p, nu).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 ENUM_CAP_DEFAULT = 10**7
-
-_HASH_MOD = 2147483647  # 2^31 - 1; bucket hash only, matches verified exactly
 
 
 class MeshResourceError(RuntimeError):
@@ -128,13 +127,6 @@ class Mesh:
 # ---------------------------------------------------------------------------
 # membership / counting
 # ---------------------------------------------------------------------------
-
-
-def _coeff_rows(mesh: Mesh) -> Iterable[tuple[int, ...]]:
-    if isinstance(mesh.domain, Box):
-        h = mesh.domain.height
-        return itertools.product(range(-h, h + 1), repeat=mesh.k)
-    return mesh.domain.coeffs
 
 
 def _is_int_basis(mesh: Mesh) -> bool:
@@ -244,35 +236,52 @@ def _is_fp_basis(mesh: Mesh) -> bool:
     return all(b.p == p and b.nu == nu for b in mesh.basis)
 
 
-def _count_fp_vectorized(lam: Sequence[FpVector], mesh: Mesh, cap: int) -> int:
+class _Lambda:
+    """Lambda deduplicated once, with its F_p points encoded once per (p, nu)."""
+
+    def __init__(self, lam: Iterable):
+        self.points = list(dict.fromkeys(lam))  # |Lambda ∩ M| is a set intersection
+        rows: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for v in self.points:
+            # larger primes never pass the int64 guard of the vectorized route
+            if isinstance(v, FpVector) and (v.p - 1) ** 2 < 2**62:
+                rows.setdefault((v.p, v.nu), []).append(v.coords)
+        # row keys of the points that are FpVectors in (Z/pZ)^nu, by (p, nu)
+        self.fp_keys = {
+            key: _row_keys(np.array(group, dtype=np.int64), key[0])
+            for key, group in rows.items()
+        }
+
+
+def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """One opaque key per row of residues in [0, p): equal keys iff equal rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(p - 1))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
+    """The coefficient domain reduced mod p, without repeated rows."""
+    if isinstance(mesh.domain, Box):
+        h = min(mesh.domain.height, p // 2)  # 2h+1 >= p consecutive ints hit every residue
+        residues = np.unique(np.arange(-h, h + 1) % p)
+        grids = np.meshgrid(*([residues] * mesh.k), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+    rows = [[c % p for c in row] for row in mesh.domain.coeffs]
+    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+
+
+def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: int) -> int:
     if mesh.domain_size() > cap:
         raise MeshResourceError(
             f"domain of size {mesh.domain_size()} exceeds the cap {cap}"
         )
     p = mesh.basis[0].p
-    nu = mesh.basis[0].nu
-    lam = [v for v in lam if isinstance(v, FpVector) and v.p == p and v.nu == nu]
-    if not lam:
+    lam_keys = lam.fp_keys.get((p, mesh.basis[0].nu))
+    if lam_keys is None:
         return 0
     basis = np.array([b.coords for b in mesh.basis], dtype=np.int64)
-    coeffs = np.array(list(_coeff_rows(mesh)), dtype=np.int64)
-    members = (coeffs % p) @ basis % p
-    lam_arr = np.array([v.coords for v in lam], dtype=np.int64)
-
-    weights = np.random.default_rng(0x5EED).integers(1, _HASH_MOD, nu)
-    mem_h = (members * weights % _HASH_MOD).sum(axis=1) % _HASH_MOD
-    lam_h = (lam_arr * weights % _HASH_MOD).sum(axis=1) % _HASH_MOD
-    order = np.argsort(mem_h, kind="stable")
-    mem_h_sorted = mem_h[order]
-    count = 0
-    for i in range(len(lam)):
-        lo = np.searchsorted(mem_h_sorted, lam_h[i], side="left")
-        hi = np.searchsorted(mem_h_sorted, lam_h[i], side="right")
-        for j in range(lo, hi):
-            if np.array_equal(members[order[j]], lam_arr[i]):
-                count += 1
-                break
-    return count
+    members = _residue_coeffs(mesh, p) @ basis % p
+    return int(np.isin(lam_keys, _row_keys(members, p)).sum())
 
 
 def mesh_count(
@@ -288,7 +297,8 @@ def mesh_count(
     "enumerate" forces plain enumeration (the oracle route); "digits"
     forces the digit route (error when inapplicable).
     """
-    lam = list(dict.fromkeys(lam))  # |Lambda ∩ M| is a set intersection
+    pts = lam if isinstance(lam, _Lambda) else _Lambda(lam)
+    lam = pts.points
     if method == "enumerate":
         members = mesh_members(mesh, cap) if not _is_int_basis(mesh) else None
         if members is None:
@@ -307,8 +317,8 @@ def mesh_count(
         p, k = mesh.basis[0].p, mesh.k
         # int64 matmul accumulates k*(p-1)^2; huge primes take the slow path
         if k * (p - 1) ** 2 < 2**62:
-            return _count_fp_vectorized(lam, mesh, cap)
-    return mesh_count(lam, mesh, cap, method="enumerate")
+            return _count_fp_vectorized(pts, mesh, cap)
+    return mesh_count(pts, mesh, cap, method="enumerate")
 
 
 def _as_opt_int(x) -> Optional[int]:
@@ -393,7 +403,7 @@ def check_mesh_condition(
     parallelism=None,
 ) -> list[MeshReport]:
     """One report per mesh; pass means count <= bound (or >= for lower bounds)."""
-    lam = list(lam)
+    lam = _Lambda(lam)
 
     def one(mesh: Mesh) -> MeshReport:
         count = mesh_count(lam, mesh, cap)

@@ -28,8 +28,11 @@ __all__ = [
     "SelectionError",
     "SearchFailure",
     "k_ell",
+    "sample_lambda_rows",
     "sample_lambda",
     "sample_sub_lambda",
+    "trial_statistics",
+    "tied_probability_check",
     "estimate_tied_probability",
     "lemma_search",
     "exact_dependence_probability",
@@ -89,32 +92,45 @@ class SelectionConfig:
         return self.nu >= 16 and 2 * self.ell * self.nu <= self.space_size
 
 
-def _decode(index: int, p: int, nu: int) -> FpVector:
-    digits = []
-    for _ in range(nu):
-        index, r = divmod(index, p)
-        digits.append(r)
-    return FpVector(p, tuple(digits))
+def _digits(indices: np.ndarray, p: int, nu: int) -> np.ndarray:
+    """Base-p digits of each index, least significant first: one row per index."""
+    return indices[:, None] // p ** np.arange(nu, dtype=np.int64) % p
 
 
-def sample_lambda(
+def sample_lambda_rows(
     cfg: SelectionConfig, trial: int = 0, cap: int = SAMPLING_CAP_DEFAULT
-) -> set[FpVector]:
-    """Bernoulli(alpha) sample of the full space; deterministic given seed."""
+) -> np.ndarray:
+    """Bernoulli(alpha) sample of the full space as an (n, nu) coordinate array.
+
+    Rows are sorted by coordinates.  ``sample_lambda`` returns the same set
+    as ``FpVector``s; both are deterministic given the seed and trial.
+    """
     size = cfg.space_size
     if size > cap:
         raise MemoryError(
             f"p^nu = {size} exceeds the pointwise sampling cap {cap}"
         )
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 0)
-    alpha = cfg.alpha
-    out: set[FpVector] = set()
-    for start in range(0, size, _CHUNK):
-        n = min(_CHUNK, size - start)
-        hits = np.nonzero(rng.random(n) < alpha)[0]
-        for i in hits:
-            out.add(_decode(start + int(i), cfg.p, cfg.nu))
-    return out
+    hits = [
+        start + np.flatnonzero(rng.random(min(_CHUNK, size - start)) < cfg.alpha)
+        for start in range(0, size, _CHUNK)
+    ]
+    rows = _digits(np.concatenate(hits), cfg.p, cfg.nu)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def sample_lambda(
+    cfg: SelectionConfig, trial: int = 0, cap: int = SAMPLING_CAP_DEFAULT
+) -> set[FpVector]:
+    """Bernoulli(alpha) sample of the full space; deterministic given seed."""
+    rows = sample_lambda_rows(cfg, trial, cap)
+    return {FpVector(cfg.p, tuple(row)) for row in rows.tolist()}
+
+
+def _thin_mask(n: int, cfg: SelectionConfig, trial: int, beta: float) -> np.ndarray:
+    """Which of n coordinate-sorted points stage two keeps."""
+    rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 1)
+    return rng.random(n) < beta
 
 
 def sample_sub_lambda(
@@ -127,11 +143,22 @@ def sample_sub_lambda(
     if beta is None:
         beta = cfg.beta
     ordered = sorted(Lambda, key=lambda v: v.coords)
-    if not ordered:
-        return set()
-    rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 1)
-    u = rng.random(len(ordered))
-    return {v for v, x in zip(ordered, u) if x < beta}
+    keep = _thin_mask(len(ordered), cfg, trial, beta)
+    return {v for v, k in zip(ordered, keep) if k}
+
+
+def trial_statistics(
+    cfg: SelectionConfig, trial: int, cap: int = SAMPLING_CAP_DEFAULT
+) -> tuple[int, bool]:
+    """|Lambda| and whether its thinned set is dependent, from one draw.
+
+    Gives the same answers as ``sample_lambda`` followed by
+    ``sample_sub_lambda``; only the thinned points become ``FpVector``s.
+    """
+    rows = sample_lambda_rows(cfg, trial, cap)
+    thinned = rows[_thin_mask(len(rows), cfg, trial, cfg.beta)]
+    tied = not is_free([FpVector(cfg.p, tuple(row)) for row in thinned.tolist()])
+    return len(rows), tied
 
 
 class TiedEstimate(NamedTuple):
@@ -139,22 +166,14 @@ class TiedEstimate(NamedTuple):
     bound: float
 
 
-def estimate_tied_probability(
-    cfg: SelectionConfig, cap: int = SAMPLING_CAP_DEFAULT
-) -> TiedEstimate:
-    """Monte-Carlo frequency of a linearly dependent thinned set.
+def tied_probability_check(cfg: SelectionConfig, tied: int) -> TiedEstimate:
+    """Compare ``tied`` dependent thinned sets in cfg.trials trials with p^(-nu/2).
 
-    Compares against the analytic bound p^(-nu/2); raises SelectionError if
-    the frequency exceeds the bound by more than 3 binomial sigma (sigma
-    evaluated at the bound).
+    Raises SelectionError if the frequency exceeds the bound by more than 3
+    binomial sigma (sigma evaluated at the bound).
     """
     if cfg.trials < 100:
         raise ValueError("need trials >= 100")
-    tied = 0
-    for t in range(cfg.trials):
-        lam = sample_sub_lambda(sample_lambda(cfg, t, cap), cfg, t)
-        if not is_free(sorted(lam, key=lambda v: v.coords)):
-            tied += 1
     estimate = tied / cfg.trials
     bound = cfg.p ** (-cfg.nu / 2)
     sigma = math.sqrt(bound * (1 - bound) / cfg.trials)
@@ -163,6 +182,17 @@ def estimate_tied_probability(
             f"tied frequency {estimate} exceeds {bound} + 3 sigma ({3 * sigma})"
         )
     return TiedEstimate(estimate, bound)
+
+
+def estimate_tied_probability(
+    cfg: SelectionConfig, cap: int = SAMPLING_CAP_DEFAULT
+) -> TiedEstimate:
+    """Monte-Carlo frequency of a linearly dependent thinned set.
+
+    See ``tied_probability_check`` for the comparison with p^(-nu/2).
+    """
+    tied = sum(trial_statistics(cfg, t, cap)[1] for t in range(cfg.trials))
+    return tied_probability_check(cfg, tied)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +353,8 @@ def enumerate_dependence_probability(p: int, nu: int, k: int) -> Fraction:
     size = p**nu
     if math.comb(size, k) > 10**6:
         raise MemoryError("enumeration oracle limited to ~1e6 subsets")
-    points = [_decode(i, p, nu) for i in range(size)]
+    rows = _digits(np.arange(size), p, nu).tolist()
+    points = [FpVector(p, tuple(row)) for row in rows]
     total = 0
     dependent = 0
     for subset in itertools.combinations(points, k):

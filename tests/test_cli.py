@@ -153,3 +153,33 @@ def test_theorem3_infeasible_schedule_exits_2():
 def test_appendix_check_runs_clean():
     report = run(parse_config(["appendix-check", "--u-points", "101"]))
     assert report.all_passed
+
+
+def test_select_exhausted_search_is_a_failed_check(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["select", "--max-retries", "0", "--trials", "120", "--out", str(out)]
+    assert main(argv) == 1
+    report = json.loads(out.read_text())
+    assert "no certifiable set" in report["artifacts"]["search_error"]
+    assert not {c["name"]: c for c in report["checks"]}["certificate-reverify"]["passed"]
+
+
+def test_select_does_not_swallow_unexpected_errors(monkeypatch):
+    import sidonlab.selection
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the search")
+
+    monkeypatch.setattr(sidonlab.selection, "lemma_search", broken)
+    with pytest.raises(RuntimeError, match="bug in the search"):
+        main(["select", "--trials", "120", "--out", "/dev/null"])
+
+
+def test_select_search_cap_exits_2(monkeypatch):
+    import sidonlab.selection
+
+    def capped(*args, **kwargs):
+        raise MemoryError("subset checks exceed the budget")
+
+    monkeypatch.setattr(sidonlab.selection, "lemma_search", capped)
+    assert main(["select", "--trials", "120", "--out", "/dev/null"]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sidonlab.core import FpVector, LatticePoint
+from sidonlab.core import FpVector, LatticePoint, next_prime
 from sidonlab.mesh import (
     BoundSpec,
     Box,
@@ -177,3 +177,65 @@ def test_random_meshes_deterministic():
     assert a == b
     c = random_meshes(pool, rand_el, count=20, seed=4)
     assert a != c
+
+
+def _fp(p, coords):
+    return FpVector(p, tuple(int(c) for c in coords))
+
+
+def test_fp_route_matches_enumeration_on_residue_domains():
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
+        nu = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        basis = tuple(_fp(p, rng.integers(0, p, nu)) for _ in range(k))
+        # heights with 2h+1 >= p, so several coefficients share a residue
+        h = int(rng.integers(p // 2, p + 2))
+        rows = [tuple(int(c) for c in rng.integers(-2 * p, 2 * p, k)) for _ in range(6)]
+        rows += [tuple(c + p for c in rows[0]), tuple(c - 2 * p for c in rows[1])]
+        lam = [_fp(p, rng.integers(0, p, nu)) for _ in range(10)]
+        lam += lam[:3]  # duplicates
+        lam += [ip(1), LatticePoint((1, 2)), 5, _fp(p, rng.integers(0, p, nu + 1))]
+        lam.append(_fp(2 if p != 2 else 3, rng.integers(0, 2, nu)))
+        for domain in (Box(h), ExplicitList(tuple(rows))):
+            mesh = Mesh(basis, domain)
+            for points in (lam, [], lam[-5:]):
+                assert mesh_count(points, mesh) == mesh_count(
+                    points, mesh, method="enumerate"
+                )
+
+
+def test_check_mesh_condition_mixed_meshes_match_mesh_count():
+    rng = np.random.default_rng(5)
+    p, nu = 3, 4
+    lam = [_fp(p, rng.integers(0, p, nu)) for _ in range(30)]
+    lam += [ip(int(x)) for x in rng.integers(-30, 30, 20)]
+    lam += [_fp(5, rng.integers(0, 5, 2)) for _ in range(10)]
+    meshes = []
+    for _ in range(12):
+        k = int(rng.integers(1, 4))
+        h = int(rng.integers(0, 3))
+        meshes.append(Mesh(tuple(_fp(p, rng.integers(0, p, nu)) for _ in range(k)), Box(h)))
+        meshes.append(Mesh(tuple(_fp(5, rng.integers(0, 5, 2)) for _ in range(k)), Box(h)))
+        meshes.append(Mesh(tuple(ip(int(x)) for x in rng.integers(1, 20, k)), Box(h)))
+    # a prime beyond int64 takes the enumeration fallback
+    big = next_prime(2**64)
+    lam += [_fp(big, (1, big - 1)), _fp(big, (2, 0))]
+    meshes.append(Mesh((_fp(big, (1, 0)), _fp(big, (0, 1))), Box(2)))
+    reports = check_mesh_condition(lam, meshes, BoundSpec("sidon_log", C=100.0))
+    assert [r.count for r in reports] == [mesh_count(lam, m) for m in meshes]
+    assert [r.count for r in reports] == [
+        mesh_count(lam, m, method="enumerate") for m in meshes
+    ]
+
+
+def test_fp_route_cap_uses_the_full_domain_size():
+    basis = tuple(_fp(2, (int(i == j) for j in range(6))) for i in range(6))
+    mesh = Mesh(basis, Box(3))  # 7^6 coefficient rows, only 2^6 residue rows
+    lam = [_fp(2, (1, 0, 0, 0, 0, 0))]
+    with pytest.raises(MeshResourceError):
+        mesh_count(lam, mesh, cap=1000)
+    with pytest.raises(MeshResourceError):
+        check_mesh_condition(lam, [mesh], BoundSpec("sidon_log", C=1.0), cap=1000)
+    assert mesh_count(lam, mesh) == 1

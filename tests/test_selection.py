@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -8,13 +10,17 @@ from sidonlab.selection import (
     LemmaCertificate,
     SearchFailure,
     SelectionConfig,
+    SelectionError,
     enumerate_dependence_probability,
     estimate_tied_probability,
     exact_dependence_probability,
     k_ell,
     lemma_search,
     sample_lambda,
+    sample_lambda_rows,
     sample_sub_lambda,
+    tied_probability_check,
+    trial_statistics,
 )
 
 
@@ -187,3 +193,83 @@ def test_dependence_probability_edge_cases():
     assert exact_dependence_probability(2, 4, 0) == 0
     # a single draw is dependent only when it is the zero vector
     assert exact_dependence_probability(2, 4, 1) == Fraction(1, 16)
+
+
+# ---------------------------------------------------------------------------
+# the index-array sampler
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the sorted coordinates of sample_lambda and sample_sub_lambda
+# (at beta and at 1/2) for seeds (0, 1, 7) and trials (0, 1, 5), recorded
+# from the point-by-point sampler that decoded one index at a time.
+_SAMPLER_PINS = {
+    (2, 16, 4): "fc00d476e30949b738bb2d67f03aec0f46fe5ec39556c89c6c9747879b2da9ab",
+    (3, 9, 2): "93bb08f5fd121ec16909d6a3157da5eefd449d779fc6a16a403ffcb077169079",
+    (5, 6, 2): "51c4c6951ab972931d146affd0b5fd6eae14d6f48e91d3c2b1a0801d16708a09",
+}
+
+
+@pytest.mark.parametrize("p, nu, ell", sorted(_SAMPLER_PINS))
+def test_samplers_reproduce_pinned_sets(p, nu, ell):
+    digest = hashlib.sha256()
+    for seed in (0, 1, 7):
+        cfg = SelectionConfig(p=p, nu=nu, ell=ell, seed=seed)
+        for trial in (0, 1, 5):
+            lam = sample_lambda(cfg, trial)
+            sub = sample_sub_lambda(lam, cfg, trial)
+            half = sample_sub_lambda(lam, cfg, trial, beta=0.5)
+            for s in (lam, sub, half):
+                digest.update(repr(sorted(v.coords for v in s)).encode())
+    assert digest.hexdigest() == _SAMPLER_PINS[(p, nu, ell)]
+
+
+@pytest.mark.parametrize("p, nu, ell", sorted(_SAMPLER_PINS))
+def test_rows_and_trial_statistics_match_the_set_api(p, nu, ell):
+    for seed in (0, 3):
+        cfg = SelectionConfig(p=p, nu=nu, ell=ell, seed=seed)
+        for trial in range(4):
+            rows = sample_lambda_rows(cfg, trial)
+            lam = sample_lambda(cfg, trial)
+            assert [tuple(r) for r in rows.tolist()] == sorted(v.coords for v in lam)
+            sub = sample_sub_lambda(lam, cfg, trial)
+            size, tied = trial_statistics(cfg, trial)
+            assert size == len(lam)
+            assert tied == (not is_free(sorted(sub, key=lambda v: v.coords)))
+
+
+def test_trial_statistics_finds_dependent_thinned_sets():
+    # nu = 3 makes dependence common enough to see both outcomes
+    cfg = SelectionConfig(p=2, nu=3, ell=1, seed=0, trials=100)
+    flags = [trial_statistics(cfg, t)[1] for t in range(100)]
+    assert any(flags) and not all(flags)
+    for t in range(100):
+        sub = sample_sub_lambda(sample_lambda(cfg, t), cfg, t)
+        assert flags[t] == (not is_free(sorted(sub, key=lambda v: v.coords)))
+
+
+def test_tied_probability_check_shares_the_3_sigma_rule():
+    cfg = SelectionConfig(p=2, nu=16, ell=1, seed=2, trials=1000)
+    assert tied_probability_check(cfg, 0) == (0.0, 2 ** (-8))
+    bound = 2 ** (-8)
+    limit = bound + 3 * math.sqrt(bound * (1 - bound) / cfg.trials)
+    tied = math.floor(limit * cfg.trials)
+    assert tied_probability_check(cfg, tied).estimate == tied / cfg.trials
+    with pytest.raises(SelectionError):
+        tied_probability_check(cfg, tied + 1)
+    with pytest.raises(ValueError):
+        tied_probability_check(SelectionConfig(p=2, nu=16, ell=1, trials=99), 0)
+    assert estimate_tied_probability(cfg) == tied_probability_check(
+        cfg, sum(trial_statistics(cfg, t)[1] for t in range(cfg.trials))
+    )
+
+
+def test_select_report_independent_of_threads():
+    from sidonlab.cli import parse_config, run
+
+    reports = []
+    for threads in ("1", "2"):
+        argv = ["select", "--trials", "120", "--threads", threads]
+        report = run(parse_config(argv)).to_dict()
+        report.pop("meta")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
