@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .core import LatticePoint, is_prime
+from .core import LatticePoint, ResourceCapError, is_prime
 from .growth import GrowthFunction, parse_growth, validate_growth
 from .parallel import Parallelism, default_threads
 
@@ -644,8 +644,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _USAGE_EXIT
     try:
         report = run(config)
-    except (ConfigError, ValueError, MemoryError, OverflowError, OSError) as exc:
-        # bad parameters, violated caps, unreadable inputs: usage-level errors
+    except (
+        ConfigError, ValueError, ResourceCapError, MemoryError, OverflowError, OSError
+    ) as exc:
+        # bad parameters, exceeded caps, unreadable inputs: usage-level errors
         print(f"sidonlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     text = report.to_json()

@@ -19,11 +19,20 @@ __all__ = [
     "signed_combination",
     "fp_rank",
     "is_free",
+    "ResourceCapError",
 ]
 
 # Witnesses for deterministic Miller-Rabin below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class ResourceCapError(RuntimeError):
+    """A search or enumeration would exceed its configured cap.
+
+    Raised instead of truncating, so a cap never reads as a result; the CLI
+    maps it to exit status 2.
+    """
 
 
 def is_prime(n: int) -> bool:

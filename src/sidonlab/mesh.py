@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import FpVector, LatticePoint
+from .core import FpVector, LatticePoint, ResourceCapError
 
 __all__ = [
     "Box",
@@ -44,7 +44,7 @@ __all__ = [
 ENUM_CAP_DEFAULT = 10**7
 
 
-class MeshResourceError(RuntimeError):
+class MeshResourceError(ResourceCapError):
     """Domain too large to enumerate and no fast path applies."""
 
 

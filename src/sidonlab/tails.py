@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
 
 from .rng import stream
 
@@ -120,6 +118,8 @@ def binomial_tail_exact(N: int, alpha: float, t: float) -> float:
     Handles tails far below 1e-300 without underflow inside the sum; only
     the final exponentiation can round to zero.
     """
+    from scipy.special import gammaln, logsumexp  # lazy: keeps CLI start-up light
+
     if N < 0 or N > 10**6:
         raise ValueError("need 0 <= N <= 1e6")
     if not 0 < alpha < 1:
@@ -198,6 +198,8 @@ def difference_tail_check(
     DomainError is raised.  Exact double-convolution tail for N within
     exact_limit, Monte Carlo with 3-sigma slack beyond.
     """
+    from scipy.stats import binom  # lazy: keeps CLI start-up light
+
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if lam <= 0:

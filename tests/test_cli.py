@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sidonlab
 from sidonlab.cli import ConfigError, main, parse_config, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -183,3 +188,46 @@ def test_select_search_cap_exits_2(monkeypatch):
 
     monkeypatch.setattr(sidonlab.selection, "lemma_search", capped)
     assert main(["select", "--trials", "120", "--out", "/dev/null"]) == 2
+
+
+def _run_cli(*argv, code=None):
+    """Run the CLI (or `code`) in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sidonlab.__file__).parents[1]))
+    cmd = [sys.executable, "-c", code] if code else [sys.executable, "-m", "sidonlab.cli"]
+    return subprocess.run([*cmd, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_start_does_not_import_scipy():
+    code = (
+        "import sys; from sidonlab.cli import parse_config; parse_config(['appendix-check']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = _run_cli(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _assert_cap_exit(proc, error):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"sidonlab: {error}: ")
+    assert proc.stdout == ""
+
+
+def test_verify_qi_over_its_cap_exits_2(tmp_path):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps({"points": [2**i for i in range(30)]}))
+    _assert_cap_exit(_run_cli("verify-qi", "--input", str(inp)), "QiResourceError")
+
+
+def test_mesh_report_over_its_cap_exits_2(tmp_path):
+    payload = {
+        "lambda": [1, 2, 3, 10],
+        "meshes": [{"basis": [1, 2, 7], "height": 3}],
+        "bound": {"kind": "sidon_log", "C": 5.0},
+    }
+    inp = tmp_path / "m.json"
+    inp.write_text(json.dumps(payload))
+    proc = _run_cli("mesh-report", "--input", str(inp), "--cap", "10")
+    _assert_cap_exit(proc, "MeshResourceError")

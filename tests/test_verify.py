@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidonlab.construction import build_matrix
-from sidonlab.core import LatticePoint, SignVector, signed_combination
+from sidonlab.core import FpVector, LatticePoint, SignVector, signed_combination
 from sidonlab.verify import (
     DependencyWitness,
     QiResourceError,
+    _packed_keys,
     verify_qi_exhaustive,
     verify_qi_naive,
     verify_qi_structural,
@@ -98,6 +101,100 @@ def test_returned_witness_revalidates():
             assert not witness.eps.is_zero()
             assert signed_combination(pts, witness.eps).is_zero()
     assert found > 0  # one-dimensional small points collide often
+
+
+@st.composite
+def point_sets(draw, max_points=8, max_coord=3):
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-max_coord, max_coord)
+    rows = draw(st.lists(st.tuples(*[coord] * dim), max_size=max_points))
+    return [LatticePoint(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_packed_kernel_matches_naive_oracle(pts):
+    qi_fast, w_fast = verify_qi_exhaustive(pts)
+    qi_slow, w_slow = verify_qi_naive(pts)
+    assert qi_fast == qi_slow
+    if qi_fast:
+        assert w_fast is None and w_slow is None
+    else:
+        assert w_fast.validates(pts) and w_slow.validates(pts)
+
+
+# Witnesses returned by the dict-based search this kernel replaced.
+PINNED_WITNESSES = [
+    pytest.param(
+        [lp(1, 0), lp(0, 1), lp(1, 1), lp(5, 7), lp(11, -3), lp(40, 2)],
+        (1, 1, -1, 0, 0, 0),
+        id="left-half-only",
+    ),
+    pytest.param(
+        [lp(1000), lp(10**5), lp(10**7), lp(3), lp(4), lp(7)],
+        (0, 0, 0, 1, 1, -1),
+        id="right-half-only",
+    ),
+    pytest.param(
+        [lp(1, 0, 2), lp(10, 1), lp(100), lp(111, 1, 2), lp(5000), lp(0, 0, 7000)],
+        (-1, -1, -1, 1, 0, 0),
+        id="cross-half-join",
+    ),
+    pytest.param([lp(3, -1), lp(3, -1)], (-1, 1), id="duplicate-pair"),
+    pytest.param([lp(2), LatticePoint.zero(), lp(5)], (0, 1, 0), id="zero-element"),
+    pytest.param(
+        [lp(2**70, 1), lp(-(2**70) + 3, 2**66), lp(5, -(2**71)),
+         lp(-2, 2**66 + 2**71 + 1), lp(7, 2**69)],
+        (-1, -1, 1, 1, 0),
+        id="cross-half-python-ints",
+    ),
+]
+
+
+@pytest.mark.parametrize("pts, signs", PINNED_WITNESSES)
+def test_witnesses_are_pinned(pts, signs):
+    qi, witness = verify_qi_exhaustive(pts)
+    assert not qi and witness.eps.signs == signs
+    assert witness.validates(pts)
+
+
+def test_packing_uses_int64_while_the_span_fits():
+    assert _packed_keys([lp(2**20, -3), lp(5, 2**20)]).dtype == np.int64
+    assert _packed_keys([lp(2**70)]).dtype == object
+
+
+def test_python_int_path_matches_naive_oracle():
+    rng = np.random.default_rng(71)
+    big = 2**70
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        pts = [
+            lp(*(int(a) * big + int(b) for a, b in rng.integers(-2, 3, size=(2, 2))))
+            for _ in range(n)
+        ]
+        assert _packed_keys(pts).dtype == object
+        qi_fast, w_fast = verify_qi_exhaustive(pts)
+        qi_slow, w_slow = verify_qi_naive(pts)
+        assert qi_fast == qi_slow
+        if not qi_fast:
+            assert w_fast.validates(pts) and w_slow.validates(pts)
+    # small coordinates, but eight of them: the packed span exceeds 2^62
+    for _ in range(30):
+        pts = [lp(*(int(x) for x in rng.integers(-50, 51, size=8))) for _ in range(8)]
+        pts.append(pts[0] + pts[1] - pts[2])  # one planted dependency
+        assert _packed_keys(pts).dtype == object
+        qi_fast, w_fast = verify_qi_exhaustive(pts)
+        qi_slow, w_slow = verify_qi_naive(pts)
+        assert not qi_fast and not qi_slow
+        assert w_fast.validates(pts) and w_slow.validates(pts)
+
+
+def test_exhaustive_takes_only_lattice_points():
+    pts = [FpVector(5, (1, 0)), FpVector(5, (0, 1)), FpVector(5, (1, 1))]
+    with pytest.raises(TypeError):
+        verify_qi_exhaustive(pts)
+    qi, witness = verify_qi_naive(pts)  # the naive oracle stays generic
+    assert not qi and witness.validates(pts)
 
 
 # ---------------------------------------------------------------------------
