@@ -244,10 +244,21 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _json_object(data, keys: Sequence[str], where: str) -> dict:
+    """`data` as a dict holding every key in `keys`, else a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigError(f"{where} lacks {', '.join(map(repr, missing))}")
+    return data
+
+
 def _points_from_json(data) -> list[LatticePoint]:
-    points = data["points"] if isinstance(data, dict) else data
+    if isinstance(data, dict):
+        data = _json_object(data, ["points"], "point list")["points"]
     out = []
-    for item in points:
+    for item in data:
         if isinstance(item, (int, str)):
             out.append(LatticePoint.from_int(int(item)))
         else:
@@ -316,9 +327,12 @@ def _run_theorem1(params, seed, pool):
 def _bound_from_json(data) -> "BoundSpec":
     from .mesh import BoundSpec
 
-    kind = data["kind"]
-    w = parse_growth(data["w"]) if "w" in data else None
-    return BoundSpec(kind=kind, w=w, C=data.get("C"))
+    data = _json_object(data, ["kind"], "bound")
+    w = data.get("w")
+    if w is not None and not isinstance(w, str):
+        raise ConfigError("bound 'w' must be a growth descriptor string")
+    return BoundSpec(kind=data["kind"], w=None if w is None else parse_growth(w),
+                     C=data.get("C"))
 
 
 def _run_mesh_report(params, seed, pool):
@@ -327,16 +341,23 @@ def _run_mesh_report(params, seed, pool):
     if not params["input"]:
         raise ConfigError("mesh-report requires --input")
     with open(params["input"]) as fh:
-        data = json.load(fh)
-    lam = _points_from_json(data["lambda"])
-    meshes = []
-    for spec in data["meshes"]:
-        basis = tuple(_points_from_json(spec["basis"]))
-        if "height" in spec:
-            domain = Box(int(spec["height"]))
-        else:
-            domain = ExplicitList(tuple(tuple(row) for row in spec["coeffs"]))
-        meshes.append(Mesh(basis, domain))
+        data = _json_object(json.load(fh), ["lambda", "meshes", "bound"], "mesh-report input")
+    # the whole input is parsed and validated before any counting starts
+    try:
+        lam = _points_from_json(data["lambda"])
+        meshes = []
+        for i, spec in enumerate(data["meshes"]):
+            spec = _json_object(spec, ["basis"], f"meshes[{i}]")
+            basis = tuple(_points_from_json(spec["basis"]))
+            if "height" in spec:
+                domain = Box(int(spec["height"]))
+            elif "coeffs" in spec:
+                domain = ExplicitList(tuple(tuple(row) for row in spec["coeffs"]))
+            else:
+                raise ConfigError(f"meshes[{i}] lacks 'height' or 'coeffs'")
+            meshes.append(Mesh(basis, domain))
+    except TypeError as exc:  # a JSON value of the wrong type
+        raise ConfigError(f"malformed mesh-report input: {exc}") from exc
     bound = _bound_from_json(data["bound"])
     reports = check_mesh_condition(lam, meshes, bound, cap=params["cap"], parallelism=pool)
     checks = [

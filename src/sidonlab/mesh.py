@@ -343,6 +343,15 @@ def sidon_mesh_bound(k: int, sup_l1: int, C: float) -> float:
     return C * k * math.log1p(sup_l1)
 
 
+# the parameter each bound kind reads (None: it reads none)
+_BOUND_PARAMETER = {
+    "k_w_k": "w",
+    "k_w_kh": "w",
+    "sidon_log": "C",
+    "lower_quarter_k_log2_k": None,
+}
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """A mesh-count bound: which function, with which parameters.
@@ -357,6 +366,13 @@ class BoundSpec:
     kind: str
     w: Optional[Callable[[float], float]] = None
     C: Optional[float] = None
+
+    def __post_init__(self):
+        if self.kind not in _BOUND_PARAMETER:
+            raise ValueError(f"unknown bound kind {self.kind!r}")
+        needed = _BOUND_PARAMETER[self.kind]
+        if needed is not None and getattr(self, needed) is None:
+            raise ValueError(f"bound kind {self.kind!r} needs {needed!r}")
 
     def evaluate(self, mesh: Mesh) -> tuple[float, str]:
         k = mesh.k

@@ -36,6 +36,9 @@ __all__ = [
 
 NU_CAP = 26
 
+# fwht runs this many low-bit stages on a transposed copy (see its docstring)
+_TRANSPOSED_STAGES = 6
+
 
 class FlatnessFailure(RuntimeError):
     """No flat sample found within the retry budget."""
@@ -54,6 +57,21 @@ def fwht(values) -> np.ndarray:
 
     out[y] = sum_x in[x] * (-1)^popcount(x & y); applying it twice returns
     2^nu times the input.  Integer inputs stay exact (int64).
+
+    The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
+    pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
+    in that order.  Two preallocated buffers take turns as source and
+    destination of a stage (``np.add``/``np.subtract`` with ``out=``), so
+    the argument is never written and no stage allocates.  The first
+    r = min(``_TRANSPOSED_STAGES``, nu) stages act on the low r bits of the
+    index, so they run on a C-ordered transposed copy of shape
+    (2^r, 2^(nu-r)), where each butterfly half is one contiguous block of
+    h * 2^(nu-r) elements instead of many runs of h; the transpose is then
+    copied back into the spare buffer and the remaining stages run on the
+    natural layout.  Every output element is made by the same additions
+    and subtractions of the same operands, stage by stage in the same
+    order, as the plain in-place radix-2 loop, so float64 and complex128
+    results are bit-identical to it, whatever the layout.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -61,23 +79,35 @@ def fwht(values) -> np.ndarray:
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    a = a.astype(_target_dtype(a), copy=True)
+    dtype = _target_dtype(a)
+    m = 1 << min(_TRANSPOSED_STAGES, n.bit_length() - 1)
+    q = n // m
+    src = np.empty(n, dtype)
+    dst = np.empty(n, dtype)
+    # src[lo * q + hi] = a[hi * m + lo]: stage h < m pairs row lo with lo + h
+    np.copyto(src.reshape(m, q), a.reshape(q, m).T, casting="unsafe")
     h = 1
     while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] += a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(n)
+        if h == m:
+            dst.reshape(q, m)[...] = src.reshape(m, q).T
+            src, dst = dst, src
+        width = h * q if h < m else h
+        s = src.reshape(-1, 2, width)
+        d = dst.reshape(-1, 2, width)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        src, dst = dst, src
         h *= 2
-    return a
+    # when m == n the transposed copy has shape (n, 1), the natural layout
+    return src
 
 
 def naive_wht(values) -> np.ndarray:
     """Quadratic-time transform used as the independent oracle."""
     a = np.asarray(values)
+    a = a.astype(_target_dtype(a))  # bool has no negation
     n = a.shape[0]
-    out = np.zeros(n, dtype=_target_dtype(a))
+    out = np.zeros(n, dtype=a.dtype)
     for y in range(n):
         s = out.dtype.type(0)
         for x in range(n):
@@ -222,18 +252,26 @@ def masks_independent(masks: Sequence[int]) -> bool:
     return True
 
 
+def _character_sum(nu: int, masks: Iterable[int]) -> np.ndarray:
+    """sum_j (-1)^popcount(x & y_j) over the masks y_j, for all x, as int64."""
+    x = np.arange(2**nu, dtype=np.int64)
+    total = np.zeros(2**nu, dtype=np.int64)
+    for y in masks:
+        acc = np.zeros(2**nu, dtype=np.int64)
+        bit = 0
+        yy = int(y)
+        while yy:
+            if yy & 1:
+                acc ^= (x >> bit) & 1
+            yy >>= 1
+            bit += 1
+        total += 1 - 2 * acc
+    return total
+
+
 def _character_values(nu: int, y: int) -> np.ndarray:
     """(-1)^popcount(x & y) for all x, as an int8 array."""
-    x = np.arange(2**nu, dtype=np.int64)
-    acc = np.zeros(2**nu, dtype=np.int64)
-    bit = 0
-    yy = int(y)
-    while yy:
-        if yy & 1:
-            acc ^= (x >> bit) & 1
-        yy >>= 1
-        bit += 1
-    return (1 - 2 * acc).astype(np.int8)
+    return _character_sum(nu, [y]).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -302,8 +340,10 @@ def analyticity_witness(
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
         mask = lam.mask
+        sigma_spec = lam.spectrum.values  # fwht of mask.astype(float64)
     else:
         mask = _as_mask_array(lam, nu)
+        sigma_spec = None
     if ell is None:
         raise ValueError("ell is required")
     n = mask.shape[0]
@@ -320,13 +360,12 @@ def analyticity_witness(
     if not masks_independent(y_masks):
         raise ValueError("character masks are dependent over F_2")
 
-    f = np.zeros(n, dtype=np.int64)
-    for y in y_masks:
-        f += _character_values(nu, y)
+    f = _character_sum(nu, y_masks)
     v = np.exp(1j * (math.pi / 4) * f)
 
     sigma = mask.astype(np.float64)
-    sigma_spec = fwht(sigma)
+    if sigma_spec is None:
+        sigma_spec = fwht(sigma)
     s1 = float(sigma_spec[0])
     sup_off = float(np.abs(sigma_spec[1:]).max()) if n > 1 else 0.0
 

@@ -231,3 +231,34 @@ def test_mesh_report_over_its_cap_exits_2(tmp_path):
     inp.write_text(json.dumps(payload))
     proc = _run_cli("mesh-report", "--input", str(inp), "--cap", "10")
     _assert_cap_exit(proc, "MeshResourceError")
+
+
+_OVER_CAP_MESH_REPORT = {
+    "lambda": [1, 2, 3, 10],
+    "meshes": [{"basis": [1, 2, 7], "height": 3}],
+    "bound": {"kind": "k_w_k", "w": "doublelog:1"},
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambda": None}, "ConfigError: mesh-report input lacks 'lambda'"),
+    ({"meshes": None}, "ConfigError: mesh-report input lacks 'meshes'"),
+    ({"bound": None}, "ConfigError: mesh-report input lacks 'bound'"),
+    ({"bound": {"kind": "nope"}}, "ValueError: unknown bound kind 'nope'"),
+    ({"bound": {"kind": "k_w_k"}}, "ValueError: bound kind 'k_w_k' needs 'w'"),
+    ({"bound": {"kind": "sidon_log"}}, "ValueError: bound kind 'sidon_log' needs 'C'"),
+    ({"meshes": [{"basis": [1, 2]}]}, "ConfigError: meshes[0] lacks 'height' or 'coeffs'"),
+    ({"lambda": [1, [2, None]]}, "ConfigError: malformed mesh-report input"),
+])
+def test_mesh_report_bad_input_exits_2_before_counting(tmp_path, change, message):
+    # the mesh is over --cap, so a check made after counting would report
+    # MeshResourceError instead
+    payload = {k: v for k, v in {**_OVER_CAP_MESH_REPORT, **change}.items() if v is not None}
+    inp = tmp_path / "m.json"
+    inp.write_text(json.dumps(payload))
+    proc = _run_cli("mesh-report", "--input", str(inp), "--cap", "10")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"sidonlab: {message}")
+    assert proc.stdout == ""

@@ -148,6 +148,9 @@ def test_bound_spec_directions():
     assert d_low == "lower" and low == pytest.approx(0.5)
     with pytest.raises(ValueError):
         BoundSpec("nope").evaluate(m)
+    for kind in ("k_w_k", "k_w_kh", "sidon_log"):  # each needs its parameter
+        with pytest.raises(ValueError, match="needs"):
+            BoundSpec(kind)
 
 
 def test_check_mesh_condition_empty_lambda_passes():

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidonlab.spectral import (
     FlatnessFailure,
@@ -50,6 +54,75 @@ def test_fwht_involution(nu):
     assert np.array_equal(fwht(fwht(a)), (2**nu) * a)
     x = rng.normal(size=2**nu)
     assert np.allclose(fwht(fwht(x)), (2**nu) * x, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda nu: st.tuples(
+        st.lists(st.integers(-(2**40), 2**40), min_size=2**nu, max_size=2**nu),
+        st.sampled_from([np.int64, np.bool_]),
+    )
+))
+def test_fwht_integer_inputs_match_naive_property(case):
+    values, dtype = case
+    a = np.array(values, dtype=np.int64).astype(dtype)
+    out = fwht(a)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, naive_wht(a))
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 6, 7, 9])
+def test_fwht_never_writes_its_argument(nu, dtype):
+    rng = np.random.default_rng(nu)
+    a = (rng.integers(-5, 6, 2**nu) + (1j if dtype is np.complex128 else 0)).astype(dtype)
+    before = a.copy()
+    out = fwht(a)
+    assert not np.shares_memory(out, a)
+    assert np.array_equal(a, before)
+    out[...] = 0
+    assert np.array_equal(a, before)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed0_nu22():
+    return sample_flat_lambda(nu=22, ell=40000, seed=0)
+
+
+def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
+    # SHA-256 of the transforms made by the stage-by-stage radix-2 loop
+    # (one reshape, copy and two in-place updates per stage), which fwht
+    # must reproduce bit for bit
+    from sidonlab.spectral import _character_sum
+
+    sigma = seed0_nu22.mask.astype(np.float64)
+    f = _character_sum(22, [1, 2, 4])
+    v = np.exp(1j * (math.pi / 4) * f)
+    pins = [
+        (sigma, np.float64,
+         "8e49bd8f21f9f68d7f9ae6f566f44eee843044b4e6e22edb18aa4f84cef2e308"),
+        (v * sigma, np.complex128,
+         "d44b87e1e9c6b1a300e6b6459cfe08f0f0a56093e6ea3ed328a46da3a9394402"),
+        (f, np.int64,
+         "fa77e74084150c7a759e38fa0c1e908624155c5ad8d9076a1ecf5c70edd7fbb9"),
+    ]
+    for values, dtype, digest in pins:
+        out = fwht(values)
+        assert out.dtype == dtype
+        assert _sha256(out.tobytes()) == digest
+
+
+def test_witness_report_pin_at_nu22(seed0_nu22):
+    report = analyticity_witness(seed0_nu22).to_dict()
+    assert report["sup_mu"] == 622869.9163268361
+    text = json.dumps(report, sort_keys=True)
+    assert _sha256(text.encode()) == (
+        "09d8922f3877ca75ffe231cd0235e249fe9cbcb1fb16eefff07de7e94b180b67"
+    )
 
 
 def test_convolution_identity():
@@ -145,6 +218,15 @@ def test_witness_structure(small_flat):
     # computed duality bound is at least as strong as the analytic chain
     assert rep.lower_bound >= rep.chain_bound - 1e-9
     assert rep.sigma1 == small_flat.sigma1
+
+
+def test_witness_from_sample_equals_witness_from_mask(small_flat):
+    # the sample path reuses the stored spectrum; the mask path transforms
+    # sigma itself
+    for rho in (0, 2):
+        from_sample = analyticity_witness(small_flat, rho=rho)
+        from_mask = analyticity_witness(small_flat.mask, ell=small_flat.ell, rho=rho)
+        assert from_sample.to_dict() == from_mask.to_dict()
 
 
 def test_witness_validation(small_flat):
