@@ -254,15 +254,34 @@ def _json_object(data, keys: Sequence[str], where: str) -> dict:
     return data
 
 
-def _points_from_json(data) -> list[LatticePoint]:
+def _json_int(value) -> Optional[int]:
+    """An int, or a string of one; None for anything else (floats, bools, null)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    return None
+
+
+def _points_from_json(data, where: str) -> list[LatticePoint]:
+    """Points from a JSON list whose items are integers or lists of them;
+    an integer may also be given as a string."""
     if isinstance(data, dict):
         data = _json_object(data, ["points"], "point list")["points"]
+    if not isinstance(data, list):
+        raise ConfigError(f"malformed {where}: a point list must be a JSON list")
     out = []
-    for item in data:
-        if isinstance(item, (int, str)):
-            out.append(LatticePoint.from_int(int(item)))
-        else:
-            out.append(LatticePoint(tuple(int(c) for c in item)))
+    for i, item in enumerate(data):
+        coords = [_json_int(c) for c in (item if isinstance(item, list) else [item])]
+        if None in coords:
+            raise ConfigError(
+                f"malformed {where}: point {i} is {json.dumps(item)}, "
+                "not an integer or a list of integers"
+            )
+        out.append(LatticePoint(tuple(coords)))
     return out
 
 
@@ -272,7 +291,7 @@ def _run_verify_qi(params, seed, pool):
     if not params["input"]:
         raise ConfigError("verify-qi requires --input")
     with open(params["input"]) as fh:
-        points = _points_from_json(json.load(fh))
+        points = _points_from_json(json.load(fh), "verify-qi input")
     qi, witness = verify_qi_exhaustive(points, n_max=params["n-max"])
     checks = [Check("quasi-independent", float(qi), 1.0, qi)]
     artifacts = {
@@ -344,11 +363,11 @@ def _run_mesh_report(params, seed, pool):
         data = _json_object(json.load(fh), ["lambda", "meshes", "bound"], "mesh-report input")
     # the whole input is parsed and validated before any counting starts
     try:
-        lam = _points_from_json(data["lambda"])
+        lam = _points_from_json(data["lambda"], "mesh-report input")
         meshes = []
         for i, spec in enumerate(data["meshes"]):
             spec = _json_object(spec, ["basis"], f"meshes[{i}]")
-            basis = tuple(_points_from_json(spec["basis"]))
+            basis = tuple(_points_from_json(spec["basis"], "mesh-report input"))
             if "height" in spec:
                 domain = Box(int(spec["height"]))
             elif "coeffs" in spec:

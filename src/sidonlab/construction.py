@@ -247,11 +247,15 @@ def embed_theorem1(nu_max: int, cap: int = NU_CAP_DEFAULT) -> Theorem1Constructi
     return Theorem1Construction(nu_max, basis, tuple(blocks), tuple(points))
 
 
-def _witness_indices(k: int, construction: Theorem1Construction) -> tuple[int, list[int]]:
-    nu_max = construction.nu_max
+def _witness_nu(k: int, nu_max: int) -> int:
     if not 2 <= k < 2 ** (nu_max + 1):
         raise ValueError(f"k must lie in [2, {2 ** (nu_max + 1)}), got {k}")
-    nu = k.bit_length() - 1
+    return k.bit_length() - 1
+
+
+def _witness_indices(k: int, construction: Theorem1Construction) -> tuple[int, list[int]]:
+    nu_max = construction.nu_max
+    nu = _witness_nu(k, nu_max)
     indices = list(construction.basis.block_indices(nu))
     # Pad with fresh betas never touched by the embedded set, so the
     # intersection count is unchanged while the mesh has k generators.
@@ -286,7 +290,7 @@ def witness_counts(
 
     Each embedded integer is expanded once over the dissociated sequence;
     membership in the height-1 witness mesh for k then only requires its
-    digit support to sit inside the mesh's index block with digits in
+    digit support to sit inside the mesh's index set with digits in
     {-1, 0, +1}.  Agrees with mesh_count wherever both run.
     """
     basis = construction.basis
@@ -296,13 +300,39 @@ def witness_counts(
         if d is None:
             raise AssertionError("embedded point has no digit expansion")
         supports.append(d)
+    return _support_counts(supports, construction.nu_max, ks)
+
+
+def _support_counts(
+    supports: Sequence[dict[int, int]], nu_max: int, ks: Sequence[int]
+) -> dict[int, int]:
+    """For each k, how many supports lie in the witness index set of k with
+    every digit in {-1, 0, +1}; an empty support counts for every k.
+
+    The index set is the block [2^nu, 2^(nu+1)) plus the padding
+    [F, F + k - 2^nu), F = 2^(nu_max+1) lying above every block.  A support
+    fits iff its least index is >= 2^nu, its largest index below F is
+    < 2^(nu+1), and its largest index is < F + k - 2^nu; so four numbers per
+    support decide every k.
+    """
+    fresh = 2 ** (nu_max + 1)
+    n = len(supports)
+    lo = np.full(n, fresh, dtype=np.int64)  # least index
+    below = np.zeros(n, dtype=np.int64)  # largest index below fresh
+    top = np.zeros(n, dtype=np.int64)  # largest index
+    small = np.ones(n, dtype=bool)  # every |digit| <= 1
+    for s, d in enumerate(supports):
+        if d:
+            lo[s] = min(d)
+            below[s] = max((i for i in d if i < fresh), default=0)
+            top[s] = max(d)
+            small[s] = all(abs(v) <= 1 for v in d.values())
+    tops: dict[int, np.ndarray] = {}  # sorted largest indices of the fits, by nu
     counts: dict[int, int] = {}
     for k in ks:
-        _, indices = _witness_indices(k, construction)
-        idx = set(indices)
-        c = 0
-        for d in supports:
-            if all(i in idx and abs(n) <= 1 for i, n in d.items()):
-                c += 1
-        counts[k] = c
+        nu = _witness_nu(k, nu_max)
+        if nu not in tops:
+            fits = small & (lo >= 2**nu) & (below < 2 ** (nu + 1))
+            tops[nu] = np.sort(top[fits])
+        counts[k] = int(np.searchsorted(tops[nu], fresh + k - 2**nu))
     return counts

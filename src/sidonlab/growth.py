@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:  # imported where used, so CLI start-up does not pay for it
+    import mpmath
 
 __all__ = [
     "GrowthFunction",
@@ -64,10 +66,14 @@ class DoubleLog(GrowthFunction):
         return max(1.0, self.c * math.log1p(math.log1p(x)))
 
     def eval_mp(self, x) -> mpmath.mpf:
+        import mpmath
+
         one = mpmath.mpf(1)
         return max(one, self.c * mpmath.log(1 + mpmath.log(1 + mpmath.mpf(x))))
 
     def least_x(self, target: float):
+        import mpmath
+
         if target <= 1:
             return mpmath.mpf(1)
         inner = target / self.c
@@ -98,9 +104,13 @@ class Power(GrowthFunction):
         return max(1.0, x**self.eps)
 
     def eval_mp(self, x) -> mpmath.mpf:
+        import mpmath
+
         return max(mpmath.mpf(1), mpmath.mpf(x) ** self.eps)
 
     def least_x(self, target: float):
+        import mpmath
+
         if target <= 1:
             return mpmath.mpf(1)
         digits = math.log10(target) / self.eps
@@ -146,9 +156,13 @@ class StepTable(GrowthFunction):
         return value
 
     def eval_mp(self, x) -> mpmath.mpf:
+        import mpmath
+
         return mpmath.mpf(self(float(x)))
 
     def least_x(self, target: float):
+        import mpmath
+
         if target <= self.steps[0][1]:
             return mpmath.mpf(1)
         for threshold, v in self.steps:
@@ -197,6 +211,8 @@ def least_nu(w: GrowthFunction, K: float, target: float, nu_min: int = 16) -> in
     evaluation, so the answer is the true minimal integer even when it has
     hundreds of digits.
     """
+    import mpmath
+
     if K <= 0:
         raise ValueError("K must be positive")
     if w(K * nu_min) >= target:

@@ -10,7 +10,16 @@ Counting routes (all exact):
 
 * generic enumeration of the member set (capped);
 * a digit route for one-dimensional super-increasing integer bases, where
-  membership is decided by greedy digit extraction without enumeration;
+  membership is decided by greedy digit extraction without enumeration,
+  scanning only the integers of Lambda within reach of the mesh;
+* a keyed route for every other integer basis: the members' residues mod
+  M = 2^61 - 1 come from broadcast additions in int64 (every term is reduced
+  below 2^61, so a sum of two stays below 2^62 and cannot overflow), and are
+  joined to Lambda's residues, encoded once.  A matching residue is
+  necessary for equality; each match is then confirmed by the member's
+  exact sum in Python ints, which is sufficient, so a collision mod M is
+  rejected and never counted.  ``count_distinct_sums`` uses the same keys
+  and computes exact sums only for rows that share a residue;
 * a vectorized route for F_p vector bases: the coefficient domain is
   reduced mod p first (a height-h box becomes min(2h+1, p)^k residue rows),
   the members are one matrix product mod p, and the count is an exact join
@@ -20,6 +29,8 @@ Counting routes (all exact):
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -36,6 +47,7 @@ __all__ = [
     "MeshResourceError",
     "mesh_members",
     "mesh_count",
+    "count_distinct_sums",
     "sidon_mesh_bound",
     "check_mesh_condition",
     "random_meshes",
@@ -133,39 +145,36 @@ def _is_int_basis(mesh: Mesh) -> bool:
     return all(isinstance(b, LatticePoint) and b.dim <= 1 for b in mesh.basis)
 
 
-def _members_ints(mesh: Mesh, cap: int) -> set[int]:
+def _check_cap(mesh: Mesh, cap: int) -> None:
     if mesh.domain_size() > cap:
         raise MeshResourceError(
             f"domain of size {mesh.domain_size()} exceeds the cap {cap}"
         )
-    basis = [b.as_int() for b in mesh.basis]
-    if isinstance(mesh.domain, Box):
-        h = mesh.domain.height
-        values = {0}
-        for b in basis:
-            scaled = [n * b for n in range(-h, h + 1)]
-            values = {v + s for v in values for s in scaled}
-        return values
-    return {sum(n * b for n, b in zip(row, basis)) for row in mesh.domain.coeffs}
 
 
-def _members_generic(mesh: Mesh, cap: int) -> set:
-    if mesh.domain_size() > cap:
-        raise MeshResourceError(
-            f"domain of size {mesh.domain_size()} exceeds the cap {cap}"
-        )
-    zero = mesh.basis[0] - mesh.basis[0]
+def _members(mesh: Mesh, cap: int) -> set:
+    """Every sum over the domain, by a plain set loop (the oracle route).
+
+    A basis of points of Z is summed as plain ints, any other basis as its
+    own elements.
+    """
+    _check_cap(mesh, cap)
+    if _is_int_basis(mesh):
+        basis = [b.as_int() for b in mesh.basis]
+    else:
+        basis = list(mesh.basis)
+    zero = basis[0] - basis[0]
     if isinstance(mesh.domain, Box):
         h = mesh.domain.height
         values = {zero}
-        for b in mesh.basis:
+        for b in basis:
             scaled = [n * b for n in range(-h, h + 1)]
             values = {v + s for v in values for s in scaled}
         return values
     out = set()
     for row in mesh.domain.coeffs:
         acc = zero
-        for n, b in zip(row, mesh.basis):
+        for n, b in zip(row, basis):
             if n:
                 acc = acc + n * b
         out.add(acc)
@@ -174,9 +183,10 @@ def _members_generic(mesh: Mesh, cap: int) -> set:
 
 def mesh_members(mesh: Mesh, cap: int = ENUM_CAP_DEFAULT) -> set:
     """The set of all sums over the domain (duplicates collapse)."""
+    members = _members(mesh, cap)
     if _is_int_basis(mesh):
-        return {LatticePoint.from_int(v) for v in _members_ints(mesh, cap)}
-    return _members_generic(mesh, cap)
+        return {LatticePoint.from_int(v) for v in members}
+    return members
 
 
 def _digit_bounds(mesh: Mesh) -> Optional[list[tuple[int, int, int]]]:
@@ -205,14 +215,18 @@ def _digit_bounds(mesh: Mesh) -> Optional[list[tuple[int, int, int]]]:
     return triples
 
 
-def _count_by_digits(lambda_ints: Iterable[int], mesh: Mesh) -> int:
-    triples = _digit_bounds(mesh)
-    assert triples is not None
+def _count_by_digits(
+    lambda_ints: Sequence[int], mesh: Mesh, triples: list[tuple[int, int, int]]
+) -> int:
+    """Count by greedy digits, scanning only the sorted ints within reach."""
+    reach = sum(beta * bound for beta, bound, _ in triples)  # max |member|
+    lo = bisect_left(lambda_ints, -reach)
+    hi = bisect_right(lambda_ints, reach, lo)
     explicit = (
         set(mesh.domain.coeffs) if isinstance(mesh.domain, ExplicitList) else None
     )
     count = 0
-    for x in lambda_ints:
+    for x in lambda_ints[lo:hi]:
         coeffs = [0] * mesh.k
         ok = True
         for beta, bound, pos in reversed(triples):
@@ -228,6 +242,92 @@ def _count_by_digits(lambda_ints: Iterable[int], mesh: Mesh) -> int:
     return count
 
 
+# Keys of the integer routes are residues mod this Mersenne prime.  Residues
+# lie below 2^61, so the sum of two of them is below 2^62 and int64 holds it.
+_KEY_MOD = 2**61 - 1
+
+
+def _sumset_residues(basis: Sequence[int], domain: Domain) -> np.ndarray:
+    """sum_j n_j * basis[j] mod _KEY_MOD for every coefficient row, as int64.
+
+    Rows come in domain order: C order over (n_1 + h, ..., n_k + h) for a
+    box of height h, list order for an explicit list.  Each term is reduced
+    before it is added and each sum is reduced at once, so no value ever
+    reaches 2^62.
+    """
+    if isinstance(domain, Box):
+        h = domain.height
+        acc = np.zeros(1, dtype=np.int64)
+        for b in basis:
+            r = b % _KEY_MOD
+            terms = np.array([n * r % _KEY_MOD for n in range(-h, h + 1)], dtype=np.int64)
+            acc = _add_mod(acc[:, None], terms[None, :]).ravel()
+        return acc
+    acc = np.zeros(len(domain.coeffs), dtype=np.int64)
+    for j, b in enumerate(basis):
+        r = b % _KEY_MOD
+        terms = np.array([row[j] * r % _KEY_MOD for row in domain.coeffs], dtype=np.int64)
+        acc = _add_mod(acc, terms)
+    return acc
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    total = a + b  # both below _KEY_MOD < 2^61
+    np.subtract(total, _KEY_MOD, out=total, where=total >= _KEY_MOD)
+    return total
+
+
+def _exact_sums(basis: Sequence[int], domain: Domain, rows: np.ndarray) -> list[int]:
+    """The exact sums, as Python ints, of the domain rows at the given indices."""
+    if isinstance(domain, Box):
+        h = domain.height
+        digits = np.unravel_index(rows, (2 * h + 1,) * len(basis))
+        coeffs = (np.stack(digits, axis=1) - h).tolist()
+    else:
+        coeffs = [domain.coeffs[i] for i in rows.tolist()]
+    return [sum(n * b for n, b in zip(row, basis)) for row in coeffs]
+
+
+def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
+    """|{sum_j n_j * basis[j] : n in domain}| for integers of any size.
+
+    Rows whose residues differ have different sums; exact sums are computed
+    only for rows that share a residue with another row.
+    """
+    basis = [operator.index(b) for b in basis]
+    residues = _sumset_residues(basis, domain)
+    order = np.argsort(residues, kind="stable")
+    ranked = residues[order]
+    shared = np.zeros(len(ranked), dtype=bool)
+    same = ranked[1:] == ranked[:-1]
+    shared[1:] |= same
+    shared[:-1] |= same
+    lone = len(ranked) - int(shared.sum())
+    return lone + len(set(_exact_sums(basis, domain, order[shared])))
+
+
+def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: int) -> int:
+    """|Lambda ∩ M| for an integer basis by a residue join, hits confirmed.
+
+    A member can equal a point of Lambda only if their residues match; each
+    matched member's exact sum is then looked up in Lambda, so a residue
+    collision is rejected, never counted.
+    """
+    _check_cap(mesh, cap)
+    if not lam.ints:
+        return 0
+    basis = [b.as_int() for b in mesh.basis]
+    residues = _sumset_residues(basis, mesh.domain)
+    hits = np.flatnonzero(np.isin(residues, lam.int_residues))
+    found = {x for x in _exact_sums(basis, mesh.domain, hits) if _contains(lam.ints, x)}
+    return len(found)
+
+
+def _contains(ordered: Sequence[int], x: int) -> bool:
+    i = bisect_left(ordered, x)
+    return i < len(ordered) and ordered[i] == x
+
+
 def _is_fp_basis(mesh: Mesh) -> bool:
     if not all(isinstance(b, FpVector) for b in mesh.basis):
         return False
@@ -237,15 +337,28 @@ def _is_fp_basis(mesh: Mesh) -> bool:
 
 
 class _Lambda:
-    """Lambda deduplicated once, with its F_p points encoded once per (p, nu)."""
+    """Lambda deduplicated and encoded once for every counting route.
+
+    Its integers (plain ints and points of Z) are kept as a sorted list and
+    as int64 residues mod _KEY_MOD in the same order; its F_p points as row
+    keys per (p, nu).
+    """
 
     def __init__(self, lam: Iterable):
         self.points = list(dict.fromkeys(lam))  # |Lambda ∩ M| is a set intersection
+        ints = set()
         rows: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for v in self.points:
-            # larger primes never pass the int64 guard of the vectorized route
-            if isinstance(v, FpVector) and (v.p - 1) ** 2 < 2**62:
-                rows.setdefault((v.p, v.nu), []).append(v.coords)
+            if isinstance(v, FpVector):
+                # larger primes never pass the int64 guard of the vectorized route
+                if (v.p - 1) ** 2 < 2**62:
+                    rows.setdefault((v.p, v.nu), []).append(v.coords)
+            elif isinstance(v, int):
+                ints.add(v)
+            elif isinstance(v, LatticePoint) and v.dim <= 1:
+                ints.add(v.as_int())
+        self.ints = sorted(ints)
+        self.int_residues = np.array([x % _KEY_MOD for x in self.ints], dtype=np.int64)
         # row keys of the points that are FpVectors in (Z/pZ)^nu, by (p, nu)
         self.fp_keys = {
             key: _row_keys(np.array(group, dtype=np.int64), key[0])
@@ -271,10 +384,7 @@ def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
 
 
 def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: int) -> int:
-    if mesh.domain_size() > cap:
-        raise MeshResourceError(
-            f"domain of size {mesh.domain_size()} exceeds the cap {cap}"
-        )
+    _check_cap(mesh, cap)
     p = mesh.basis[0].p
     lam_keys = lam.fp_keys.get((p, mesh.basis[0].nu))
     if lam_keys is None:
@@ -293,40 +403,33 @@ def mesh_count(
     """|Lambda ∩ M| exactly.
 
     method: "auto" picks the digit route for super-increasing integer
-    bases, a vectorized route for F_p bases, and set enumeration otherwise;
-    "enumerate" forces plain enumeration (the oracle route); "digits"
-    forces the digit route (error when inapplicable).
+    bases, the keyed route for other integer bases, a vectorized route for
+    F_p bases, and set enumeration otherwise; "enumerate" forces plain
+    enumeration (the oracle route); "digits" forces the digit route (error
+    when inapplicable).  Integers of Lambda count once per value, whether
+    given as ints or as points of Z.
     """
-    pts = lam if isinstance(lam, _Lambda) else _Lambda(lam)
-    lam = pts.points
+    lam = lam if isinstance(lam, _Lambda) else _Lambda(lam)
     if method == "enumerate":
-        members = mesh_members(mesh, cap) if not _is_int_basis(mesh) else None
-        if members is None:
-            ints = _members_ints(mesh, cap)
-            return sum(1 for x in set(lam) if _as_opt_int(x) in ints)
-        return len(set(lam) & members)
-    if method == "digits" or (method == "auto" and _digit_bounds(mesh) is not None):
-        if _digit_bounds(mesh) is None:
-            raise ValueError("digit route does not apply to this mesh")
-        ints = {_as_opt_int(x) for x in lam}
-        ints.discard(None)
-        return _count_by_digits(ints, mesh)
-    if method != "auto":
+        members = _members(mesh, cap)
+        if _is_int_basis(mesh):
+            return sum(1 for x in lam.ints if x in members)
+        return len(members.intersection(lam.points))
+    if method not in ("auto", "digits"):
         raise ValueError(f"unknown method {method!r}")
+    triples = _digit_bounds(mesh)
+    if triples is not None:
+        return _count_by_digits(lam.ints, mesh, triples)
+    if method == "digits":
+        raise ValueError("digit route does not apply to this mesh")
+    if _is_int_basis(mesh):
+        return _count_keyed(lam, mesh, cap)
     if _is_fp_basis(mesh):
         p, k = mesh.basis[0].p, mesh.k
         # int64 matmul accumulates k*(p-1)^2; huge primes take the slow path
         if k * (p - 1) ** 2 < 2**62:
-            return _count_fp_vectorized(pts, mesh, cap)
-    return mesh_count(pts, mesh, cap, method="enumerate")
-
-
-def _as_opt_int(x) -> Optional[int]:
-    if isinstance(x, LatticePoint):
-        return x.as_int() if x.dim <= 1 else None
-    if isinstance(x, int):
-        return x
-    return None
+            return _count_fp_vectorized(lam, mesh, cap)
+    return mesh_count(lam, mesh, cap, method="enumerate")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 
 from .core import FpVector, LatticePoint, fp_rank, next_prime
 from .growth import DoubleLog, GrowthFunction
-from .mesh import BoundSpec, MeshReport, check_mesh_condition, random_meshes
+from .mesh import (
+    BoundSpec,
+    Box,
+    MeshReport,
+    check_mesh_condition,
+    count_distinct_sums,
+    random_meshes,
+)
 from .selection import LemmaCertificate, SelectionConfig, lemma_search
 
 __all__ = [
@@ -330,12 +337,7 @@ def well_spread_check(basis: Sequence[int], q: int, cap: int = 10**7) -> bool:
     size = q ** len(basis)
     if size > cap:
         raise MemoryError(f"q^|B| = {size} exceeds the enumeration cap {cap}")
-    half = (q - 1) // 2
-    values = {0}
-    for b in basis:
-        scaled = [m * b for m in range(-half, half + 1)]
-        values = {v + s for v in values for s in scaled}
-    return len(values) == size
+    return count_distinct_sums(basis, Box((q - 1) // 2)) == size
 
 
 def v_p_size(points: Sequence[int], p: int, cap: int = 10**7) -> int:
@@ -345,12 +347,7 @@ def v_p_size(points: Sequence[int], p: int, cap: int = 10**7) -> int:
     size = p ** len(points)
     if size > cap:
         raise MemoryError(f"p^|A'| = {size} exceeds the enumeration cap {cap}")
-    half = (p - 1) // 2
-    values = {0}
-    for a in points:
-        scaled = [m * a for m in range(-half, half + 1)]
-        values = {v + s for v in values for s in scaled}
-    return len(values)
+    return count_distinct_sums(points, Box((p - 1) // 2))
 
 
 def pick_independent_subset(block: SpreadBlock, size: int) -> list[int]:

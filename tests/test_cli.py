@@ -207,6 +207,17 @@ def test_cli_start_does_not_import_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_start_does_not_import_mpmath():
+    code = (
+        "import sys; import sidonlab.cli; from sidonlab.cli import parse_config; "
+        "parse_config(['theorem3']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    proc = _run_cli(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _assert_cap_exit(proc, error):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -262,3 +273,30 @@ def test_mesh_report_bad_input_exits_2_before_counting(tmp_path, change, message
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"sidonlab: {message}")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("points", [[1, 1.5], [1, "x"], [[1, None]]])
+def test_verify_qi_non_integer_point_exits_2(tmp_path, points):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps({"points": points}))
+    proc = _run_cli("verify-qi", "--input", str(inp))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("sidonlab: ConfigError: malformed verify-qi input: point ")
+    assert proc.stdout == ""
+
+
+def test_points_from_json_accepts_ints_and_integer_strings_only():
+    from sidonlab.cli import _points_from_json
+    from sidonlab.core import LatticePoint
+
+    points = _points_from_json({"points": [3, "-12", [1, "2", 0], 10**30]}, "input")
+    assert points == [
+        LatticePoint((3,)), LatticePoint((-12,)), LatticePoint((1, 2)),
+        LatticePoint((10**30,)),
+    ]
+    for bad in ([True], [None], [2.0], ["1.5"], [[1, [2]]], [{"x": 1}], 7, "12"):
+        with pytest.raises(ConfigError, match="malformed input"):
+            _points_from_json(bad, "input")

@@ -14,6 +14,7 @@ from sidonlab.construction import (
     theorem1_witness,
     witness_counts,
     _coefficient_bound,
+    _support_counts,
 )
 from sidonlab.mesh import Box, mesh_count
 from sidonlab.verify import verify_qi_exhaustive
@@ -193,6 +194,56 @@ def test_witness_counts_helper_matches_witness():
     for k in ks:
         _, claimed = theorem1_witness(k, c)
         assert counts[k] == claimed == n_nu(k.bit_length() - 1)
+
+
+def _loop_counts(supports, nu_max, ks):
+    """The per-support loop: every index in the witness set, every |digit| <= 1."""
+    fresh = 2 ** (nu_max + 1)
+    counts = {}
+    for k in ks:
+        nu = k.bit_length() - 1
+        indices = list(range(2**nu, 2 ** (nu + 1)))
+        indices += list(range(fresh, fresh + k - len(indices)))
+        idx = set(indices)
+        counts[k] = sum(
+            1 for d in supports if all(i in idx and abs(n) <= 1 for i, n in d.items())
+        )
+    return counts
+
+
+@pytest.mark.parametrize("nu_max", range(1, 8))
+def test_witness_counts_match_the_per_support_loop(nu_max):
+    c = embed_theorem1(nu_max)
+    ks = range(2, 2 ** (nu_max + 1))
+    supports = [c.basis.digits(x) for x in c.lambda_ints()]
+    assert witness_counts(c, ks) == _loop_counts(supports, nu_max, ks)
+
+
+def test_support_counts_edge_cases():
+    nu_max = 3  # blocks [2^nu, 2^(nu+1)) below 16, padding from 16 on
+    supports = [
+        {},  # counts for every k
+        {16: 1},  # padding only
+        {17: -1, 18: 1},
+        {22: 1},  # the last padding index, only at k = 15
+        {23: 1},  # beyond every padding
+        {4: 1, 16: -1},  # a block and the padding
+        {4: 1, 9: 1, 16: 1},  # two blocks
+        {8: -1, 15: 1, 17: 1},
+        {8: 2},  # a digit too large
+        {12: 1, 17: 3},
+        {1: 1},  # index 1 is in no block
+        {2: 1, 3: -1},
+        {0: 1},
+    ]
+    ks = list(range(2, 16))
+    want = _loop_counts(supports, nu_max, ks)
+    assert _support_counts(supports, nu_max, ks) == want
+    assert _support_counts(supports, nu_max, ks[::-1] + [5]) == want
+    assert (want[2], want[5], want[15]) == (2, 3, 5)
+    for k in (1, 16):
+        with pytest.raises(ValueError):
+            _support_counts(supports, nu_max, [k])
 
 
 def test_export_roundtrip(tmp_path):

@@ -1,16 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidonlab.core import FpVector, LatticePoint, next_prime
 from sidonlab.mesh import (
+    _KEY_MOD,
     BoundSpec,
     Box,
     ExplicitList,
     Mesh,
     MeshResourceError,
+    _count_keyed,
+    _Lambda,
     check_mesh_condition,
+    count_distinct_sums,
     mesh_count,
     mesh_members,
     random_meshes,
@@ -242,3 +249,107 @@ def test_fp_route_cap_uses_the_full_domain_size():
     with pytest.raises(MeshResourceError):
         check_mesh_condition(lam, [mesh], BoundSpec("sidon_log", C=1.0), cap=1000)
     assert mesh_count(lam, mesh) == 1
+
+
+# ---------------------------------------------------------------------------
+# the keyed integer route against the oracles
+# ---------------------------------------------------------------------------
+
+
+def _plain_sums(basis, domain):
+    """Every sum over the domain, by a plain loop over its coefficient rows."""
+    if isinstance(domain, Box):
+        h = domain.height
+        rows = itertools.product(range(-h, h + 1), repeat=len(basis))
+    else:
+        rows = domain.coeffs
+    return {sum(n * b for n, b in zip(row, basis)) for row in rows}
+
+
+_EDGES = (_KEY_MOD, 2**61, 2**62, 2**63, 2**64)
+_FAR = (2**100, 3**150, 10**700)
+
+key_ints = st.one_of(
+    st.integers(-5, 5),
+    st.builds(
+        lambda e, d, s: s * (e + d), st.sampled_from(_EDGES), st.integers(-3, 3),
+        st.sampled_from((1, -1)),
+    ),
+    st.builds(lambda e, d: e + d, st.sampled_from(_FAR), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def int_meshes(draw):
+    basis = draw(st.lists(key_ints, min_size=1, max_size=3))
+    extra = draw(st.sampled_from(("none", "repeat", "shift")))
+    if extra == "repeat":
+        basis.append(basis[0])
+    elif extra == "shift":  # congruent to basis[0] mod _KEY_MOD, but unequal
+        basis.append(basis[0] + _KEY_MOD)
+    coeff = st.integers(-3, 3)
+    domain = draw(st.one_of(
+        st.builds(Box, st.integers(0, 3)),
+        st.lists(st.tuples(*[coeff] * len(basis)), min_size=1, max_size=12).map(
+            lambda rows: ExplicitList(tuple(rows))
+        ),
+    ))
+    members = sorted(_plain_sums(basis, domain))
+    picked = draw(st.lists(st.sampled_from(members), max_size=6))
+    lam = picked + [x + s * _KEY_MOD for x in picked[:3] for s in (1, -2)]
+    lam += draw(st.lists(key_ints, max_size=6))
+    return Mesh(tuple(ip(b) for b in basis), domain), basis, [ip(x) for x in lam]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_meshes())
+def test_keyed_route_matches_enumeration(case):
+    mesh, basis, lam = case
+    want = mesh_count(lam, mesh, method="enumerate")
+    assert want == len(_plain_sums(basis, mesh.domain) & {p.as_int() for p in lam})
+    assert _count_keyed(_Lambda(lam), mesh, 10**7) == want
+    assert mesh_count(lam, mesh) == want
+    assert count_distinct_sums(basis, mesh.domain) == len(_plain_sums(basis, mesh.domain))
+
+
+@pytest.mark.parametrize(
+    "b", [3, 2**61 + 5, 2**64 - 1, 10**700 + 1], ids=["3", "2^61+5", "2^64-1", "10^700+1"]
+)
+def test_keyed_route_rejects_residue_collisions(b):
+    m = _KEY_MOD
+    one = Mesh((ip(b),), Box(1))  # members -b, 0, b
+    shifted = [ip(b + m), ip(b - m), ip(-b + 2 * m), ip(m)]
+    assert _count_keyed(_Lambda(shifted), one, 10**7) == 0
+    assert mesh_count(shifted, one, method="enumerate") == 0
+    pair = Mesh((ip(b), ip(b + m)), Box(1))  # not super-increasing: keyed route
+    lam = [ip(2 * b), ip(b), ip(b + m), ip(3 * b), ip(2 * b + m)]
+    # 2b shares its residue with the member 2b + m but is not a member
+    assert mesh_count(lam, pair) == mesh_count(lam, pair, method="enumerate") == 3
+    explicit = Mesh((ip(b), ip(b + m)), ExplicitList(((1, 1), (2, 0), (0, -1))))
+    lam = [ip(2 * b + m), ip(2 * b), ip(-b - m), ip(-b), ip(m)]  # -b and m collide
+    assert mesh_count(lam, explicit) == mesh_count(lam, explicit, method="enumerate") == 3
+
+
+def test_ints_and_points_of_z_count_once_per_value():
+    mesh = Mesh((ip(2), ip(3)), Box(1))
+    lam = [ip(5), 5, LatticePoint(()), 0, 7]
+    for method in ("auto", "enumerate"):
+        assert mesh_count(lam, mesh, method=method) == 2
+    digits = Mesh((ip(1), ip(10)), Box(1))
+    assert mesh_count(lam, digits) == mesh_count(lam, digits, method="enumerate") == 1
+
+
+def test_keyed_route_cap_uses_the_full_domain_size():
+    mesh = Mesh((ip(1), ip(2), ip(7)), Box(3))
+    with pytest.raises(MeshResourceError):
+        mesh_count([ip(1)], mesh, cap=10)
+    assert mesh_count([ip(1)], mesh) == 1
+
+
+def test_count_distinct_sums_confirms_shared_residues():
+    m = _KEY_MOD
+    for b in (1, 2**61, 10**700):
+        for basis, h in (([b, b + m], 1), ([b, b + m, b], 1), ([b, 2 * b + m], 2), ([m, 2 * m], 1)):
+            assert count_distinct_sums(basis, Box(h)) == len(_plain_sums(basis, Box(h)))
+    # all 9 sums of (b, b + m) are distinct although only 5 residues are
+    assert count_distinct_sums([5, 5 + m], Box(1)) == 9

@@ -64,6 +64,29 @@ def test_well_spread_examples():
         well_spread_check(list(range(1, 12)), 9, cap=10**6)
 
 
+def _plain_combinations(basis, q):
+    half = (q - 1) // 2
+    values = {0}
+    for b in basis:
+        values = {v + m * b for v in values for m in range(-half, half + 1)}
+    return values
+
+
+@pytest.mark.parametrize("basis", [
+    [5, 5 + (2**61 - 1)],  # congruent mod 2^61 - 1, unequal
+    [2**61, 2**62 - 1, 2**61],
+    [10**700, 10**700 + 2**61 - 1, 3],
+    [2**64 + 1, -(2**64 + 1) + 2 * (2**61 - 1)],
+    [7, 7],
+])
+def test_well_spread_and_v_p_size_confirm_residue_collisions(basis):
+    for q in (3, 5):
+        values = _plain_combinations(basis, q)
+        assert v_p_size(basis, q) == len(values)
+        assert well_spread_check(basis, q) == (len(values) == q ** len(basis))
+    assert well_spread_check(basis[:2], 3) == (basis[0] != basis[1])
+
+
 def test_build_block_sizes_and_certificates(system):
     assert len(system.blocks) == 4
     for b in system.blocks:
