@@ -32,6 +32,10 @@ class ConfigError(Exception):
     """Bad flag/file input; maps to exit status 2."""
 
 
+class InternalError(RuntimeError):
+    """A result failed the program's own check on it: a bug, not a finding."""
+
+
 def _prime_type(text: str) -> int:
     value = int(text)
     if not is_prime(value):
@@ -293,6 +297,11 @@ def _run_verify_qi(params, seed, pool):
     with open(params["input"]) as fh:
         points = _points_from_json(json.load(fh), "verify-qi input")
     qi, witness = verify_qi_exhaustive(points, n_max=params["n-max"])
+    if witness is not None and not witness.validates(points):
+        raise InternalError(
+            f"verify-qi: dependency witness {list(witness.eps.signs)} "
+            "does not cancel on the input points"
+        )
     checks = [Check("quasi-independent", float(qi), 1.0, qi)]
     artifacts = {
         "n": len(points),
@@ -302,7 +311,7 @@ def _run_verify_qi(params, seed, pool):
 
 
 def _run_theorem1(params, seed, pool):
-    from .construction import build_matrix, embed_theorem1, n_nu, theorem1_witness, witness_counts
+    from .construction import build_matrix, embed_theorem1, n_nu, witness_counts
     from .verify import verify_qi_exhaustive, verify_qi_structural
 
     nu_max = params["nu-max"]
@@ -322,8 +331,8 @@ def _run_theorem1(params, seed, pool):
     counts = witness_counts(construction, ks)
     worst = math.inf
     for k in ks:
-        mesh, claimed = theorem1_witness(k, construction)
-        if counts[k] != claimed:
+        # theorem1_witness(k) claims N_nu with 2^nu <= k < 2^(nu+1)
+        if counts[k] != n_nu(k.bit_length() - 1):
             worst = -math.inf
             break
         worst = min(worst, counts[k] - 0.25 * k * math.log2(k))

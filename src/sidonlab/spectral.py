@@ -36,7 +36,10 @@ __all__ = [
 
 NU_CAP = 26
 
-# fwht runs this many low-bit stages on a transposed copy (see its docstring)
+# fwht runs the stages of the low _BLOCK_BITS index bits one contiguous
+# block at a time, the first _TRANSPOSED_STAGES of them on a transposed copy
+# of the block (see its docstring)
+_BLOCK_BITS = 15
 _TRANSPOSED_STAGES = 6
 
 
@@ -60,18 +63,25 @@ def fwht(values) -> np.ndarray:
 
     The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
     pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
-    in that order.  Two preallocated buffers take turns as source and
-    destination of a stage (``np.add``/``np.subtract`` with ``out=``), so
-    the argument is never written and no stage allocates.  The first
-    r = min(``_TRANSPOSED_STAGES``, nu) stages act on the low r bits of the
+    in that order.  A stage with h < 2^b pairs only indices inside the same
+    aligned block of 2^b, so the low b = min(``_BLOCK_BITS``, nu) stages run
+    block by block: each contiguous block of 2^b input elements goes through
+    all of them in two small buffers that stay in cache, and the last one
+    writes it into its place in the output.  Inside a block the first
+    r = min(``_TRANSPOSED_STAGES``, b) stages act on the low r bits of the
     index, so they run on a C-ordered transposed copy of shape
-    (2^r, 2^(nu-r)), where each butterfly half is one contiguous block of
-    h * 2^(nu-r) elements instead of many runs of h; the transpose is then
-    copied back into the spare buffer and the remaining stages run on the
-    natural layout.  Every output element is made by the same additions
-    and subtractions of the same operands, stage by stage in the same
-    order, as the plain in-place radix-2 loop, so float64 and complex128
-    results are bit-identical to it, whatever the layout.
+    (2^r, 2^(b-r)), where each butterfly half is one contiguous run of
+    h * 2^(b-r) elements instead of many runs of h; the block is then
+    transposed back and its remaining stages run on the natural layout.
+    The high stages h >= 2^b then run over the whole array.  Every stage
+    reads one buffer and writes the other (``np.add``/``np.subtract`` with
+    ``out=``), so the argument is never written and no stage allocates.
+
+    Every output element is made by the same additions and subtractions of
+    the same operands, stage by stage in the same order, as the plain
+    in-place radix-2 loop; only the memory layout between stages differs.
+    So float64 and complex128 results are bit-identical to that loop,
+    whatever the block and transpose sizes.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -80,26 +90,50 @@ def fwht(values) -> np.ndarray:
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     dtype = _target_dtype(a)
-    m = 1 << min(_TRANSPOSED_STAGES, n.bit_length() - 1)
-    q = n // m
-    src = np.empty(n, dtype)
-    dst = np.empty(n, dtype)
-    # src[lo * q + hi] = a[hi * m + lo]: stage h < m pairs row lo with lo + h
-    np.copyto(src.reshape(m, q), a.reshape(q, m).T, casting="unsafe")
-    h = 1
+    nb = min(n, 1 << _BLOCK_BITS)
+    out = np.empty(n, dtype)
+    bufs = (np.empty(nb, dtype), np.empty(nb, dtype))
+    for start in range(0, n, nb):
+        _block_stages(a[start:start + nb], out[start:start + nb], *bufs)
+    if nb == n:
+        return out
+    src, dst = out, np.empty(n, dtype)
+    h = nb
     while h < n:
+        _butterfly(src, dst, h)
+        src, dst = dst, src
+        h *= 2
+    return src
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
+    """One stage on runs of ``width``: (a, b) -> (a + b, a - b) into dst."""
+    s = src.reshape(-1, 2, width)
+    d = dst.reshape(-1, 2, width)
+    np.add(s[:, 0], s[:, 1], out=d[:, 0])
+    np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+
+
+def _block_stages(block: np.ndarray, out: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Every stage h < len(block) of one block, from block into out, with
+    src and dst (each of len(block)) as scratch."""
+    nb = out.shape[0]
+    if nb == 1:
+        np.copyto(out, block, casting="unsafe")
+        return
+    m = 1 << min(_TRANSPOSED_STAGES, nb.bit_length() - 1)
+    q = nb // m
+    # src[lo * q + hi] = block[hi * m + lo]: stage h < m pairs row lo with lo + h
+    np.copyto(src.reshape(m, q), block.reshape(q, m).T, casting="unsafe")
+    h = 1
+    while h < nb:
         if h == m:
             dst.reshape(q, m)[...] = src.reshape(m, q).T
             src, dst = dst, src
-        width = h * q if h < m else h
-        s = src.reshape(-1, 2, width)
-        d = dst.reshape(-1, 2, width)
-        np.add(s[:, 0], s[:, 1], out=d[:, 0])
-        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        # when m == nb the transposed copy has shape (nb, 1), the natural layout
+        _butterfly(src, out if 2 * h == nb else dst, h * q if h < m else h)
         src, dst = dst, src
         h *= 2
-    # when m == n the transposed copy has shape (n, 1), the natural layout
-    return src
 
 
 def naive_wht(values) -> np.ndarray:
@@ -253,25 +287,33 @@ def masks_independent(masks: Sequence[int]) -> bool:
 
 
 def _character_sum(nu: int, masks: Iterable[int]) -> np.ndarray:
-    """sum_j (-1)^popcount(x & y_j) over the masks y_j, for all x, as int64."""
-    x = np.arange(2**nu, dtype=np.int64)
-    total = np.zeros(2**nu, dtype=np.int64)
+    """sum_j (-1)^popcount(x & y_j) over the masks y_j, for all x < 2^nu.
+
+    Bits of a mask at or above nu are ignored.  Each character is built by
+    doubling over the nu index bits: its values on [2^b, 2^(b+1)) are its
+    values on [0, 2^b), negated when bit b of the mask is set.  The sum is
+    int8 for fewer than 128 masks (it cannot leave [-127, 127]), int64
+    otherwise.
+    """
+    masks = [int(y) for y in masks]
+    n = 1 << nu
+    total = np.zeros(n, dtype=np.int8 if len(masks) < 128 else np.int64)
+    chi = np.empty(n, dtype=np.int8)
     for y in masks:
-        acc = np.zeros(2**nu, dtype=np.int64)
-        bit = 0
-        yy = int(y)
-        while yy:
-            if yy & 1:
-                acc ^= (x >> bit) & 1
-            yy >>= 1
-            bit += 1
-        total += 1 - 2 * acc
+        chi[0] = 1
+        for b in range(nu):
+            h = 1 << b
+            if y >> b & 1:
+                np.negative(chi[:h], out=chi[h:2 * h])
+            else:
+                chi[h:2 * h] = chi[:h]
+        total += chi
     return total
 
 
 def _character_values(nu: int, y: int) -> np.ndarray:
     """(-1)^popcount(x & y) for all x, as an int8 array."""
-    return _character_sum(nu, [y]).astype(np.int8)
+    return _character_sum(nu, [y])
 
 
 @dataclass(frozen=True)
@@ -360,19 +402,25 @@ def analyticity_witness(
     if not masks_independent(y_masks):
         raise ValueError("character masks are dependent over F_2")
 
+    # f takes the 2 rho + 1 values -rho..rho, so v = exp(i pi/4 f) is read
+    # from a table of them (each entry the same np.exp of the same product)
     f = _character_sum(nu, y_masks)
-    v = np.exp(1j * (math.pi / 4) * f)
+    f_norm = float(np.abs(fwht(f)).sum()) / n
+    v = np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))[f + rho]
+    del f
 
-    sigma = mask.astype(np.float64)
     if sigma_spec is None:
-        sigma_spec = fwht(sigma)
+        sigma_spec = fwht(mask.astype(np.float64))
     s1 = float(sigma_spec[0])
     sup_off = float(np.abs(sigma_spec[1:]).max()) if n > 1 else 0.0
 
-    mu_spec = fwht(v * sigma)
+    # mu = v * sigma, in place: bool and float64 0/1 both enter the complex
+    # product as 0 + 0j or 1 + 0j
+    np.multiply(v, mask, out=v)
+    mu_spec = fwht(v)
+    del v
     sup_mu = float(np.abs(mu_spec).max())
-
-    f_norm = float(np.abs(fwht(f)).sum()) / n
+    del mu_spec
 
     ratio = 20.0 / math.sqrt(ell)
     lower = s1 / sup_mu if sup_mu > 0 else math.inf

@@ -155,6 +155,24 @@ def subgaussian_tail_bound(lam: float, spec: SubGaussianSpec) -> TailBounds:
     return TailBounds(one, 2 * one, lam < spec.tau * spec.h)
 
 
+def _binom_pmf(k: np.ndarray, N: int, alpha: float) -> np.ndarray:
+    """The binomial pmf at k, computed as ``scipy.stats.binom.pmf`` does.
+
+    Importing ``scipy.stats`` costs more than everything else in
+    ``appendix-check`` together, so this calls the ufunc that
+    ``binom._pmf`` wraps in scipy 1.17 directly.  Older scipy, where the
+    name does not exist, falls back to ``scipy.stats``.  A test pins the
+    two to equal bit for bit on every (N, alpha) the CLI checks exactly.
+    """
+    try:  # lazy: keeps CLI start-up light
+        from scipy.special._ufuncs import _binom_pmf as pmf
+    except ImportError:
+        from scipy.stats import binom
+
+        pmf = binom.pmf
+    return pmf(k, N, alpha)
+
+
 @dataclass(frozen=True)
 class DifferenceTailReport:
     """Exact (or sampled) tail of Y - Y' against 2 exp(-lambda^2/2)."""
@@ -198,8 +216,6 @@ def difference_tail_check(
     DomainError is raised.  Exact double-convolution tail for N within
     exact_limit, Monte Carlo with 3-sigma slack beyond.
     """
-    from scipy.stats import binom  # lazy: keeps CLI start-up light
-
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if lam <= 0:
@@ -213,7 +229,7 @@ def difference_tail_check(
     threshold = 2 * lam * math.sqrt(2 * N * alpha * (1 - alpha))
     bound = 2 * math.exp(-0.5 * lam * lam)
     if N <= exact_limit:
-        pmf = binom.pmf(np.arange(N + 1), N, alpha)
+        pmf = _binom_pmf(np.arange(N + 1), N, alpha)
         pmf_z = np.convolve(pmf, pmf[::-1])  # support -N..N
         z = np.arange(-N, N + 1)
         tail = float(pmf_z[np.abs(z) > threshold].sum())

@@ -78,6 +78,22 @@ def test_verify_qi_exit_codes(tmp_path):
     assert main(["verify-qi", "--input", str(qi), "--out", str(out)]) == 0
 
 
+def test_verify_qi_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch):
+    import sidonlab.verify
+    from sidonlab.cli import InternalError
+    from sidonlab.core import SignVector
+    from sidonlab.verify import DependencyWitness
+
+    qi = tmp_path / "qi.json"
+    qi.write_text(json.dumps({"points": [[1, 1], [1, -1], [1, 0]]}))
+    bogus = DependencyWitness(SignVector((1, 1, 0)))  # (1, 1) + (1, -1) = (2, 0)
+    monkeypatch.setattr(
+        sidonlab.verify, "verify_qi_exhaustive", lambda points, n_max: (False, bogus)
+    )
+    with pytest.raises(InternalError, match="does not cancel"):
+        run(parse_config(["verify-qi", "--input", str(qi)]))
+
+
 def test_missing_input_is_usage_error():
     assert main(["verify-qi"]) == 2
 
@@ -205,6 +221,17 @@ def test_cli_start_does_not_import_scipy():
     proc = _run_cli(code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_appendix_check_does_not_import_scipy_stats():
+    code = (
+        "import os, sys; from sidonlab.cli import main; "
+        "code = main(['appendix-check', '--out', os.devnull]); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    proc = _run_cli(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_cli_start_does_not_import_mpmath():

@@ -196,6 +196,15 @@ def test_witness_counts_helper_matches_witness():
         assert counts[k] == claimed == n_nu(k.bit_length() - 1)
 
 
+def test_witness_claim_is_n_nu_at_the_cli_default():
+    # theorem1 reads the claimed count of every k as N_nu instead of
+    # building each witness mesh
+    nu_max = 7
+    c = embed_theorem1(nu_max)
+    for k in range(2, 2 ** (nu_max + 1)):
+        assert theorem1_witness(k, c)[1] == n_nu(k.bit_length() - 1)
+
+
 def _loop_counts(supports, nu_max, ks):
     """The per-support loop: every index in the witness set, every |digit| <= 1."""
     fresh = 2 ** (nu_max + 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sidonlab.spectral import (
     FlatnessFailure,
+    _character_sum,
     a_norm_upper_bound,
     analyticity_witness,
     default_rho,
@@ -56,24 +57,55 @@ def test_fwht_involution(nu):
     assert np.allclose(fwht(fwht(x)), (2**nu) * x, rtol=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10).flatmap(
-    lambda nu: st.tuples(
-        st.lists(st.integers(-(2**40), 2**40), min_size=2**nu, max_size=2**nu),
-        st.sampled_from([np.int64, np.bool_]),
-    )
-))
-def test_fwht_integer_inputs_match_naive_property(case):
+# Integer-valued inputs in every dtype.  Blocks of 2^1..2^4 make transforms
+# of nu <= 10 cross many blocks, blocks shorter than the transposed stages,
+# and high stages; 2^15 is the default.
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 15]),
+    st.integers(0, 10).flatmap(
+        lambda nu: st.tuples(
+            st.lists(st.integers(-(2**40), 2**40), min_size=2**nu, max_size=2**nu),
+            st.sampled_from([np.int64, np.bool_, np.float64, np.complex128]),
+        )
+    ),
+)
+def test_fwht_integer_inputs_match_naive_property(block_bits, case):
+    import sidonlab.spectral
+
     values, dtype = case
     a = np.array(values, dtype=np.int64).astype(dtype)
-    out = fwht(a)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, naive_wht(a))
+    if dtype is np.complex128:
+        a = a + 1j * a[::-1]
+    saved = sidonlab.spectral._BLOCK_BITS
+    sidonlab.spectral._BLOCK_BITS = block_bits
+    try:
+        out = fwht(a)
+    finally:
+        sidonlab.spectral._BLOCK_BITS = saved
+    expected = naive_wht(a)
+    assert out.dtype == expected.dtype
+    if dtype in (np.int64, np.bool_):
+        assert np.array_equal(out, expected)
+    else:
+        assert np.allclose(out, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 6, 7, 9])
 def test_fwht_never_writes_its_argument(nu, dtype):
+    _check_fwht_leaves_its_argument(nu, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("block_bits", [1, 2, 4])
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 6, 7, 9])
+def test_fwht_never_writes_its_argument_in_small_blocks(nu, block_bits, dtype, monkeypatch):
+    monkeypatch.setattr("sidonlab.spectral._BLOCK_BITS", block_bits)
+    _check_fwht_leaves_its_argument(nu, dtype)
+
+
+def _check_fwht_leaves_its_argument(nu, dtype):
     rng = np.random.default_rng(nu)
     a = (rng.integers(-5, 6, 2**nu) + (1j if dtype is np.complex128 else 0)).astype(dtype)
     before = a.copy()
@@ -236,6 +268,25 @@ def test_witness_validation(small_flat):
         analyticity_witness(small_flat, rho=20)
     with pytest.raises(ValueError):
         analyticity_witness(small_flat.mask)  # ell missing
+
+
+@pytest.mark.parametrize("nu", [1, 2, 5, 9, 12])
+def test_character_sum_matches_popcount_loop(nu):
+    rng = np.random.default_rng(nu)
+    for rho in sorted({0, 1, nu // 2, nu}):
+        masks = []
+        while len(masks) < rho:
+            y = int(rng.integers(1, 2**nu))
+            if not masks:
+                y |= 1 << (nu - 1)  # the top bit
+            if masks_independent(masks + [y]):
+                masks.append(y)
+        f = _character_sum(nu, masks)
+        expected = [
+            sum(1 - 2 * ((x & y).bit_count() % 2) for y in masks) for x in range(2**nu)
+        ]
+        assert f.dtype == np.int8
+        assert f.tolist() == expected
 
 
 def test_v_spectrum_is_flat_on_subgroup():

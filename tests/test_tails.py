@@ -172,3 +172,48 @@ def test_difference_exact_matches_simulation_roughly():
     z = rng.binomial(200, 0.5, 200000).astype(int) - rng.binomial(200, 0.5, 200000)
     freq = float((np.abs(z) > r.threshold).mean())
     assert abs(freq - r.tail) < 5 * math.sqrt(max(r.tail, 1e-9) / 200000) + 1e-3
+
+
+# every (N, alpha, lambda) that appendix-check runs on the exact route
+_CLI_EXACT_CASES = [
+    (N, alpha, lam)
+    for N in (100, 400, 2000)
+    for alpha in (0.1, 0.3, 0.5)
+    for lam in (0.5, 1.0, 2.0)
+    if alpha == 0.5 or lam < math.sqrt(N * alpha * (1 - alpha) / abs(1 - 2 * alpha))
+]
+
+
+@pytest.mark.parametrize("N", [100, 400, 2000])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
+def test_private_binom_ufunc_equals_scipy_stats_bit_for_bit(N, alpha):
+    from scipy.special._ufuncs import _binom_pmf
+    from scipy.stats import binom
+
+    k = np.arange(N + 1)
+    fast = _binom_pmf(k, N, alpha)
+    public = binom.pmf(k, N, alpha)
+    assert fast.dtype == public.dtype == np.float64
+    assert fast.tobytes() == public.tobytes()
+
+
+def test_difference_tail_falls_back_to_scipy_stats(monkeypatch):
+    import sys
+
+    from scipy.stats import binom
+
+    fast = [difference_tail_check(N, alpha, lam) for N, alpha, lam in _CLI_EXACT_CASES]
+    calls = []
+    public_pmf = binom.pmf
+
+    def spy(*args):
+        calls.append(args[1:])
+        return public_pmf(*args)
+
+    monkeypatch.setattr(binom, "pmf", spy)
+    # a None entry makes `from scipy.special._ufuncs import ...` raise ImportError
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
+    slow = [difference_tail_check(N, alpha, lam) for N, alpha, lam in _CLI_EXACT_CASES]
+    assert len(calls) == len(_CLI_EXACT_CASES)
+    assert all(r.exact for r in fast)
+    assert slow == fast
