@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +27,7 @@ from .growth import GrowthFunction, parse_growth, validate_growth
 from .parallel import Parallelism, default_threads
 
 _USAGE_EXIT = 2
+_INTERNAL_EXIT = 3
 
 
 class ConfigError(Exception):
@@ -33,7 +35,8 @@ class ConfigError(Exception):
 
 
 class InternalError(RuntimeError):
-    """A result failed the program's own check on it: a bug, not a finding."""
+    """A result failed the program's own check on it: a bug, not a finding;
+    maps to exit status 3."""
 
 
 def _prime_type(text: str) -> int:
@@ -359,8 +362,28 @@ def _bound_from_json(data) -> "BoundSpec":
     w = data.get("w")
     if w is not None and not isinstance(w, str):
         raise ConfigError("bound 'w' must be a growth descriptor string")
+    c = data.get("C")
+    if c is not None and (
+        isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c)
+    ):
+        raise ConfigError(
+            f"malformed mesh-report input: bound 'C' is {json.dumps(c)}, not a finite number"
+        )
     return BoundSpec(kind=data["kind"], w=None if w is None else parse_growth(w),
-                     C=data.get("C"))
+                     C=c)
+
+
+def _coeff_rows(data, i: int) -> tuple[tuple[int, ...], ...]:
+    """A mesh's coefficient vectors from a JSON list of lists of integers
+    (integer strings allowed, as in point lists)."""
+    if isinstance(data, list) and all(isinstance(row, list) for row in data):
+        rows = tuple(tuple(_json_int(c) for c in row) for row in data)
+        if not any(None in row for row in rows):
+            return rows
+    raise ConfigError(
+        f"malformed mesh-report input: meshes[{i}] coeffs must be a list of "
+        "lists of integers"
+    )
 
 
 def _run_mesh_report(params, seed, pool):
@@ -378,9 +401,15 @@ def _run_mesh_report(params, seed, pool):
             spec = _json_object(spec, ["basis"], f"meshes[{i}]")
             basis = tuple(_points_from_json(spec["basis"], "mesh-report input"))
             if "height" in spec:
-                domain = Box(int(spec["height"]))
+                height = _json_int(spec["height"])
+                if height is None:
+                    raise ConfigError(
+                        f"malformed mesh-report input: meshes[{i}] height is "
+                        f"{json.dumps(spec['height'])}, not an integer"
+                    )
+                domain = Box(height)
             elif "coeffs" in spec:
-                domain = ExplicitList(tuple(tuple(row) for row in spec["coeffs"]))
+                domain = ExplicitList(_coeff_rows(spec["coeffs"], i))
             else:
                 raise ConfigError(f"meshes[{i}] lacks 'height' or 'coeffs'")
             meshes.append(Mesh(basis, domain))
@@ -612,6 +641,7 @@ def _run_appendix(params, seed, pool):
     import numpy as np
 
     from .tails import (
+        DomainError,
         binomial_subgaussian_spec,
         binomial_tail_exact,
         check_mgf_inequality,
@@ -645,15 +675,13 @@ def _run_appendix(params, seed, pool):
                 )
     for N in (100, 400, 2000):
         for alpha in (0.1, 0.3, 0.5):
-            window = (
-                math.inf
-                if alpha == 0.5
-                else math.sqrt(N * alpha * (1 - alpha) / abs(1 - 2 * alpha))
-            )
             for lam in (0.5, 1.0, 2.0):
-                if lam >= window:
+                try:
+                    r = difference_tail_check(
+                        N, alpha, lam, trials=params["trials"], seed=seed
+                    )
+                except DomainError:  # lam outside the window: no claim to check
                     continue
-                r = difference_tail_check(N, alpha, lam, trials=params["trials"], seed=seed)
                 checks.append(
                     Check(f"difference-tail N={N} a={alpha} lam={lam}", r.tail, r.bound, r.passed)
                 )
@@ -699,6 +727,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bad parameters, exceeded caps, unreadable inputs: usage-level errors
         print(f"sidonlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
+    except InternalError:
+        # a bug, not a finding: exit 1 would read as a failed check
+        traceback.print_exc()
+        return _INTERNAL_EXIT
     text = report.to_json()
     if config.out:
         with open(config.out, "w") as fh:

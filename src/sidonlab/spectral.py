@@ -36,11 +36,11 @@ __all__ = [
 
 NU_CAP = 26
 
-# fwht runs the stages of the low _BLOCK_BITS index bits one contiguous
-# block at a time, the first _TRANSPOSED_STAGES of them on a transposed copy
-# of the block (see its docstring)
-_BLOCK_BITS = 15
-_TRANSPOSED_STAGES = 6
+# fwht moves data through two scratch tiles of 2^_TILE_BITS elements each
+# (see its docstring).  A pass runs _TILE_BITS // 2 index bits, so past the
+# first pass a tile is read and written in contiguous runs of at least
+# 2^(_TILE_BITS // 2) elements.
+_TILE_BITS = 16
 
 
 class FlatnessFailure(RuntimeError):
@@ -63,25 +63,26 @@ def fwht(values) -> np.ndarray:
 
     The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
     pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
-    in that order.  A stage with h < 2^b pairs only indices inside the same
-    aligned block of 2^b, so the low b = min(``_BLOCK_BITS``, nu) stages run
-    block by block: each contiguous block of 2^b input elements goes through
-    all of them in two small buffers that stay in cache, and the last one
-    writes it into its place in the output.  Inside a block the first
-    r = min(``_TRANSPOSED_STAGES``, b) stages act on the low r bits of the
-    index, so they run on a C-ordered transposed copy of shape
-    (2^r, 2^(b-r)), where each butterfly half is one contiguous run of
-    h * 2^(b-r) elements instead of many runs of h; the block is then
-    transposed back and its remaining stages run on the natural layout.
-    The high stages h >= 2^b then run over the whole array.  Every stage
-    reads one buffer and writes the other (``np.add``/``np.subtract`` with
-    ``out=``), so the argument is never written and no stage allocates.
+    in that order.  The stages are grouped into passes of s = max(1,
+    ``_TILE_BITS`` // 2) index bits: a pass over bits [lo, hi) pairs only
+    indices that differ in those bits, so on the (A, 2^(hi-lo), 2^lo) view of
+    the array it mixes the middle axis and nothing else.  The pass cuts that
+    view into tiles of 2^``_TILE_BITS`` elements, each holding the whole
+    middle axis for a range of the other two, copies each tile into a small
+    contiguous buffer with the pass's bits as the slowest axis, runs the
+    pass's stages there, ping-ponging between two such buffers
+    (``np.add``/``np.subtract`` with ``out=``), and copies the tile back.
+    Every butterfly half is then one contiguous run, and each tile stays in
+    cache for all the stages of its pass.  The first pass reads the
+    argument and writes the output; every later pass works in place on the
+    output through the tiles.  So the argument is never written, and beyond
+    the output the transform allocates two tiles.
 
     Every output element is made by the same additions and subtractions of
     the same operands, stage by stage in the same order, as the plain
     in-place radix-2 loop; only the memory layout between stages differs.
     So float64 and complex128 results are bit-identical to that loop,
-    whatever the block and transpose sizes.
+    whatever the tile size.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -89,21 +90,17 @@ def fwht(values) -> np.ndarray:
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
+    nu = n.bit_length() - 1
     dtype = _target_dtype(a)
-    nb = min(n, 1 << _BLOCK_BITS)
     out = np.empty(n, dtype)
-    bufs = (np.empty(nb, dtype), np.empty(nb, dtype))
-    for start in range(0, n, nb):
-        _block_stages(a[start:start + nb], out[start:start + nb], *bufs)
-    if nb == n:
-        return out
-    src, dst = out, np.empty(n, dtype)
-    h = nb
-    while h < n:
-        _butterfly(src, dst, h)
-        src, dst = dst, src
-        h *= 2
-    return src
+    tile = min(n, 1 << _TILE_BITS)
+    bufs = (np.empty(tile, dtype), np.empty(tile, dtype))
+    step = max(1, _TILE_BITS // 2)
+    src = a
+    for lo in range(0, max(nu, 1), step):  # at nu = 0, one pass of no stages copies
+        _pass(src, out, lo, min(lo + step, nu), bufs)
+        src = out
+    return out
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
@@ -114,26 +111,26 @@ def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
     np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
 
 
-def _block_stages(block: np.ndarray, out: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """Every stage h < len(block) of one block, from block into out, with
-    src and dst (each of len(block)) as scratch."""
-    nb = out.shape[0]
-    if nb == 1:
-        np.copyto(out, block, casting="unsafe")
-        return
-    m = 1 << min(_TRANSPOSED_STAGES, nb.bit_length() - 1)
-    q = nb // m
-    # src[lo * q + hi] = block[hi * m + lo]: stage h < m pairs row lo with lo + h
-    np.copyto(src.reshape(m, q), block.reshape(q, m).T, casting="unsafe")
-    h = 1
-    while h < nb:
-        if h == m:
-            dst.reshape(q, m)[...] = src.reshape(m, q).T
-            src, dst = dst, src
-        # when m == nb the transposed copy has shape (nb, 1), the natural layout
-        _butterfly(src, out if 2 * h == nb else dst, h * q if h < m else h)
-        src, dst = dst, src
-        h *= 2
+def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs) -> None:
+    """The stages of index bits [lo, hi), from src into dst (which may be
+    src), one tile of len(bufs[0]) elements at a time through the two
+    buffers in bufs."""
+    m, cols = 1 << (hi - lo), 1 << lo
+    w = min(cols, bufs[0].shape[0] // m)  # columns per tile
+    b = bufs[0].shape[0] // (m * w)  # rows of the slowest axis per tile
+    s = src.reshape(-1, m, cols)
+    d = dst.reshape(-1, m, cols)
+    tiles = [buf.reshape(m, b, w) for buf in bufs]
+    for r in range(0, s.shape[0], b):
+        for c in range(0, cols, w):
+            x, y = tiles
+            np.copyto(x, s[r:r + b, :, c:c + w].transpose(1, 0, 2), casting="unsafe")
+            h = 1
+            while h < m:
+                _butterfly(x, y, h * b * w)
+                x, y = y, x
+                h *= 2
+            d[r:r + b, :, c:c + w] = x.transpose(1, 0, 2)
 
 
 def naive_wht(values) -> np.ndarray:

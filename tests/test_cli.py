@@ -78,7 +78,7 @@ def test_verify_qi_exit_codes(tmp_path):
     assert main(["verify-qi", "--input", str(qi), "--out", str(out)]) == 0
 
 
-def test_verify_qi_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch):
+def test_verify_qi_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch, capsys):
     import sidonlab.verify
     from sidonlab.cli import InternalError
     from sidonlab.core import SignVector
@@ -92,6 +92,10 @@ def test_verify_qi_rejects_a_witness_that_does_not_cancel(tmp_path, monkeypatch)
     )
     with pytest.raises(InternalError, match="does not cancel"):
         run(parse_config(["verify-qi", "--input", str(qi)]))
+    # an internal error is neither a dependency (1) nor bad usage (2)
+    assert main(["verify-qi", "--input", str(qi)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "InternalError: verify-qi: dependency witness" in err
 
 
 def test_missing_input_is_usage_error():
@@ -287,6 +291,12 @@ _OVER_CAP_MESH_REPORT = {
     ({"bound": {"kind": "sidon_log"}}, "ValueError: bound kind 'sidon_log' needs 'C'"),
     ({"meshes": [{"basis": [1, 2]}]}, "ConfigError: meshes[0] lacks 'height' or 'coeffs'"),
     ({"lambda": [1, [2, None]]}, "ConfigError: malformed mesh-report input"),
+    ({"bound": {"kind": "sidon_log", "C": "2"}}, "ConfigError: malformed mesh-report input"),
+    ({"bound": {"kind": "sidon_log", "C": True}}, "ConfigError: malformed mesh-report input"),
+    ({"meshes": [{"basis": [1, 2, 7], "height": 1.9}]},
+     "ConfigError: malformed mesh-report input"),
+    ({"meshes": [{"basis": [1, 2], "coeffs": [[1.5, 0], [0, 1]]}]},
+     "ConfigError: malformed mesh-report input"),
 ])
 def test_mesh_report_bad_input_exits_2_before_counting(tmp_path, change, message):
     # the mesh is over --cap, so a check made after counting would report

@@ -57,9 +57,9 @@ def test_fwht_involution(nu):
     assert np.allclose(fwht(fwht(x)), (2**nu) * x, rtol=1e-9)
 
 
-# Integer-valued inputs in every dtype.  Blocks of 2^1..2^4 make transforms
-# of nu <= 10 cross many blocks, blocks shorter than the transposed stages,
-# and high stages; 2^15 is the default.
+# Integer-valued inputs in every dtype.  Tiles of 2^1..2^4 make transforms
+# of nu <= 10 run several passes of one to two bits over many tiles; 2^15
+# runs two passes of 7 bits (the default is 2^16, 8 bits).
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from([1, 2, 3, 4, 15]),
@@ -77,12 +77,12 @@ def test_fwht_integer_inputs_match_naive_property(block_bits, case):
     a = np.array(values, dtype=np.int64).astype(dtype)
     if dtype is np.complex128:
         a = a + 1j * a[::-1]
-    saved = sidonlab.spectral._BLOCK_BITS
-    sidonlab.spectral._BLOCK_BITS = block_bits
+    saved = sidonlab.spectral._TILE_BITS
+    sidonlab.spectral._TILE_BITS = block_bits
     try:
         out = fwht(a)
     finally:
-        sidonlab.spectral._BLOCK_BITS = saved
+        sidonlab.spectral._TILE_BITS = saved
     expected = naive_wht(a)
     assert out.dtype == expected.dtype
     if dtype in (np.int64, np.bool_):
@@ -101,7 +101,7 @@ def test_fwht_never_writes_its_argument(nu, dtype):
 @pytest.mark.parametrize("block_bits", [1, 2, 4])
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 6, 7, 9])
 def test_fwht_never_writes_its_argument_in_small_blocks(nu, block_bits, dtype, monkeypatch):
-    monkeypatch.setattr("sidonlab.spectral._BLOCK_BITS", block_bits)
+    monkeypatch.setattr("sidonlab.spectral._TILE_BITS", block_bits)
     _check_fwht_leaves_its_argument(nu, dtype)
 
 
@@ -114,6 +114,24 @@ def _check_fwht_leaves_its_argument(nu, dtype):
     assert np.array_equal(a, before)
     out[...] = 0
     assert np.array_equal(a, before)
+
+
+def test_fwht_allocates_the_output_and_two_tiles():
+    import tracemalloc
+
+    from sidonlab.spectral import _TILE_BITS
+
+    a = np.ones(2**18, dtype=np.complex128)
+    tile_bytes = (1 << _TILE_BITS) * a.itemsize
+    tracemalloc.start()
+    try:
+        out = fwht(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack: the buffers numpy's ufunc loop takes for three strided operands
+    slack = 3 * np.getbufsize() * a.itemsize + 64 * 1024
+    assert peak <= out.nbytes + 2 * tile_bytes + slack
 
 
 def _sha256(data: bytes) -> str:
