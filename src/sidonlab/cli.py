@@ -727,8 +727,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bad parameters, exceeded caps, unreadable inputs: usage-level errors
         print(f"sidonlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except InternalError:
-        # a bug, not a finding: exit 1 would read as a failed check
+    except Exception:
+        # a bug (InternalError, a library assertion, a KeyError), not a
+        # finding: exit 1 would read as a failed check
         traceback.print_exc()
         return _INTERNAL_EXIT
     text = report.to_json()

@@ -55,11 +55,15 @@ def _target_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def fwht(values) -> np.ndarray:
+def fwht(values, table=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform.
 
     out[y] = sum_x in[x] * (-1)^popcount(x & y); applying it twice returns
-    2^nu times the input.  Integer inputs stay exact (int64).
+    2^nu times the input.  Integer inputs stay exact (int64).  With a
+    one-dimensional ``table``, ``values`` are integer codes into it and the
+    transform is that of ``table[values]``, without building that array:
+    the first pass gathers each tile from the table.  The result has the
+    same bytes as ``fwht(table[values])``.
 
     The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
     pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
@@ -83,6 +87,13 @@ def fwht(values) -> np.ndarray:
     in-place radix-2 loop; only the memory layout between stages differs.
     So float64 and complex128 results are bit-identical to that loop,
     whatever the tile size.
+
+    The tiles are int32 when the input is bool or integer and n * max|x| <=
+    2^31 - 1, and otherwise of the output dtype.  After s stages every value
+    is a sum of 2^s input values with signs, so |value| <= 2^s * max|x| <= n
+    * max|x|: no partial sum leaves int32, each sum is exact, and the int64
+    output is bit-identical to the int64 loop.  The rule reads only the
+    input (with a table, the table's values).
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -90,17 +101,36 @@ def fwht(values) -> np.ndarray:
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
+    if table is not None:
+        table = np.asarray(table)
+        if table.ndim != 1 or a.dtype.kind not in "iu":
+            raise ValueError("a table needs a one-dimensional table and integer codes")
+        if int(a.min()) < 0 or int(a.max()) >= table.shape[0]:
+            raise ValueError("a code lies outside the table")
     nu = n.bit_length() - 1
-    dtype = _target_dtype(a)
+    source = a if table is None else table
+    dtype = _target_dtype(source)
+    work = _tile_dtype(source, n, dtype)
+    if table is not None:
+        table = table.astype(work, copy=False)
     out = np.empty(n, dtype)
     tile = min(n, 1 << _TILE_BITS)
-    bufs = (np.empty(tile, dtype), np.empty(tile, dtype))
+    bufs = (np.empty(tile, work), np.empty(tile, work))
     step = max(1, _TILE_BITS // 2)
     src = a
     for lo in range(0, max(nu, 1), step):  # at nu = 0, one pass of no stages copies
-        _pass(src, out, lo, min(lo + step, nu), bufs)
-        src = out
+        _pass(src, out, lo, min(lo + step, nu), bufs, table)
+        src, table = out, None
     return out
+
+
+def _tile_dtype(values: np.ndarray, n: int, dtype: np.dtype) -> np.dtype:
+    """int32 when a transform of length n of these integer values cannot
+    leave int32 (see fwht), else dtype."""
+    if dtype != np.int64:
+        return dtype
+    peak = max(-int(values.min()), int(values.max()))
+    return np.dtype(np.int32) if n * peak <= np.iinfo(np.int32).max else dtype
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
@@ -111,10 +141,16 @@ def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
     np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
 
 
-def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs) -> None:
+def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs, table=None) -> None:
     """The stages of index bits [lo, hi), from src into dst (which may be
     src), one tile of len(bufs[0]) elements at a time through the two
-    buffers in bufs."""
+    buffers in bufs.
+
+    With a table (first pass only, lo = 0), src holds codes and a tile is
+    loaded as table[codes].  np.take would widen each tile's codes to intp
+    in a temporary of its own; they are widened instead into the block of
+    dst that the tile is written back to, which is contiguous when lo = 0
+    and has at least 8 bytes an element, and is not read before then."""
     m, cols = 1 << (hi - lo), 1 << lo
     w = min(cols, bufs[0].shape[0] // m)  # columns per tile
     b = bufs[0].shape[0] // (m * w)  # rows of the slowest axis per tile
@@ -124,7 +160,13 @@ def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs) -> None:
     for r in range(0, s.shape[0], b):
         for c in range(0, cols, w):
             x, y = tiles
-            np.copyto(x, s[r:r + b, :, c:c + w].transpose(1, 0, 2), casting="unsafe")
+            block = s[r:r + b, :, c:c + w].transpose(1, 0, 2)
+            if table is None:
+                np.copyto(x, block, casting="unsafe")
+            else:
+                codes = d[r:r + b].reshape(-1).view(np.intp)[:x.size].reshape(x.shape)
+                np.copyto(codes, block, casting="unsafe")
+                np.take(table, codes, out=x, mode="clip")  # codes checked by fwht
             h = 1
             while h < m:
                 _butterfly(x, y, h * b * w)
@@ -186,14 +228,17 @@ def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -
     """Transform of the counting measure of a subset of (Z/2Z)^nu.
 
     The value at mask 0 equals |Lambda|.  Verifies the Parseval identity
-    sum_y s(y)^2 = 2^nu * |Lambda| to 1e-9 relative before returning.
+    sum_y s(y)^2 = 2^nu * |Lambda| to 1e-9 relative before returning.  The
+    mask is transformed in integers and then converted: every value is an
+    integer of magnitude at most 2^nu, so it equals the float64 transform of
+    the 0/1 mask bit for bit.
     """
     mask = _as_mask_array(lam, nu)
     n = mask.shape[0]
     nu = n.bit_length() - 1
     if nu > NU_CAP:
         raise MemoryError(f"nu = {nu} exceeds the cap {NU_CAP}")
-    table = fwht(mask.astype(np.float64))
+    table = fwht(mask).astype(np.float64)
     lhs = float(np.sum(table * table))
     rhs = float(n) * float(mask.sum())
     if rhs > 0 and abs(lhs - rhs) > 1e-9 * rhs:
@@ -210,16 +255,13 @@ class FlatSample:
     alpha: float
     mask: np.ndarray
     spectrum: SpectralTable
+    sup_offpeak: float  # spectrum.sup_offpeak(), taken once
     retries_used: int
     lambda_param: float  # 10 * sqrt(nu), the tail parameter backing flatness
 
     @property
     def sigma1(self) -> float:
         return self.spectrum.at_one
-
-    @property
-    def sup_offpeak(self) -> float:
-        return self.spectrum.sup_offpeak()
 
     @property
     def flatness_threshold(self) -> float:
@@ -252,13 +294,15 @@ def sample_flat_lambda(
         mask = rng.random(n) < alpha
         table = sigma_hat(mask)
         s1 = table.at_one
-        if s1 >= ell * nu and table.sup_offpeak() <= ratio * s1:
+        sup_off = table.sup_offpeak()
+        if s1 >= ell * nu and sup_off <= ratio * s1:
             return FlatSample(
                 nu=nu,
                 ell=ell,
                 alpha=alpha,
                 mask=mask,
                 spectrum=table,
+                sup_offpeak=sup_off,
                 retries_used=t + 1,
                 lambda_param=10.0 * math.sqrt(nu),
             )
@@ -379,7 +423,8 @@ def analyticity_witness(
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
         mask = lam.mask
-        sigma_spec = lam.spectrum.values  # fwht of mask.astype(float64)
+        sigma_spec = lam.spectrum.values  # sigma_hat(mask).values
+        sup_off = lam.sup_offpeak
     else:
         mask = _as_mask_array(lam, nu)
         sigma_spec = None
@@ -399,25 +444,26 @@ def analyticity_witness(
     if not masks_independent(y_masks):
         raise ValueError("character masks are dependent over F_2")
 
-    # f takes the 2 rho + 1 values -rho..rho, so v = exp(i pi/4 f) is read
-    # from a table of them (each entry the same np.exp of the same product)
     f = _character_sum(nu, y_masks)
     f_norm = float(np.abs(fwht(f)).sum()) / n
-    v = np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))[f + rho]
-    del f
 
     if sigma_spec is None:
-        sigma_spec = fwht(mask.astype(np.float64))
+        sigma_spec = fwht(mask).astype(np.float64)
+        sup_off = float(np.abs(sigma_spec[1:]).max()) if n > 1 else 0.0
     s1 = float(sigma_spec[0])
-    sup_off = float(np.abs(sigma_spec[1:]).max()) if n > 1 else 0.0
 
-    # mu = v * sigma, in place: bool and float64 0/1 both enter the complex
-    # product as 0 + 0j or 1 + 0j
-    np.multiply(v, mask, out=v)
-    mu_spec = fwht(v)
-    del v
-    sup_mu = float(np.abs(mu_spec).max())
-    del mu_spec
+    # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
+    # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
+    # mask is set) from the table of v's values times False, then times
+    # True: the complex products np.multiply(v, mask) makes, signed zeros
+    # included.  The codes overwrite f.
+    v = np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))
+    table = np.concatenate((v * False, v * True))
+    codes = f if 4 * rho + 1 <= np.iinfo(f.dtype).max else f.astype(np.int16)
+    codes += rho
+    np.add(codes, 2 * rho + 1, out=codes, where=mask)
+    del f
+    sup_mu = _max_abs(fwht(codes, table=table))
 
     ratio = 20.0 / math.sqrt(ell)
     lower = s1 / sup_mu if sup_mu > 0 else math.inf
@@ -438,6 +484,18 @@ def analyticity_witness(
         flatness_holds=sup_off <= ratio * s1,
         passed=lower >= target,
     )
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, one tile-sized chunk at a time instead of through an
+    array-sized temporary (a maximum is exact in any order)."""
+    step = 1 << _TILE_BITS
+    buf = np.empty(min(a.shape[0], step), np.float64)
+    peaks = []
+    for i in range(0, a.shape[0], step):
+        part = buf[:min(step, a.shape[0] - i)]
+        peaks.append(np.abs(a[i:i + step], out=part).max())
+    return float(np.max(peaks))
 
 
 def a_norm_upper_bound(

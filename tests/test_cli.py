@@ -189,15 +189,43 @@ def test_select_exhausted_search_is_a_failed_check(tmp_path):
     assert not {c["name"]: c for c in report["checks"]}["certificate-reverify"]["passed"]
 
 
-def test_select_does_not_swallow_unexpected_errors(monkeypatch):
+def test_select_does_not_swallow_unexpected_errors(monkeypatch, capsys):
     import sidonlab.selection
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the search")
 
     monkeypatch.setattr(sidonlab.selection, "lemma_search", broken)
-    with pytest.raises(RuntimeError, match="bug in the search"):
-        main(["select", "--trials", "120", "--out", "/dev/null"])
+    # neither a failed check (1) nor bad usage (2): an internal error
+    assert main(["select", "--trials", "120", "--out", "/dev/null"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: bug in the search" in err
+
+
+@pytest.mark.parametrize("error", [AssertionError, KeyError])
+def test_internal_errors_exit_3_with_a_traceback(error, monkeypatch, capsys):
+    import sidonlab.cli
+
+    def broken(params, seed, pool):
+        raise error("injected bug")
+
+    monkeypatch.setitem(sidonlab.cli._HANDLERS, "theorem1", broken)
+    assert main(["theorem1", "--out", "/dev/null"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and f"{error.__name__}: " in err and "injected bug" in err
+
+
+def test_parseval_assertion_exits_3(monkeypatch, capsys):
+    import numpy as np
+
+    import sidonlab.spectral
+
+    def broken_fwht(values, table=None):  # a constant spectrum breaks Parseval
+        return np.ones(len(values), dtype=np.int64)
+
+    monkeypatch.setattr(sidonlab.spectral, "fwht", broken_fwht)
+    assert main(["analyticity-demo", "--nu", "14", "--ell", "401", "--out", "/dev/null"]) == 3
+    assert "AssertionError: Parseval identity violated" in capsys.readouterr().err
 
 
 def test_select_search_cap_exits_2(monkeypatch):

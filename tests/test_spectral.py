@@ -91,6 +91,72 @@ def test_fwht_integer_inputs_match_naive_property(block_bits, case):
         assert np.allclose(out, expected, rtol=1e-12)
 
 
+# Integer inputs at the edge of the int32 tiles: a character times
+# peak = (2^31 - 1) // n + offset makes the transform reach n * peak at y0,
+# within int32 for offset <= 0 and past it otherwise; a random vector of
+# the same peak rides along.  Peaks near 2^62 / n check the int64 tiles.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 16]),
+    st.integers(0, 10),
+    st.integers(-2, 2),
+    st.sampled_from([31, 62]),
+    st.integers(0, 2**10 - 1),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fwht_tile_dtype_bound_property(tile_bits, nu, offset, log_bound, y0, sign, seed):
+    import sidonlab.spectral
+    from sidonlab.spectral import _tile_dtype
+
+    n = 2**nu
+    peak = (2**log_bound - 1) // n + offset
+    extreme = sign * peak * _character_sum(nu, [y0]).astype(np.int64)
+    noise = np.random.default_rng(seed).integers(-peak, peak + 1, n)
+    noise[seed % n] = sign * peak
+    narrow = log_bound == 31 and offset <= 0
+    saved = sidonlab.spectral._TILE_BITS
+    sidonlab.spectral._TILE_BITS = tile_bits
+    try:
+        for a in (extreme, noise):
+            assert _tile_dtype(a, n, np.dtype(np.int64)) == (np.int32 if narrow else np.int64)
+            out = fwht(a)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, naive_wht(a))
+    finally:
+        sidonlab.spectral._TILE_BITS = saved
+
+
+@pytest.mark.parametrize("kind", ["complex128", "float64", "int64"])
+@pytest.mark.parametrize("block_bits", [1, 3, 16])
+@pytest.mark.parametrize("nu", [0, 1, 5, 9])
+def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatch):
+    monkeypatch.setattr("sidonlab.spectral._TILE_BITS", block_bits)
+    rng = np.random.default_rng(nu + block_bits)
+    if kind == "int64":
+        table = rng.integers(-(2**40), 2**40, 9)
+    else:
+        table = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-300, 7.0, -0.5])
+        if kind == "complex128":
+            table = table + 1j * table[::-1]
+    codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
+    saved = codes.copy(), table.copy()
+    out = fwht(codes, table=table)
+    assert out.dtype == np.dtype(kind)
+    assert out.tobytes() == fwht(table[codes]).tobytes()
+    assert codes.tobytes() == saved[0].tobytes() and table.tobytes() == saved[1].tobytes()
+
+
+def test_fwht_table_rejects_bad_codes():
+    table = np.arange(3.0)
+    with pytest.raises(ValueError):
+        fwht(np.array([0, 3], dtype=np.int8), table=table)
+    with pytest.raises(ValueError):
+        fwht(np.array([0, -1], dtype=np.int8), table=table)
+    with pytest.raises(ValueError):
+        fwht(np.array([0.0, 1.0]), table=table)
+
+
 @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 6, 7, 9])
 def test_fwht_never_writes_its_argument(nu, dtype):
@@ -164,6 +230,36 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
         out = fwht(values)
         assert out.dtype == dtype
         assert _sha256(out.tobytes()) == digest
+    # the witness's route to the same complex transform: codes into a table
+    # of v's values times False, then times True
+    table = np.exp(1j * (math.pi / 4) * np.arange(-3, 4))
+    codes = f + 3
+    np.add(codes, 7, out=codes, where=seed0_nu22.mask)
+    out = fwht(codes, table=np.concatenate((table * False, table * True)))
+    assert _sha256(out.tobytes()) == pins[1][2]
+
+
+def test_witness_peak_memory():
+    # above the sample, the witness holds at most mu's spectrum, the codes,
+    # f, fwht's two tiles and the ufunc buffers of its butterflies: v =
+    # exp(i pi/4 f) times the mask is never built, and max |mu^| takes no
+    # array-sized temporary
+    import tracemalloc
+
+    from sidonlab.spectral import _TILE_BITS
+
+    sample = sample_flat_lambda(nu=18, ell=401, seed=0)
+    n = sample.mask.shape[0]
+    tracemalloc.start()
+    try:
+        analyticity_witness(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mu_bytes, tile_bytes = 16 * n, 16 << _TILE_BITS
+    # slack as in test_fwht_allocates_the_output_and_two_tiles
+    slack = 3 * np.getbufsize() * 16 + 64 * 1024
+    assert peak <= mu_bytes + n + n + 2 * tile_bytes + slack
 
 
 def test_witness_report_pin_at_nu22(seed0_nu22):
