@@ -34,19 +34,17 @@ __all__ = [
 NU_CAP_DEFAULT = 24
 
 
-def choose_nu(ell: int, p: int, w: GrowthFunction, nu_min: int = 16) -> int:
-    """Least nu >= nu_min with 3*ell/K_ell <= w(K_ell * nu).
+def choose_nu(ell: int, p: int, w: GrowthFunction) -> int:
+    """Least nu >= 16 (lemma mode) with 3*ell/K_ell <= w(K_ell * nu).
 
     Such nu always exists since w tends to infinity; the answer is found by
     closed-form inversion, never by linear scan.
     """
     K = k_ell(p, ell)
-    return least_nu(w, K, 3 * ell / K, nu_min)
+    return least_nu(w, K, 3 * ell / K, 16)
 
 
-def choose_nu_capped(
-    ell: int, p: int, w: GrowthFunction, cap: int, nu_min: int = 16
-) -> tuple[int, bool]:
+def choose_nu_capped(ell: int, p: int, w: GrowthFunction, cap: int) -> tuple[int, bool]:
     """choose_nu truncated at a desk cap; the flag records a binding cap.
 
     When even the cap fails the target inequality the full answer is not
@@ -56,7 +54,7 @@ def choose_nu_capped(
     target = 3 * ell / K
     if w(K * cap) < target:
         return cap, True
-    lo, hi = nu_min, cap
+    lo, hi = 16, cap
     while lo < hi:
         mid = (lo + hi) // 2
         if w(K * mid) >= target:
@@ -109,10 +107,7 @@ class BlockConstruction:
         return [self.embed(b, v) for v in b.certificate.Lambda]
 
     def union_points(self) -> list[FpVector]:
-        out = []
-        for b in self.blocks:
-            out.extend(self.embed(b, v) for v in b.certificate.Lambda)
-        return out
+        return [self.embed(b, v) for b in self.blocks for v in b.certificate.Lambda]
 
     def coordinate_vectors(self) -> list[FpVector]:
         """The canonical basis vectors of F_p^D (the beta pool for meshes)."""
@@ -152,7 +147,6 @@ def build_theorem2_prefix(
     L: int,
     seed: int = 0,
     nu_cap: int = NU_CAP_DEFAULT,
-    max_retries: int = 10**4,
 ) -> BlockConstruction:
     """Blocks ell = 2..L, each found by the certified search.
 
@@ -166,7 +160,7 @@ def build_theorem2_prefix(
     for ell in range(2, L + 1):
         nu, capped = choose_nu_capped(ell, p, w, nu_cap)
         cfg = SelectionConfig(p=p, nu=nu, ell=ell, seed=seed)
-        cert = lemma_search(cfg, max_retries=max_retries)
+        cert = lemma_search(cfg)
         blocks.append(
             Block(ell=ell, nu=nu, offset=offset, cap_bound=capped, certificate=cert)
         )
@@ -189,7 +183,6 @@ def theorem2_mesh_reports(
     seed: int = 0,
     k_choices: Sequence[int] = (1, 2, 3, 4, 5, 6),
     heights: Sequence[int] = (1, 2),
-    cap: int = 10**7,
     parallelism=None,
 ) -> list[MeshReport]:
     """Sampled k-meshes against the bound k*w(k); zero failures expected.
@@ -210,4 +203,4 @@ def theorem2_mesh_reports(
         pool, random_vec, count=count, seed=seed, k_choices=k_choices, heights=heights
     )
     bound = BoundSpec("k_w_k", w=w)
-    return check_mesh_condition(union, meshes, bound, cap=cap, parallelism=parallelism)
+    return check_mesh_condition(union, meshes, bound, parallelism=parallelism)

@@ -22,9 +22,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .core import LatticePoint, ResourceCapError, is_prime
+from .blocks import NU_CAP_DEFAULT
+from .core import LatticePoint, is_prime
 from .growth import GrowthFunction, parse_growth, validate_growth
+from .mesh import ENUM_CAP
 from .parallel import Parallelism, default_threads
+from .selection import RETRY_BUDGET
+from .spectral import FLAT_RETRY_BUDGET
+from .tails import MIN_TRIALS
+from .verify import N_MAX_DEFAULT
 
 _USAGE_EXIT = 2
 _INTERNAL_EXIT = 3
@@ -72,7 +78,7 @@ _COMMON = [
 _SUBCOMMANDS: dict[str, list[Opt]] = {
     "verify-qi": [
         Opt("input", str, "", "JSON file with the points to test"),
-        Opt("n-max", int, 24, "cap on the number of elements"),
+        Opt("n-max", int, N_MAX_DEFAULT, "cap on the number of elements"),
     ],
     "theorem1": [
         Opt("nu-max", int, 7, "build blocks 1..nu_max"),
@@ -81,19 +87,19 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
     "mesh-report": [
         Opt("input", str, "", "JSON file with lambda, meshes and the bound"),
         Opt("csv", str, "", "optional CSV summary path"),
-        Opt("cap", int, 10**7, "enumeration cap"),
+        Opt("cap", int, ENUM_CAP, "enumeration cap"),
     ],
     "select": [
         Opt("p", _prime_type, 2, "prime modulus"),
         Opt("nu", int, 16, "dimension"),
         Opt("ell", int, 4, "density parameter"),
         Opt("trials", int, 1000, "Monte Carlo trials"),
-        Opt("max-retries", int, 10**4, "certified search retry budget"),
+        Opt("max-retries", int, RETRY_BUDGET, "certified search retry budget"),
     ],
     "theorem2": [
         Opt("p", _prime_type, 3, "prime modulus"),
         Opt("blocks", int, 6, "last block index L (blocks 2..L)"),
-        Opt("nu-cap", int, 24, "desk cap on block sizes"),
+        Opt("nu-cap", int, NU_CAP_DEFAULT, "desk cap on block sizes"),
         Opt("w", _growth_type, parse_growth("doublelog:1"), "growth function"),
         Opt("mesh-count", int, 500, "sampled meshes"),
         Opt("k-max", int, 6, "max mesh rank"),
@@ -112,14 +118,14 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
         Opt("nu", int, 22, "dimension of (Z/2Z)^nu"),
         Opt("ell", int, 40000, "density parameter (> 400)"),
         Opt("rho", int, -1, "number of characters; -1 means the default rule"),
-        Opt("max-retries", int, 20, "flat-sample retry budget"),
+        Opt("max-retries", int, FLAT_RETRY_BUDGET, "flat-sample retry budget"),
         Opt("csv", str, "", "optional CSV of top spectrum magnitudes"),
         Opt("top", int, 32, "rows in the spectrum CSV"),
     ],
     "appendix-check": [
         Opt("alpha-points", int, 99, "alpha grid size"),
         Opt("u-points", int, 1001, "u samples per alpha"),
-        Opt("trials", int, 10**4, "Monte Carlo trials beyond the exact range"),
+        Opt("trials", int, MIN_TRIALS, "Monte Carlo trials beyond the exact range"),
     ],
 }
 
@@ -292,6 +298,12 @@ def _points_from_json(data, where: str) -> list[LatticePoint]:
     return out
 
 
+def _require_positive(params, *names) -> None:
+    for name in names:
+        if params[name] < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {params[name]}")
+
+
 def _run_verify_qi(params, seed, pool):
     from .verify import verify_qi_exhaustive
 
@@ -434,7 +446,7 @@ def _run_mesh_report(params, seed, pool):
 
 def _run_select(params, seed, pool):
     from .selection import (
-        SAMPLING_CAP_DEFAULT,
+        SAMPLING_CAP,
         SearchFailure,
         SelectionConfig,
         SelectionError,
@@ -447,13 +459,15 @@ def _run_select(params, seed, pool):
         p=params["p"], nu=params["nu"], ell=params["ell"], seed=seed,
         trials=params["trials"],
     )
+    if not cfg.lemma_mode_ok():
+        raise ConfigError(f"--nu {cfg.nu}: the certified search needs nu >= 16")
     checks = []
     artifacts: dict = {}
 
     # The Monte-Carlo statistics sample every point of the space, so they
     # only run below the pointwise cap; the certified search still works
     # beyond it (direct mode).
-    pointwise = cfg.space_size <= SAMPLING_CAP_DEFAULT
+    pointwise = cfg.space_size <= SAMPLING_CAP
     if pointwise:
         # one draw per trial feeds both the size statistics and the tied count
         stats = list(pool.map(lambda t: trial_statistics(cfg, t), range(cfg.trials)))
@@ -472,11 +486,13 @@ def _run_select(params, seed, pool):
         slack = 3 * math.sqrt(q * (1 - q) / cfg.trials)
         checks.append(Check("size-window-frequency", freq, q - slack, freq >= q - slack))
 
+        tied = sum(tied for _, tied in stats)
         try:
-            estimate, bound = tied_probability_check(cfg, sum(tied for _, tied in stats))
-            checks.append(Check("tied-probability", estimate, bound, True))
+            tied_probability_check(cfg, tied)
+            passed = True
         except SelectionError:
-            checks.append(Check("tied-probability", 1.0, cfg.p ** (-cfg.nu / 2), False))
+            passed = False
+        checks.append(Check("tied-probability", tied / cfg.trials, cfg.p ** (-cfg.nu / 2), passed))
         artifacts["mean_size"] = mean
         artifacts["window_frequency"] = freq
     else:
@@ -502,6 +518,7 @@ def _run_select(params, seed, pool):
 def _run_theorem2(params, seed, pool):
     from .blocks import build_theorem2_prefix, pisier_ratio, theorem2_mesh_reports
 
+    _require_positive(params, "mesh-count", "k-max", "h-max")
     w = params["w"]
     bc = build_theorem2_prefix(
         p=params["p"], w=w, L=params["blocks"], seed=seed, nu_cap=params["nu-cap"]
@@ -544,8 +561,11 @@ def _run_theorem3(params, seed, pool):
         well_spread_check,
     )
 
+    _require_positive(params, "mesh-count", "k-max", "h-max")
     w = params["w"]
-    system = build_theorem3_prefix(w=w, J=params["blocks"], seed=seed)
+    # the schedule is checked on the (h, k) grid that the meshes sample
+    grid_h, grid_k = range(1, params["h-max"] + 1), range(1, params["k-max"] + 1)
+    system = build_theorem3_prefix(w=w, J=params["blocks"], seed=seed, grid_h=grid_h, grid_k=grid_k)
     checks = []
     for b in system.blocks:
         checks.append(
@@ -583,8 +603,8 @@ def _run_theorem3(params, seed, pool):
         w,
         count=params["mesh-count"],
         seed=seed,
-        k_choices=tuple(range(1, params["k-max"] + 1)),
-        heights=tuple(range(1, params["h-max"] + 1)),
+        k_choices=system.grid_k,
+        heights=system.grid_h,
         parallelism=pool,
     )
     violations = sum(0 if r.passed else 1 for r in reports)
@@ -606,16 +626,23 @@ def _run_theorem3(params, seed, pool):
 def _run_analyticity(params, seed, pool):
     import numpy as np
 
-    from .spectral import analyticity_witness, sample_flat_lambda
+    from .spectral import FlatnessFailure, analyticity_witness, sample_flat_lambda
 
-    nu, ell = params["nu"], params["ell"]
-    sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=params["max-retries"])
+    nu, ell, budget = params["nu"], params["ell"], params["max-retries"]
+    if params["rho"] > nu:
+        raise ConfigError(f"--rho {params['rho']} exceeds --nu {nu}")
+    try:
+        sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=budget)
+    except FlatnessFailure as exc:  # an exhausted retry budget is a failed check
+        # no flat sample within the budget: it needs at least budget + 1 draws
+        checks = [Check("flat-sample-retries", float(budget + 1), float(budget), False)]
+        return checks, {"search_error": str(exc)}
     rho = None if params["rho"] < 0 else params["rho"]
     report = analyticity_witness(sample, rho=rho)
 
     checks = [
         Check("flat-sample-retries", float(sample.retries_used),
-              float(params["max-retries"]), sample.retries_used <= params["max-retries"]),
+              float(budget), sample.retries_used <= budget),
         Check("spectrum-flatness", sample.sup_offpeak, sample.flatness_threshold,
               sample.sup_offpeak <= sample.flatness_threshold),
         Check("lower-bound-vs-target", report.lower_bound, report.target,
@@ -650,6 +677,7 @@ def _run_appendix(params, seed, pool):
         subgaussian_tail_bound,
     )
 
+    _require_positive(params, "alpha-points", "u-points")
     alpha_grid = np.linspace(0.01, 0.99, params["alpha-points"])
     checks = []
     violation = check_mgf_inequality(alpha_grid, params["u-points"])
@@ -721,10 +749,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _USAGE_EXIT
     try:
         report = run(config)
-    except (
-        ConfigError, ValueError, ResourceCapError, MemoryError, OverflowError, OSError
-    ) as exc:
-        # bad parameters, exceeded caps, unreadable inputs: usage-level errors
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
+        # bad parameters, exceeded caps (ResourceCapError is a MemoryError),
+        # unreadable inputs: usage-level errors
         print(f"sidonlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except Exception:

@@ -32,7 +32,7 @@ from .core import LatticePoint
 
 __all__ = [
     "BASE_MATRIX",
-    "NU_CAP_DEFAULT",
+    "NU_CAP",
     "QiMatrix",
     "DissociatedBasis",
     "Theorem1Construction",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 BASE_MATRIX = ((1, 1, 1), (1, -1, 0))
-NU_CAP_DEFAULT = 12  # 4096 x 28672 entries; memory guard
+NU_CAP = 12  # 4096 x 28672 entries; memory guard
 
 
 def n_nu(nu: int) -> int:
@@ -92,10 +92,10 @@ class QiMatrix:
                 writer.writerow(int(x) for x in row)
 
 
-def build_matrix(nu: int, cap: int = NU_CAP_DEFAULT) -> QiMatrix:
+def build_matrix(nu: int) -> QiMatrix:
     """Build A_nu by the doubling recursion; dimensions 2^nu x N_nu."""
-    if not 1 <= nu <= cap:
-        raise ValueError(f"nu must lie in [1, {cap}], got {nu}")
+    if not 1 <= nu <= NU_CAP:
+        raise ValueError(f"nu must lie in [1, {NU_CAP}], got {nu}")
     block = np.array(BASE_MATRIX, dtype=np.int8)
     for level in range(2, nu + 1):
         half = 2 ** (level - 1)
@@ -218,29 +218,28 @@ class Theorem1Construction:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def embed_theorem1(nu_max: int, cap: int = NU_CAP_DEFAULT) -> Theorem1Construction:
+def embed_theorem1(nu_max: int) -> Theorem1Construction:
     """Concatenate the blocks (beta_{2^nu}, ..., beta_{2^(nu+1)-1}) A_nu.
 
     Block nu contributes exactly N_nu integers; all of them are distinct
     across blocks because the betas admit no bounded vanishing combination.
+    Each block is summed row by row in Python ints (object dtype), exact
+    however large the betas grow; a row adds its beta only at its nonzero
+    entries, about 3/(nu + 2) of them.
     """
-    if not 1 <= nu_max <= cap:
-        raise ValueError(f"nu_max must lie in [1, {cap}], got {nu_max}")
+    if not 1 <= nu_max <= NU_CAP:
+        raise ValueError(f"nu_max must lie in [1, {NU_CAP}], got {nu_max}")
     basis = DissociatedBasis.build(nu_max)
     blocks = []
     points: list[LatticePoint] = []
     for nu in range(1, nu_max + 1):
-        m = build_matrix(nu, cap)
+        m = build_matrix(nu)
         idx = basis.block_indices(nu)
-        betas = [basis.beta(i) for i in idx]
-        cols = m.entries
-        for j in range(m.cols):
-            val = 0
-            for i in range(m.rows):
-                e = int(cols[i, j])
-                if e:
-                    val += e * betas[i]
-            points.append(LatticePoint.from_int(val))
+        vals = np.zeros(m.cols, dtype=object)
+        for row, beta in zip(m.entries, (basis.beta(i) for i in idx)):
+            nz = np.flatnonzero(row)
+            vals[nz] += row[nz].astype(object) * beta
+        points.extend(LatticePoint.from_int(x) for x in vals)
         blocks.append((idx, m))
     if len(set(points)) != len(points):
         raise AssertionError("embedded gamma values are not distinct")

@@ -27,11 +27,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class ResourceCapError(RuntimeError):
-    """A search or enumeration would exceed its configured cap.
+class ResourceCapError(MemoryError):
+    """A search or enumeration would exceed its desk limit.
 
-    Raised instead of truncating, so a cap never reads as a result; the CLI
-    maps it to exit status 2.
+    Every limit is one module constant, checked where it applies and raised
+    as this type instead of truncating, so a cap never reads as a result;
+    the CLI maps it to exit status 2.
     """
 
 

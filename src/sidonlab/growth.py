@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .core import ResourceCapError
+
 if TYPE_CHECKING:  # imported where used, so CLI start-up does not pay for it
     import mpmath
 
@@ -31,7 +33,7 @@ __all__ = [
 LEAST_X_DIGIT_CAP = 100_000
 
 
-class GrowthRangeError(OverflowError):
+class GrowthRangeError(ResourceCapError):
     """The inverted argument has too many digits to materialize."""
 
 
@@ -192,16 +194,17 @@ def parse_growth(descriptor: str) -> GrowthFunction:
     raise ValueError(f"unknown growth descriptor {descriptor!r}")
 
 
-def validate_growth(w: GrowthFunction, grid_max: float = 1e12, points: int = 60) -> None:
-    """Check w >= 1, nondecreasing, and growing across a geometric grid."""
-    grid = [grid_max ** (i / (points - 1)) for i in range(points)]
+def validate_growth(w: GrowthFunction) -> None:
+    """Check w >= 1, nondecreasing, and growing across 60 geometric points
+    from 1 to 1e12."""
+    grid = [1e12 ** (i / 59) for i in range(60)]
     values = [w(x) for x in grid]
     if any(v < 1 for v in values):
         raise ValueError("w must be >= 1")
     if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
         raise ValueError("w must be nondecreasing")
     if values[-1] <= values[0]:
-        raise ValueError(f"w shows no growth up to {grid_max:g}")
+        raise ValueError("w shows no growth up to 1e+12")
 
 
 def least_nu(w: GrowthFunction, K: float, target: float, nu_min: int = 16) -> int:

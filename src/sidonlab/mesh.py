@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,12 +48,14 @@ __all__ = [
     "mesh_members",
     "mesh_count",
     "count_distinct_sums",
+    "check_enum_cap",
+    "super_increasing",
     "sidon_mesh_bound",
     "check_mesh_condition",
     "random_meshes",
 ]
 
-ENUM_CAP_DEFAULT = 10**7
+ENUM_CAP = 10**7  # desk limit on enumerated members; read when a call has no cap
 
 
 class MeshResourceError(ResourceCapError):
@@ -145,20 +147,21 @@ def _is_int_basis(mesh: Mesh) -> bool:
     return all(isinstance(b, LatticePoint) and b.dim <= 1 for b in mesh.basis)
 
 
-def _check_cap(mesh: Mesh, cap: int) -> None:
-    if mesh.domain_size() > cap:
-        raise MeshResourceError(
-            f"domain of size {mesh.domain_size()} exceeds the cap {cap}"
-        )
+def check_enum_cap(size: int, cap: Optional[int] = None) -> None:
+    """MeshResourceError when an enumeration of `size` rows passes cap
+    (ENUM_CAP when None)."""
+    cap = ENUM_CAP if cap is None else cap
+    if size > cap:
+        raise MeshResourceError(f"domain of size {size} exceeds the cap {cap}")
 
 
-def _members(mesh: Mesh, cap: int) -> set:
+def _members(mesh: Mesh, cap: Optional[int]) -> set:
     """Every sum over the domain, by a plain set loop (the oracle route).
 
     A basis of points of Z is summed as plain ints, any other basis as its
     own elements.
     """
-    _check_cap(mesh, cap)
+    check_enum_cap(mesh.domain_size(), cap)
     if _is_int_basis(mesh):
         basis = [b.as_int() for b in mesh.basis]
     else:
@@ -181,7 +184,7 @@ def _members(mesh: Mesh, cap: int) -> set:
     return out
 
 
-def mesh_members(mesh: Mesh, cap: int = ENUM_CAP_DEFAULT) -> set:
+def mesh_members(mesh: Mesh, cap: Optional[int] = None) -> set:
     """The set of all sums over the domain (duplicates collapse)."""
     members = _members(mesh, cap)
     if _is_int_basis(mesh):
@@ -203,16 +206,19 @@ def _digit_bounds(mesh: Mesh) -> Optional[list[tuple[int, int, int]]]:
     bounds = mesh.coefficient_bounds()
     if any(b <= 0 for b in betas) or len(set(betas)) != len(betas):
         return None
-    order = sorted(range(len(betas)), key=lambda i: betas[i])
+    triples = sorted(zip(betas, bounds, range(len(betas))))
+    return triples if super_increasing((b, n) for b, n, _ in triples) else None
+
+
+def super_increasing(pairs: Iterable[tuple[int, int]]) -> bool:
+    """Each beta exceeds 2 * sum bound_i * beta_i over the (beta, bound) pairs
+    before it, so greedy digits decide every sum n_i beta_i, |n_i| <= bound_i."""
     weight = 0
-    triples = []
-    for pos in order:
-        beta, bound = betas[pos], bounds[pos]
+    for beta, bound in pairs:
         if 2 * weight >= beta:
-            return None
-        triples.append((beta, bound, pos))
+            return False
         weight += bound * beta
-    return triples
+    return True
 
 
 def _count_by_digits(
@@ -306,14 +312,14 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
     return lone + len(set(_exact_sums(basis, domain, order[shared])))
 
 
-def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: int) -> int:
+def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
     """|Lambda ∩ M| for an integer basis by a residue join, hits confirmed.
 
     A member can equal a point of Lambda only if their residues match; each
     matched member's exact sum is then looked up in Lambda, so a residue
     collision is rejected, never counted.
     """
-    _check_cap(mesh, cap)
+    check_enum_cap(mesh.domain_size(), cap)
     if not lam.ints:
         return 0
     basis = [b.as_int() for b in mesh.basis]
@@ -383,8 +389,8 @@ def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
     return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
 
-def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: int) -> int:
-    _check_cap(mesh, cap)
+def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
+    check_enum_cap(mesh.domain_size(), cap)
     p = mesh.basis[0].p
     lam_keys = lam.fp_keys.get((p, mesh.basis[0].nu))
     if lam_keys is None:
@@ -397,10 +403,13 @@ def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: int) -> int:
 def mesh_count(
     lam: Iterable,
     mesh: Mesh,
-    cap: int = ENUM_CAP_DEFAULT,
+    cap: Optional[int] = None,
     method: str = "auto",
 ) -> int:
     """|Lambda ∩ M| exactly.
+
+    Domains of more than cap members (ENUM_CAP when None) raise
+    MeshResourceError unless the digit route applies.
 
     method: "auto" picks the digit route for super-increasing integer
     bases, the keyed route for other integer bases, a vectorized route for
@@ -503,22 +512,14 @@ class MeshReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "height": self.height,
-            "domain_size": self.domain_size,
-            "count": self.count,
-            "bound": self.bound,
-            "direction": self.direction,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_mesh_condition(
     lam: Iterable,
     meshes: Sequence[Mesh],
     bound: BoundSpec,
-    cap: int = ENUM_CAP_DEFAULT,
+    cap: Optional[int] = None,
     parallelism=None,
 ) -> list[MeshReport]:
     """One report per mesh; pass means count <= bound (or >= for lower bounds)."""
@@ -550,12 +551,11 @@ def random_meshes(
     seed: int,
     k_choices: Sequence[int] = (1, 2, 3, 4, 5, 6),
     heights: Sequence[int] = (1, 2, 3),
-    pool_fraction: float = 0.6,
 ) -> list[Mesh]:
     """Seeded random height-h box meshes for condition sampling.
 
-    Basis elements are drawn from the given pool with probability
-    pool_fraction, otherwise from random_element(rng).
+    Basis elements are drawn from the given pool with probability 0.6,
+    otherwise from random_element(rng).
     """
     from .rng import stream
 
@@ -566,7 +566,7 @@ def random_meshes(
         h = int(rng.choice(list(heights)))
         basis = []
         for _ in range(k):
-            if pool and rng.random() < pool_fraction:
+            if pool and rng.random() < 0.6:
                 basis.append(pool[int(rng.integers(len(pool)))])
             else:
                 basis.append(random_element(rng))

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FpVector, fp_rank, is_free, is_prime
+from .core import FpVector, ResourceCapError, fp_rank, is_free, is_prime
 from .rng import stream
 
 __all__ = [
@@ -39,7 +39,11 @@ __all__ = [
     "enumerate_dependence_probability",
 ]
 
-SAMPLING_CAP_DEFAULT = 2**26
+# Desk limits; the caps and the budget of subsets are read at each call.
+SAMPLING_CAP = 2**26  # points of the space that pointwise sampling visits
+SUBSET_BUDGET = 2 * 10**6  # subsets the search or a re-verification checks
+RETRY_BUDGET = 10**4  # draws the certified search makes
+ORACLE_SUBSET_CAP = 10**6  # subsets the enumeration oracle visits
 _CHUNK = 1 << 20
 
 
@@ -97,18 +101,16 @@ def _digits(indices: np.ndarray, p: int, nu: int) -> np.ndarray:
     return indices[:, None] // p ** np.arange(nu, dtype=np.int64) % p
 
 
-def sample_lambda_rows(
-    cfg: SelectionConfig, trial: int = 0, cap: int = SAMPLING_CAP_DEFAULT
-) -> np.ndarray:
+def sample_lambda_rows(cfg: SelectionConfig, trial: int = 0) -> np.ndarray:
     """Bernoulli(alpha) sample of the full space as an (n, nu) coordinate array.
 
     Rows are sorted by coordinates.  ``sample_lambda`` returns the same set
     as ``FpVector``s; both are deterministic given the seed and trial.
     """
     size = cfg.space_size
-    if size > cap:
-        raise MemoryError(
-            f"p^nu = {size} exceeds the pointwise sampling cap {cap}"
+    if size > SAMPLING_CAP:
+        raise ResourceCapError(
+            f"p^nu = {size} exceeds the pointwise sampling cap {SAMPLING_CAP}"
         )
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 0)
     hits = [
@@ -119,11 +121,9 @@ def sample_lambda_rows(
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def sample_lambda(
-    cfg: SelectionConfig, trial: int = 0, cap: int = SAMPLING_CAP_DEFAULT
-) -> set[FpVector]:
+def sample_lambda(cfg: SelectionConfig, trial: int = 0) -> set[FpVector]:
     """Bernoulli(alpha) sample of the full space; deterministic given seed."""
-    rows = sample_lambda_rows(cfg, trial, cap)
+    rows = sample_lambda_rows(cfg, trial)
     return {FpVector(cfg.p, tuple(row)) for row in rows.tolist()}
 
 
@@ -147,15 +147,13 @@ def sample_sub_lambda(
     return {v for v, k in zip(ordered, keep) if k}
 
 
-def trial_statistics(
-    cfg: SelectionConfig, trial: int, cap: int = SAMPLING_CAP_DEFAULT
-) -> tuple[int, bool]:
+def trial_statistics(cfg: SelectionConfig, trial: int) -> tuple[int, bool]:
     """|Lambda| and whether its thinned set is dependent, from one draw.
 
     Gives the same answers as ``sample_lambda`` followed by
     ``sample_sub_lambda``; only the thinned points become ``FpVector``s.
     """
-    rows = sample_lambda_rows(cfg, trial, cap)
+    rows = sample_lambda_rows(cfg, trial)
     thinned = rows[_thin_mask(len(rows), cfg, trial, cfg.beta)]
     tied = not is_free([FpVector(cfg.p, tuple(row)) for row in thinned.tolist()])
     return len(rows), tied
@@ -184,14 +182,12 @@ def tied_probability_check(cfg: SelectionConfig, tied: int) -> TiedEstimate:
     return TiedEstimate(estimate, bound)
 
 
-def estimate_tied_probability(
-    cfg: SelectionConfig, cap: int = SAMPLING_CAP_DEFAULT
-) -> TiedEstimate:
+def estimate_tied_probability(cfg: SelectionConfig) -> TiedEstimate:
     """Monte-Carlo frequency of a linearly dependent thinned set.
 
     See ``tied_probability_check`` for the comparison with p^(-nu/2).
     """
-    tied = sum(trial_statistics(cfg, t, cap)[1] for t in range(cfg.trials))
+    tied = sum(trial_statistics(cfg, t)[1] for t in range(cfg.trials))
     return tied_probability_check(cfg, tied)
 
 
@@ -222,7 +218,7 @@ class LemmaCertificate:
     seed: int
     trial_found: int
 
-    def verify(self, subset_cap: int = 2 * 10**6) -> bool:
+    def verify(self) -> bool:
         """Independent revalidation: size window plus plain subset ranks."""
         n = len(self.Lambda)
         if not (self.ell * self.nu <= n <= 3 * self.ell * self.nu):
@@ -230,15 +226,21 @@ class LemmaCertificate:
         m = min(self.checked_subset_size, n)
         if m <= 0:
             return True
-        if math.comb(n, m) > subset_cap:
-            raise MemoryError("subset revalidation exceeds the budget")
+        _check_subset_budget(n, m)
         for subset in itertools.combinations(self.Lambda, m):
             if fp_rank(subset) != m:
                 return False
         return True
 
 
-def _subsets_free(points: list[FpVector], m: int, budget: int) -> bool:
+def _check_subset_budget(n: int, m: int) -> None:
+    if math.comb(n, m) > SUBSET_BUDGET:
+        raise ResourceCapError(
+            f"C({n},{m}) subset checks exceed the budget {SUBSET_BUDGET}"
+        )
+
+
+def _subsets_free(points: list[FpVector], m: int) -> bool:
     """All subsets of size <= m are free (equivalently all m-subsets)."""
     n = len(points)
     m = min(m, n)
@@ -259,10 +261,7 @@ def _subsets_free(points: list[FpVector], m: int, budget: int) -> bool:
         return False
     if m == 2:
         return True
-    if math.comb(n, m) > budget:
-        raise MemoryError(
-            f"C({n},{m}) subset checks exceed the budget {budget}"
-        )
+    _check_subset_budget(n, m)
     for subset in itertools.combinations(points, m):
         if fp_rank(subset) != m:
             return False
@@ -285,9 +284,7 @@ def _sample_direct(cfg: SelectionConfig, trial: int) -> set[FpVector]:
 def lemma_search(
     cfg: SelectionConfig,
     use_eighth: bool = False,
-    max_retries: int = 10**4,
-    subset_budget: int = 2 * 10**6,
-    cap: int = SAMPLING_CAP_DEFAULT,
+    max_retries: int = RETRY_BUDGET,
 ) -> LemmaCertificate:
     """Resample until the size window and subset freeness both hold.
 
@@ -300,14 +297,14 @@ def lemma_search(
         raise ValueError("the K -> 1/8 replacement requires 4*ell < p")
     K = 0.125 if use_eighth else k_ell(cfg.p, cfg.ell)
     m = math.floor(K * cfg.nu)
-    pointwise = cfg.space_size <= cap
+    pointwise = cfg.space_size <= SAMPLING_CAP
     lo, hi = cfg.ell * cfg.nu, 3 * cfg.ell * cfg.nu
     for t in range(max_retries):
-        lam = sample_lambda(cfg, t, cap) if pointwise else _sample_direct(cfg, t)
+        lam = sample_lambda(cfg, t) if pointwise else _sample_direct(cfg, t)
         if not lo <= len(lam) <= hi:
             continue
         points = sorted(lam, key=lambda v: v.coords)
-        if not _subsets_free(points, m, subset_budget):
+        if not _subsets_free(points, m):
             continue
         return LemmaCertificate(
             p=cfg.p,
@@ -351,8 +348,10 @@ def exact_dependence_probability(p: int, nu: int, k: int) -> Fraction:
 def enumerate_dependence_probability(p: int, nu: int, k: int) -> Fraction:
     """Brute-force enumeration over all k-subsets (small spaces only)."""
     size = p**nu
-    if math.comb(size, k) > 10**6:
-        raise MemoryError("enumeration oracle limited to ~1e6 subsets")
+    if math.comb(size, k) > ORACLE_SUBSET_CAP:
+        raise ResourceCapError(
+            f"C({size},{k}) subsets exceed the oracle's cap {ORACLE_SUBSET_CAP}"
+        )
     rows = _digits(np.arange(size), p, nu).tolist()
     points = [FpVector(p, tuple(row)) for row in rows]
     total = 0

@@ -13,11 +13,12 @@ of independent characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .core import ResourceCapError
 from .rng import stream
 
 __all__ = [
@@ -34,7 +35,10 @@ __all__ = [
     "a_norm_upper_bound",
 ]
 
-NU_CAP = 26
+# Desk limits; the caps are read at each call.
+NU_CAP = 26  # largest nu whose full spectrum is transformed
+A_NORM_NU_CAP = 8  # largest nu of the subgradient cross-check
+FLAT_RETRY_BUDGET = 20  # draws sample_flat_lambda makes by default
 
 # fwht moves data through two scratch tiles of 2^_TILE_BITS elements each
 # (see its docstring).  A pass runs _TILE_BITS // 2 index bits, so past the
@@ -200,6 +204,8 @@ class SpectralTable:
         if self.values.shape != (2**self.nu,):
             raise ValueError("spectrum length must be 2^nu")
         self.values.flags.writeable = False
+        sup = _max_abs(self.values[1:]) if self.nu else 0.0
+        object.__setattr__(self, "_sup_offpeak", sup)
 
     @property
     def at_one(self) -> float:
@@ -207,9 +213,8 @@ class SpectralTable:
         return float(abs(self.values[0]))
 
     def sup_offpeak(self) -> float:
-        if len(self.values) == 1:
-            return 0.0
-        return float(np.abs(self.values[1:]).max())
+        """max |value| over the nontrivial characters, taken once."""
+        return self._sup_offpeak
 
 
 def _as_mask_array(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int]) -> np.ndarray:
@@ -224,6 +229,11 @@ def _as_mask_array(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int]) -> 
     return out
 
 
+def _check_nu_cap(nu: int) -> None:
+    if nu > NU_CAP:
+        raise ResourceCapError(f"nu = {nu} exceeds the cap {NU_CAP}")
+
+
 def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -> SpectralTable:
     """Transform of the counting measure of a subset of (Z/2Z)^nu.
 
@@ -236,8 +246,7 @@ def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -
     mask = _as_mask_array(lam, nu)
     n = mask.shape[0]
     nu = n.bit_length() - 1
-    if nu > NU_CAP:
-        raise MemoryError(f"nu = {nu} exceeds the cap {NU_CAP}")
+    _check_nu_cap(nu)
     table = fwht(mask).astype(np.float64)
     lhs = float(np.sum(table * table))
     rhs = float(n) * float(mask.sum())
@@ -255,13 +264,16 @@ class FlatSample:
     alpha: float
     mask: np.ndarray
     spectrum: SpectralTable
-    sup_offpeak: float  # spectrum.sup_offpeak(), taken once
     retries_used: int
     lambda_param: float  # 10 * sqrt(nu), the tail parameter backing flatness
 
     @property
     def sigma1(self) -> float:
         return self.spectrum.at_one
+
+    @property
+    def sup_offpeak(self) -> float:
+        return self.spectrum.sup_offpeak()
 
     @property
     def flatness_threshold(self) -> float:
@@ -272,7 +284,7 @@ def sample_flat_lambda(
     nu: int,
     ell: int,
     seed: int = 0,
-    max_retries: int = 20,
+    max_retries: int = FLAT_RETRY_BUDGET,
 ) -> FlatSample:
     """Resample Bernoulli(alpha) subsets until the spectrum is flat.
 
@@ -280,8 +292,7 @@ def sample_flat_lambda(
     trivial value is at least ell*nu and every nontrivial value is at most
     (20/sqrt(ell)) times the trivial one.
     """
-    if nu > NU_CAP:
-        raise MemoryError(f"nu = {nu} exceeds the cap {NU_CAP}")
+    _check_nu_cap(nu)
     if ell <= 400:
         raise ValueError("need ell > 400")
     n = 2**nu
@@ -294,15 +305,13 @@ def sample_flat_lambda(
         mask = rng.random(n) < alpha
         table = sigma_hat(mask)
         s1 = table.at_one
-        sup_off = table.sup_offpeak()
-        if s1 >= ell * nu and sup_off <= ratio * s1:
+        if s1 >= ell * nu and table.sup_offpeak() <= ratio * s1:
             return FlatSample(
                 nu=nu,
                 ell=ell,
                 alpha=alpha,
                 mask=mask,
                 spectrum=table,
-                sup_offpeak=sup_off,
                 retries_used=t + 1,
                 lambda_param=10.0 * math.sqrt(nu),
             )
@@ -377,21 +386,7 @@ class WitnessReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "ell": self.ell,
-            "rho": self.rho,
-            "rho_exact": self.rho_exact,
-            "sigma1": self.sigma1,
-            "sup_offpeak_sigma": self.sup_offpeak_sigma,
-            "sup_mu": self.sup_mu,
-            "lower_bound": self.lower_bound,
-            "target": self.target,
-            "chain_bound": self.chain_bound,
-            "f_algebra_norm": self.f_algebra_norm,
-            "flatness_holds": self.flatness_holds,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def default_rho(ell: int) -> tuple[int, float]:
@@ -422,12 +417,9 @@ def analyticity_witness(
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
-        mask = lam.mask
-        sigma_spec = lam.spectrum.values  # sigma_hat(mask).values
-        sup_off = lam.sup_offpeak
+        mask, spectrum = lam.mask, lam.spectrum  # spectrum is sigma_hat(mask)
     else:
-        mask = _as_mask_array(lam, nu)
-        sigma_spec = None
+        mask, spectrum = _as_mask_array(lam, nu), None
     if ell is None:
         raise ValueError("ell is required")
     n = mask.shape[0]
@@ -447,10 +439,9 @@ def analyticity_witness(
     f = _character_sum(nu, y_masks)
     f_norm = float(np.abs(fwht(f)).sum()) / n
 
-    if sigma_spec is None:
-        sigma_spec = fwht(mask).astype(np.float64)
-        sup_off = float(np.abs(sigma_spec[1:]).max()) if n > 1 else 0.0
-    s1 = float(sigma_spec[0])
+    if spectrum is None:
+        spectrum = sigma_hat(mask)
+    s1, sup_off = spectrum.at_one, spectrum.sup_offpeak()
 
     # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
     # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
@@ -498,30 +489,28 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(peaks))
 
 
-def a_norm_upper_bound(
-    v: np.ndarray,
-    mask: np.ndarray,
-    iters: int = 400,
-    step: float = 0.5,
-) -> float:
+def a_norm_upper_bound(v: np.ndarray, mask: np.ndarray) -> float:
     """Upper estimate of the restriction norm by subgradient descent.
 
-    Minimizes the mean absolute spectrum over extensions of v|Lambda; every
-    iterate is feasible, so the best objective seen is a valid upper bound
-    on the restriction norm.  Small nu only; used as a cross-check against
-    the duality lower bound.
+    Minimizes the mean absolute spectrum over extensions of v|Lambda in 400
+    steps of size 0.5/sqrt(t); every iterate is feasible, so the best
+    objective seen is a valid upper bound on the restriction norm.  Small nu
+    only (up to A_NORM_NU_CAP); used as a cross-check against the duality
+    lower bound.
     """
     n = v.shape[0]
-    if n > 2**8:
-        raise MemoryError("cross-check route is limited to nu <= 8")
+    if n > 2**A_NORM_NU_CAP:
+        raise ResourceCapError(
+            f"cross-check route is limited to nu <= {A_NORM_NU_CAP}"
+        )
     g = v.astype(np.complex128, copy=True)
     best = float(np.abs(fwht(g)).sum()) / n
-    for t in range(1, iters + 1):
+    for t in range(1, 401):
         spec = fwht(g)
         mag = np.abs(spec)
         phase = np.where(mag > 1e-15, spec / np.maximum(mag, 1e-300), 0)
         grad = fwht(phase) / n
-        g = g - (step / math.sqrt(t)) * grad
+        g = g - (0.5 / math.sqrt(t)) * grad
         g[mask] = v[mask]
         best = min(best, float(np.abs(fwht(g)).sum()) / n)
     return best

@@ -25,9 +25,11 @@ from .mesh import (
     BoundSpec,
     Box,
     MeshReport,
+    check_enum_cap,
     check_mesh_condition,
     count_distinct_sums,
     random_meshes,
+    super_increasing,
 )
 from .selection import LemmaCertificate, SelectionConfig, lemma_search
 
@@ -216,20 +218,12 @@ class SpreadSystem:
         return [self.beta(i) for i in range(b.index_lo, b.index_hi + 1)]
 
     def lambda_union(self) -> list[int]:
-        out = []
-        for b in self.blocks:
-            out.extend(b.lambda_ints)
-        return out
+        return [x for b in self.blocks for x in b.lambda_ints]
 
     def structurally_well_spread(self) -> bool:
         """beta_i exceeds twice the max combination below it, which makes
         every combination with |m_i| <= (q(i)-1)/2 distinct."""
-        weight = 0
-        for i, beta in enumerate(self.betas, start=1):
-            if beta <= 2 * weight:
-                return False
-            weight += ((self.q(i) - 1) // 2) * beta
-        return True
+        return super_increasing(zip(self.betas, ((q - 1) // 2 for q in self.qs)))
 
     def to_json(self, path) -> None:
         payload = {
@@ -266,7 +260,6 @@ def build_theorem3_prefix(
     ps: Optional[Sequence[int]] = None,
     grid_h: Sequence[int] = GRID_H_DEFAULT,
     grid_k: Sequence[int] = GRID_K_DEFAULT,
-    max_retries: int = 10**4,
 ) -> SpreadSystem:
     """Build J blocks with the default (or overridden) schedule.
 
@@ -296,7 +289,7 @@ def build_theorem3_prefix(
     for j in range(1, J + 1):
         p_j, nu_j, ell_j = schedule.p(j), schedule.nu(j), schedule.ell(j)
         cfg = SelectionConfig(p=p_j, nu=nu_j, ell=ell_j, seed=seed)
-        cert = lemma_search(cfg, use_eighth=True, max_retries=max_retries)
+        cert = lemma_search(cfg, use_eighth=True)
         base = betas[lo - 1 : lo - 1 + nu_j]
         lam_ints = tuple(
             sum(c * b for c, b in zip(v.centered(), base)) for v in cert.Lambda
@@ -330,23 +323,27 @@ def build_theorem3_prefix(
     return system
 
 
-def well_spread_check(basis: Sequence[int], q: int, cap: int = 10**7) -> bool:
-    """True iff all q^|B| combinations with |m_i| <= (q-1)/2 are distinct."""
+def well_spread_check(basis: Sequence[int], q: int, cap: Optional[int] = None) -> bool:
+    """True iff all q^|B| combinations with |m_i| <= (q-1)/2 are distinct.
+
+    More than cap combinations (mesh.ENUM_CAP when None) raise
+    MeshResourceError.
+    """
     if q < 1 or q % 2 == 0:
         raise ValueError("q must be a positive odd integer")
     size = q ** len(basis)
-    if size > cap:
-        raise MemoryError(f"q^|B| = {size} exceeds the enumeration cap {cap}")
+    check_enum_cap(size, cap)
     return count_distinct_sums(basis, Box((q - 1) // 2)) == size
 
 
-def v_p_size(points: Sequence[int], p: int, cap: int = 10**7) -> int:
-    """|V_p(A')|: distinct combinations sum m_a * a with |m_a| <= (p-1)/2."""
+def v_p_size(points: Sequence[int], p: int) -> int:
+    """|V_p(A')|: distinct combinations sum m_a * a with |m_a| <= (p-1)/2.
+
+    More than mesh.ENUM_CAP combinations raise MeshResourceError.
+    """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd integer >= 3")
-    size = p ** len(points)
-    if size > cap:
-        raise MemoryError(f"p^|A'| = {size} exceeds the enumeration cap {cap}")
+    check_enum_cap(p ** len(points))
     return count_distinct_sums(points, Box((p - 1) // 2))
 
 
@@ -374,7 +371,6 @@ def theorem3_mesh_reports(
     seed: int = 0,
     k_choices: Sequence[int] = (1, 2, 3, 4, 5),
     heights: Sequence[int] = (1, 2, 3),
-    cap: int = 10**7,
     parallelism=None,
 ) -> list[MeshReport]:
     """Sampled height-h meshes against the bound k*w(kh)."""
@@ -398,4 +394,4 @@ def theorem3_mesh_reports(
         heights=heights,
     )
     bound = BoundSpec("k_w_kh", w=w)
-    return check_mesh_condition(lam, meshes, bound, cap=cap, parallelism=parallelism)
+    return check_mesh_condition(lam, meshes, bound, parallelism=parallelism)

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MGF_SURROGATE_WINDOW = 50.0  # finite stand-in for the unbounded alpha=1/2 window
+EXACT_LIMIT = 2000  # difference_tail_check is exact for N up to this
+MIN_TRIALS = 10**4  # and samples at least this many trials beyond it
 
 
 class DomainError(ValueError):
@@ -62,10 +64,15 @@ def binomial_subgaussian_spec(N: int, alpha: float) -> SubGaussianSpec:
     return SubGaussianSpec(tau, h)
 
 
-def _window_edge(alpha: float) -> float:
-    if alpha == 0.5:
-        return MGF_SURROGATE_WINDOW
-    return 1.0 / abs(2 - 4 * alpha)
+def _window_grid(alpha_grid: Optional[np.ndarray], u_count: int):
+    """(alpha, u) for each alpha of the grid (default: 99 points in [0.01,
+    0.99]), u being u_count points across alpha's validity window."""
+    if alpha_grid is None:
+        alpha_grid = np.linspace(0.01, 0.99, 99)
+    for alpha in alpha_grid:
+        a = float(alpha)
+        edge = MGF_SURROGATE_WINDOW if a == 0.5 else 1.0 / abs(2 - 4 * a)
+        yield alpha, np.linspace(-edge, edge, u_count)
 
 
 def check_mgf_inequality(
@@ -78,13 +85,9 @@ def check_mgf_inequality(
     row, whose window is unbounded, uses |u| <= 50).  The max must not
     exceed ~1e-12; the true difference vanishes only at u = 0.
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.01, 0.99, 99)
     worst = -math.inf
     with np.errstate(over="ignore"):
-        for alpha in alpha_grid:
-            edge = _window_edge(float(alpha))
-            u = np.linspace(-edge, edge, u_count)
+        for alpha, u in _window_grid(alpha_grid, u_count):
             lhs = alpha * np.exp((1 - alpha) * u) + (1 - alpha) * np.exp(-alpha * u)
             rhs = np.exp(2 * alpha * (1 - alpha) * u * u)
             worst = max(worst, float((lhs - rhs).max()))
@@ -101,12 +104,8 @@ def concavity_margin(
     exponent's derivative condition A'^2 + A'' <= 0 reduces to this
     quadratic being nonpositive on the window.
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.01, 0.99, 99)
     worst = -math.inf
-    for alpha in alpha_grid:
-        edge = _window_edge(float(alpha))
-        u = np.linspace(-edge, edge, u_count)
+    for alpha, u in _window_grid(alpha_grid, u_count):
         t = (2 - 4 * alpha) * u
         worst = max(worst, float(((t + 3) * (t - 1)).max()))
     return worst
@@ -187,34 +186,20 @@ class DifferenceTailReport:
     trials: Optional[int]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "threshold": self.threshold,
-            "tail": self.tail,
-            "bound": self.bound,
-            "exact": self.exact,
-            "trials": self.trials,
-            "passed": self.passed,
-        }
-
 
 def difference_tail_check(
     N: int,
     alpha: float,
     lam: float,
-    trials: int = 10**4,
+    trials: int = MIN_TRIALS,
     seed: int = 0,
-    exact_limit: int = 2000,
 ) -> DifferenceTailReport:
     """Tail of Z = Y - Y' (independent B(N, alpha)) at 2 lam sqrt(2N a(1-a)).
 
     Valid only for lam < sqrt(N*alpha*(1-alpha)/|1-2*alpha|) (vacuously all
     lam at alpha = 1/2); outside that window no claim is made and a
-    DomainError is raised.  Exact double-convolution tail for N within
-    exact_limit, Monte Carlo with 3-sigma slack beyond.
+    DomainError is raised.  Exact double-convolution tail for N up to
+    EXACT_LIMIT, Monte Carlo with 3-sigma slack beyond.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -228,7 +213,7 @@ def difference_tail_check(
             )
     threshold = 2 * lam * math.sqrt(2 * N * alpha * (1 - alpha))
     bound = 2 * math.exp(-0.5 * lam * lam)
-    if N <= exact_limit:
+    if N <= EXACT_LIMIT:
         pmf = _binom_pmf(np.arange(N + 1), N, alpha)
         pmf_z = np.convolve(pmf, pmf[::-1])  # support -N..N
         z = np.arange(-N, N + 1)
@@ -236,8 +221,8 @@ def difference_tail_check(
         return DifferenceTailReport(
             N, alpha, lam, threshold, tail, bound, True, None, tail <= bound
         )
-    if trials < 10**4:
-        raise ValueError("need trials >= 1e4 for the sampled route")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need trials >= {MIN_TRIALS} for the sampled route")
     rng = stream(seed, N, 0xD1FF)
     z = rng.binomial(N, alpha, trials).astype(np.int64) - rng.binomial(
         N, alpha, trials

@@ -35,7 +35,7 @@ __all__ = [
     "verify_qi_structural",
 ]
 
-N_MAX_DEFAULT = 24  # left half-table then holds at most 3^12 entries
+N_MAX_DEFAULT = 24  # desk limit: a left half-table of at most 3^12 entries
 
 _SIGNS = (0, 1, -1)  # base-3 digit d of a sign index stands for _SIGNS[d]
 _INT64_SPAN = 2**62  # int64 keys when the packed span stays below this
@@ -108,7 +108,7 @@ def _dependent(left: tuple[int, ...], right: tuple[int, ...], n: int):
 
 def verify_qi_exhaustive(
     elements: Sequence,
-    n_max: int = N_MAX_DEFAULT,
+    n_max: Optional[int] = None,
 ) -> tuple[bool, Optional[DependencyWitness]]:
     """Exhaustive quasi-independence test by meet-in-the-middle.
 
@@ -127,10 +127,12 @@ def verify_qi_exhaustive(
     witness, joined with that value's first left prefix.
 
     Returns (True, None) when quasi-independent, else (False, witness).
-    Raises QiResourceError when len(elements) > n_max, and TypeError when
-    an element is not a LatticePoint (``verify_qi_naive`` takes any type).
+    Raises QiResourceError when len(elements) > n_max (N_MAX_DEFAULT when
+    None), and TypeError when an element is not a LatticePoint
+    (``verify_qi_naive`` takes any type).
     """
     n = len(elements)
+    n_max = N_MAX_DEFAULT if n_max is None else n_max
     if n > n_max:
         raise QiResourceError(
             f"{n} elements exceed the cap of {n_max} (3^{n} sign vectors)"

@@ -365,3 +365,63 @@ def test_points_from_json_accepts_ints_and_integer_strings_only():
     for bad in ([True], [None], [2.0], ["1.5"], [[1, [2]]], [{"x": 1}], 7, "12"):
         with pytest.raises(ConfigError, match="malformed input"):
             _points_from_json(bad, "input")
+
+
+def test_analyticity_exhausted_flat_sample_is_a_failed_check(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["analyticity-demo", "--nu", "16", "--ell", "401", "--max-retries", "0",
+            "--out", str(out)]
+    assert main(argv) == 1
+    report = json.loads(out.read_text())
+    assert "no flat sample" in report["artifacts"]["search_error"]
+    # no flat sample within 0 draws, so one takes at least 1
+    assert report["checks"] == [
+        {"name": "flat-sample-retries", "value": 1.0, "bound": 0.0, "passed": False}
+    ]
+
+
+def test_select_failed_tied_check_reports_the_measured_frequency(monkeypatch, tmp_path):
+    import sidonlab.selection
+
+    def half_tied(cfg, trial):  # every other thinned set is dependent
+        return 2 * cfg.ell * cfg.nu, trial % 2 == 0
+
+    monkeypatch.setattr(sidonlab.selection, "trial_statistics", half_tied)
+    out = tmp_path / "r.json"
+    assert main(["select", "--trials", "120", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["tied-probability"] == {
+        "name": "tied-probability", "value": 0.5, "bound": 2.0**-8, "passed": False
+    }
+    assert checks["size-window-frequency"]["passed"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["theorem2", "--k-max", "0"], "--k-max"),
+    (["theorem2", "--h-max", "0"], "--h-max"),
+    (["theorem2", "--mesh-count", "0"], "--mesh-count"),
+    (["theorem3", "--k-max", "0"], "--k-max"),
+    (["theorem3", "--h-max", "0"], "--h-max"),
+    (["theorem3", "--mesh-count", "0"], "--mesh-count"),
+    (["appendix-check", "--alpha-points", "0"], "--alpha-points"),
+    (["appendix-check", "--u-points", "0"], "--u-points"),
+    (["select", "--nu", "15"], "--nu"),
+    (["analyticity-demo", "--nu", "16", "--ell", "401", "--rho", "17"], "--rho"),
+])
+def test_meaningless_flags_exit_2_with_a_config_error(argv, flag):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sidonlab: ConfigError: ")
+    assert flag in lines[0]
+    assert proc.stdout == ""
+
+
+def test_theorem3_checks_its_schedule_on_the_sampled_grid():
+    report = run(parse_config(["theorem3", "--k-max", "6"]))
+    # 4 conditions at each (h, k) of the 3 x 6 grid, plus 4*ell_j < p_j for j <= 6
+    assert report.artifacts["conditions_checked"] == 78
+    assert report.all_passed
+    # the schedule's p_7 is not materialized, so k = 7 cannot be checked
+    assert main(["theorem3", "--k-max", "7", "--out", os.devnull]) == 2

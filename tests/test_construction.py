@@ -133,6 +133,18 @@ def test_embed_block_one_points():
     assert set(c.lambda_ints()) == {b2 + b3, b2 - b3, b2}
 
 
+@pytest.mark.parametrize("nu_max", [1, 4, 7])
+def test_embed_equals_the_plain_column_sums(nu_max):
+    c = embed_theorem1(nu_max)
+    want = []
+    for nu in range(1, nu_max + 1):
+        entries = build_matrix(nu).entries.tolist()
+        betas = [c.basis.beta(i) for i in c.basis.block_indices(nu)]
+        for j in range(n_nu(nu)):
+            want.append(sum(row[j] * beta for row, beta in zip(entries, betas)))
+    assert c.lambda_ints() == want
+
+
 def test_embed_sizes_and_distinctness():
     c = embed_theorem1(2)
     assert len(c.lambda_points) == 3 + 8 == 11

@@ -294,6 +294,25 @@ def test_sigma_hat_counts_and_parseval():
     assert full.at_one == 16 and full.sup_offpeak() == 0
 
 
+def test_spectral_table_takes_its_off_peak_supremum_in_tile_chunks():
+    import tracemalloc
+
+    from sidonlab.spectral import _TILE_BITS, SpectralTable
+
+    values = np.random.default_rng(0).standard_normal(2**18)
+    values[0] = 1e9  # the trivial character is left out
+    tracemalloc.start()
+    try:
+        table = SpectralTable(18, values)
+        sup = table.sup_offpeak()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sup == np.abs(values[1:]).max()
+    # one tile-sized buffer, not a spectrum-sized np.abs temporary
+    assert peak <= (8 << _TILE_BITS) + 64 * 1024 < values.nbytes
+
+
 def test_sigma_hat_coset_support():
     # a coset of a subgroup H has |sigma^| = |Lambda| on the annihilator of H
     nu = 4
