@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FpVector
+from .core import ConfigError, FpVector
 from .growth import GrowthFunction, least_nu
 from .mesh import BoundSpec, MeshReport, check_mesh_condition, random_meshes
-from .selection import LemmaCertificate, SelectionConfig, k_ell, lemma_search
+from .selection import LEMMA_NU_MIN, LemmaCertificate, SelectionConfig, k_ell, lemma_search
 
 __all__ = [
     "Block",
@@ -41,7 +41,7 @@ def choose_nu(ell: int, p: int, w: GrowthFunction) -> int:
     closed-form inversion, never by linear scan.
     """
     K = k_ell(p, ell)
-    return least_nu(w, K, 3 * ell / K, 16)
+    return least_nu(w, K, 3 * ell / K, LEMMA_NU_MIN)
 
 
 def choose_nu_capped(ell: int, p: int, w: GrowthFunction, cap: int) -> tuple[int, bool]:
@@ -51,17 +51,10 @@ def choose_nu_capped(ell: int, p: int, w: GrowthFunction, cap: int) -> tuple[int
     materialized (it may have too many digits to hold).
     """
     K = k_ell(p, ell)
-    target = 3 * ell / K
-    if w(K * cap) < target:
+    if w(K * cap) < 3 * ell / K:
         return cap, True
-    lo, hi = 16, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if w(K * mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, False
+    nu = choose_nu(ell, p, w)
+    return (cap, True) if nu > cap else (nu, False)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def build_theorem2_prefix(
     subsets is the sum of the per-block ranks.
     """
     if L < 2:
-        raise ValueError("need L >= 2")
+        raise ConfigError("need L >= 2")
     blocks = []
     offset = 0
     for ell in range(2, L + 1):

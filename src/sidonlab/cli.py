@@ -23,21 +23,17 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .blocks import NU_CAP_DEFAULT
-from .core import LatticePoint, is_prime
+from .core import ConfigError, LatticePoint, is_prime
 from .growth import GrowthFunction, parse_growth, validate_growth
 from .mesh import ENUM_CAP
 from .parallel import Parallelism, default_threads
-from .selection import RETRY_BUDGET
-from .spectral import FLAT_RETRY_BUDGET
+from .selection import LEMMA_NU_MIN, RETRY_BUDGET, TIED_MIN_TRIALS
+from .spectral import FLAT_ELL_LIMIT, FLAT_RETRY_BUDGET
 from .tails import MIN_TRIALS
 from .verify import N_MAX_DEFAULT
 
 _USAGE_EXIT = 2
 _INTERNAL_EXIT = 3
-
-
-class ConfigError(Exception):
-    """Bad flag/file input; maps to exit status 2."""
 
 
 class InternalError(RuntimeError):
@@ -67,11 +63,12 @@ class Opt:
     type: Callable
     default: object
     help: str
+    floor: Optional[int] = None  # the least value a run can use
 
 
 _COMMON = [
-    Opt("seed", int, 0, "master RNG seed (echoed in the report)"),
-    Opt("threads", int, 0, "worker threads; 0 means SIDONLAB_THREADS or 1"),
+    Opt("seed", int, 0, "master RNG seed (echoed in the report)", 0),
+    Opt("threads", int, 0, "worker threads; 0 means SIDONLAB_THREADS or 1", 0),
     Opt("out", str, "", "path for the JSON report (default: stdout)"),
 ]
 
@@ -91,41 +88,41 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
     ],
     "select": [
         Opt("p", _prime_type, 2, "prime modulus"),
-        Opt("nu", int, 16, "dimension"),
+        Opt("nu", int, 16, "dimension", LEMMA_NU_MIN),
         Opt("ell", int, 4, "density parameter"),
-        Opt("trials", int, 1000, "Monte Carlo trials"),
-        Opt("max-retries", int, RETRY_BUDGET, "certified search retry budget"),
+        Opt("trials", int, 1000, "Monte Carlo trials", TIED_MIN_TRIALS),
+        Opt("max-retries", int, RETRY_BUDGET, "certified search retry budget", 0),
     ],
     "theorem2": [
         Opt("p", _prime_type, 3, "prime modulus"),
         Opt("blocks", int, 6, "last block index L (blocks 2..L)"),
         Opt("nu-cap", int, NU_CAP_DEFAULT, "desk cap on block sizes"),
         Opt("w", _growth_type, parse_growth("doublelog:1"), "growth function"),
-        Opt("mesh-count", int, 500, "sampled meshes"),
-        Opt("k-max", int, 6, "max mesh rank"),
-        Opt("h-max", int, 2, "max mesh height"),
+        Opt("mesh-count", int, 500, "sampled meshes", 1),
+        Opt("k-max", int, 6, "max mesh rank", 1),
+        Opt("h-max", int, 2, "max mesh height", 1),
         Opt("export", str, "", "write the construction JSON here"),
     ],
     "theorem3": [
         Opt("blocks", int, 4, "number of blocks J"),
         Opt("w", _growth_type, parse_growth("doublelog:2500"), "growth function"),
-        Opt("mesh-count", int, 500, "sampled meshes"),
-        Opt("k-max", int, 5, "max mesh rank"),
-        Opt("h-max", int, 3, "max mesh height"),
+        Opt("mesh-count", int, 500, "sampled meshes", 1),
+        Opt("k-max", int, 5, "max mesh rank", 1),
+        Opt("h-max", int, 3, "max mesh height", 1),
         Opt("export", str, "", "write the construction JSON here"),
     ],
     "analyticity-demo": [
         Opt("nu", int, 22, "dimension of (Z/2Z)^nu"),
-        Opt("ell", int, 40000, "density parameter (> 400)"),
+        Opt("ell", int, 40000, f"density parameter (> {FLAT_ELL_LIMIT})"),
         Opt("rho", int, -1, "number of characters; -1 means the default rule"),
-        Opt("max-retries", int, FLAT_RETRY_BUDGET, "flat-sample retry budget"),
+        Opt("max-retries", int, FLAT_RETRY_BUDGET, "flat-sample retry budget", 0),
         Opt("csv", str, "", "optional CSV of top spectrum magnitudes"),
-        Opt("top", int, 32, "rows in the spectrum CSV"),
+        Opt("top", int, 32, "rows in the spectrum CSV", 0),
     ],
     "appendix-check": [
-        Opt("alpha-points", int, 99, "alpha grid size"),
-        Opt("u-points", int, 1001, "u samples per alpha"),
-        Opt("trials", int, MIN_TRIALS, "Monte Carlo trials beyond the exact range"),
+        Opt("alpha-points", int, 99, "alpha grid size", 1),
+        Opt("u-points", int, 1001, "u samples per alpha", 1),
+        Opt("trials", int, MIN_TRIALS, "Monte Carlo trials beyond the exact range", MIN_TRIALS),
     ],
 }
 
@@ -188,29 +185,37 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def _read_config_file(path: str, allowed: dict[str, Opt]) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, text = line.partition("=")
-            key = key.strip().replace("_", "-")
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = allowed[key].type(text.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, text = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = allowed[key].type(text.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Parse flags (and an optional config file); flags win, unknown keys
-    are rejected, and every resolved key records its provenance."""
+    """Parse flags (and an optional config file): flags win, unknown keys and
+    values below their flag's floor are refused, every key records its provenance."""
     parser = argparse.ArgumentParser(
         prog="sidonlab",
         description="reproduction harness for the mesh / selection experiments",
@@ -238,6 +243,8 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             params[name], provenance[name] = file_values[name], "file"
         else:
             params[name], provenance[name] = opt.default, "default"
+        if opt.floor is not None and params[name] < opt.floor:
+            raise ConfigError(f"--{name} must be >= {opt.floor}, got {params[name]}")
 
     seed = params.pop("seed")
     threads = params.pop("threads") or default_threads()
@@ -298,19 +305,21 @@ def _points_from_json(data, where: str) -> list[LatticePoint]:
     return out
 
 
-def _require_positive(params, *names) -> None:
-    for name in names:
-        if params[name] < 1:
-            raise ConfigError(f"--{name} must be >= 1, got {params[name]}")
+def _read_input(params, subcommand: str):
+    """The JSON document named by --input; a missing flag, invalid JSON or
+    bytes that are not UTF-8 are a ConfigError."""
+    if not params["input"]:
+        raise ConfigError(f"{subcommand} requires --input")
+    try:
+        return json.loads(_read_text(params["input"]))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed {subcommand} input: {exc}") from exc
 
 
 def _run_verify_qi(params, seed, pool):
     from .verify import verify_qi_exhaustive
 
-    if not params["input"]:
-        raise ConfigError("verify-qi requires --input")
-    with open(params["input"]) as fh:
-        points = _points_from_json(json.load(fh), "verify-qi input")
+    points = _points_from_json(_read_input(params, "verify-qi"), "verify-qi input")
     qi, witness = verify_qi_exhaustive(points, n_max=params["n-max"])
     if witness is not None and not witness.validates(points):
         raise InternalError(
@@ -330,6 +339,7 @@ def _run_theorem1(params, seed, pool):
     from .verify import verify_qi_exhaustive, verify_qi_structural
 
     nu_max = params["nu-max"]
+    construction = embed_theorem1(nu_max)  # refuses a nu_max outside [1, NU_CAP] first
     checks = []
     table = {}
     for nu in range(1, nu_max + 1):
@@ -341,7 +351,6 @@ def _run_theorem1(params, seed, pool):
         qi, _ = verify_qi_exhaustive(build_matrix(nu).columns_as_points())
         checks.append(Check(f"columns-exhaustively-qi nu={nu}", float(qi), 1.0, qi))
 
-    construction = embed_theorem1(nu_max)
     ks = range(2, 2 ** (nu_max + 1))
     counts = witness_counts(construction, ks)
     worst = math.inf
@@ -401,10 +410,9 @@ def _coeff_rows(data, i: int) -> tuple[tuple[int, ...], ...]:
 def _run_mesh_report(params, seed, pool):
     from .mesh import Box, ExplicitList, Mesh, check_mesh_condition
 
-    if not params["input"]:
-        raise ConfigError("mesh-report requires --input")
-    with open(params["input"]) as fh:
-        data = _json_object(json.load(fh), ["lambda", "meshes", "bound"], "mesh-report input")
+    data = _json_object(
+        _read_input(params, "mesh-report"), ["lambda", "meshes", "bound"], "mesh-report input"
+    )
     # the whole input is parsed and validated before any counting starts
     try:
         lam = _points_from_json(data["lambda"], "mesh-report input")
@@ -425,9 +433,11 @@ def _run_mesh_report(params, seed, pool):
             else:
                 raise ConfigError(f"meshes[{i}] lacks 'height' or 'coeffs'")
             meshes.append(Mesh(basis, domain))
-    except TypeError as exc:  # a JSON value of the wrong type
+        bound = _bound_from_json(data["bound"])
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a JSON value of the wrong type or range
         raise ConfigError(f"malformed mesh-report input: {exc}") from exc
-    bound = _bound_from_json(data["bound"])
     reports = check_mesh_condition(lam, meshes, bound, cap=params["cap"], parallelism=pool)
     checks = [
         Check(f"mesh[{i}] k={r.k}", float(r.count), r.bound, r.passed)
@@ -455,12 +465,8 @@ def _run_select(params, seed, pool):
         trial_statistics,
     )
 
-    cfg = SelectionConfig(
-        p=params["p"], nu=params["nu"], ell=params["ell"], seed=seed,
-        trials=params["trials"],
-    )
-    if not cfg.lemma_mode_ok():
-        raise ConfigError(f"--nu {cfg.nu}: the certified search needs nu >= 16")
+    cfg = SelectionConfig(p=params["p"], nu=params["nu"], ell=params["ell"], seed=seed,
+                          trials=params["trials"])
     checks = []
     artifacts: dict = {}
 
@@ -518,7 +524,6 @@ def _run_select(params, seed, pool):
 def _run_theorem2(params, seed, pool):
     from .blocks import build_theorem2_prefix, pisier_ratio, theorem2_mesh_reports
 
-    _require_positive(params, "mesh-count", "k-max", "h-max")
     w = params["w"]
     bc = build_theorem2_prefix(
         p=params["p"], w=w, L=params["blocks"], seed=seed, nu_cap=params["nu-cap"]
@@ -561,7 +566,6 @@ def _run_theorem3(params, seed, pool):
         well_spread_check,
     )
 
-    _require_positive(params, "mesh-count", "k-max", "h-max")
     w = params["w"]
     # the schedule is checked on the (h, k) grid that the meshes sample
     grid_h, grid_k = range(1, params["h-max"] + 1), range(1, params["k-max"] + 1)
@@ -677,7 +681,6 @@ def _run_appendix(params, seed, pool):
         subgaussian_tail_bound,
     )
 
-    _require_positive(params, "alpha-points", "u-points")
     alpha_grid = np.linspace(0.01, 0.99, params["alpha-points"])
     checks = []
     violation = check_mgf_inequality(alpha_grid, params["u-points"])
@@ -744,27 +747,23 @@ def run(config: ExperimentConfig) -> Report:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"sidonlab: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    try:
         report = run(config)
-    except (ConfigError, ValueError, MemoryError, OSError) as exc:
-        # bad parameters, exceeded caps (ResourceCapError is a MemoryError),
-        # unreadable inputs: usage-level errors
+        text = report.to_json()
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (ConfigError, MemoryError, OSError) as exc:
+        # a value no run can use, an exceeded cap (ResourceCapError is a
+        # MemoryError), an unreadable input or unwritable report: bad usage
         print(f"sidonlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except Exception:
-        # a bug (InternalError, a library assertion, a KeyError), not a
-        # finding: exit 1 would read as a failed check
+        # a bug (InternalError, a library assertion, any other exception),
+        # not a finding: exit 1 would read as a failed check
         traceback.print_exc()
         return _INTERNAL_EXIT
-    text = report.to_json()
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0 if report.all_passed else 1
 
 

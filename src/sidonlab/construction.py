@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LatticePoint
+from .core import ConfigError, LatticePoint
 
 __all__ = [
     "BASE_MATRIX",
@@ -95,7 +95,7 @@ class QiMatrix:
 def build_matrix(nu: int) -> QiMatrix:
     """Build A_nu by the doubling recursion; dimensions 2^nu x N_nu."""
     if not 1 <= nu <= NU_CAP:
-        raise ValueError(f"nu must lie in [1, {NU_CAP}], got {nu}")
+        raise ConfigError(f"nu must lie in [1, {NU_CAP}], got {nu}")
     block = np.array(BASE_MATRIX, dtype=np.int8)
     for level in range(2, nu + 1):
         half = 2 ** (level - 1)
@@ -228,7 +228,7 @@ def embed_theorem1(nu_max: int) -> Theorem1Construction:
     entries, about 3/(nu + 2) of them.
     """
     if not 1 <= nu_max <= NU_CAP:
-        raise ValueError(f"nu_max must lie in [1, {NU_CAP}], got {nu_max}")
+        raise ConfigError(f"nu_max must lie in [1, {NU_CAP}], got {nu_max}")
     basis = DissociatedBasis.build(nu_max)
     blocks = []
     points: list[LatticePoint] = []

@@ -19,12 +19,17 @@ __all__ = [
     "signed_combination",
     "fp_rank",
     "is_free",
+    "ConfigError",
     "ResourceCapError",
 ]
 
 # Witnesses for deterministic Miller-Rabin below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class ConfigError(ValueError):
+    """A value no run can use; the CLI maps it to exit status 2."""
 
 
 class ResourceCapError(MemoryError):

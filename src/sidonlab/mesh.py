@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import FpVector, LatticePoint, ResourceCapError
+from .core import ConfigError, FpVector, LatticePoint, ResourceCapError
 
 __all__ = [
     "Box",
@@ -481,10 +481,10 @@ class BoundSpec:
 
     def __post_init__(self):
         if self.kind not in _BOUND_PARAMETER:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
+            raise ConfigError(f"unknown bound kind {self.kind!r}")
         needed = _BOUND_PARAMETER[self.kind]
         if needed is not None and getattr(self, needed) is None:
-            raise ValueError(f"bound kind {self.kind!r} needs {needed!r}")
+            raise ConfigError(f"bound kind {self.kind!r} needs {needed!r}")
 
     def evaluate(self, mesh: Mesh) -> tuple[float, str]:
         k = mesh.k

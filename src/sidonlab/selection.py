@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FpVector, ResourceCapError, fp_rank, is_free, is_prime
+from .core import ConfigError, FpVector, ResourceCapError, fp_rank, is_free, is_prime
 from .rng import stream
 
 __all__ = [
@@ -44,6 +44,8 @@ SAMPLING_CAP = 2**26  # points of the space that pointwise sampling visits
 SUBSET_BUDGET = 2 * 10**6  # subsets the search or a re-verification checks
 RETRY_BUDGET = 10**4  # draws the certified search makes
 ORACLE_SUBSET_CAP = 10**6  # subsets the enumeration oracle visits
+LEMMA_NU_MIN = 16  # least nu of the certified search
+TIED_MIN_TRIALS = 100  # least trials of the tied-probability check
 _CHUNK = 1 << 20
 
 
@@ -74,11 +76,11 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise ConfigError(f"p = {self.p} is not prime")
         if self.nu < 1 or self.ell < 1:
-            raise ValueError("need nu >= 1 and ell >= 1")
+            raise ConfigError("need nu >= 1 and ell >= 1")
         if 2 * self.ell * self.nu >= self.p**self.nu:
-            raise ValueError("alpha = 2*ell*nu/p^nu must be < 1")
+            raise ConfigError("alpha = 2*ell*nu/p^nu must be < 1")
 
     @property
     def space_size(self) -> int:
@@ -93,7 +95,7 @@ class SelectionConfig:
         return 1.0 / (4 * self.p * self.ell)
 
     def lemma_mode_ok(self) -> bool:
-        return self.nu >= 16 and 2 * self.ell * self.nu <= self.space_size
+        return self.nu >= LEMMA_NU_MIN and 2 * self.ell * self.nu <= self.space_size
 
 
 def _digits(indices: np.ndarray, p: int, nu: int) -> np.ndarray:
@@ -170,8 +172,8 @@ def tied_probability_check(cfg: SelectionConfig, tied: int) -> TiedEstimate:
     Raises SelectionError if the frequency exceeds the bound by more than 3
     binomial sigma (sigma evaluated at the bound).
     """
-    if cfg.trials < 100:
-        raise ValueError("need trials >= 100")
+    if cfg.trials < TIED_MIN_TRIALS:
+        raise ValueError(f"need trials >= {TIED_MIN_TRIALS}")
     estimate = tied / cfg.trials
     bound = cfg.p ** (-cfg.nu / 2)
     sigma = math.sqrt(bound * (1 - bound) / cfg.trials)
@@ -292,9 +294,9 @@ def lemma_search(
     floor(nu/8) instead of floor(K_ell * nu).
     """
     if not cfg.lemma_mode_ok():
-        raise ValueError("lemma mode needs nu >= 16 and ell <= p^nu/(2 nu)")
+        raise ConfigError(f"lemma mode needs nu >= {LEMMA_NU_MIN} and ell <= p^nu/(2 nu)")
     if use_eighth and not 4 * cfg.ell < cfg.p:
-        raise ValueError("the K -> 1/8 replacement requires 4*ell < p")
+        raise ConfigError("the K -> 1/8 replacement requires 4*ell < p")
     K = 0.125 if use_eighth else k_ell(cfg.p, cfg.ell)
     m = math.floor(K * cfg.nu)
     pointwise = cfg.space_size <= SAMPLING_CAP

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ResourceCapError
+from .core import ConfigError, ResourceCapError
 from .rng import stream
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
 NU_CAP = 26  # largest nu whose full spectrum is transformed
 A_NORM_NU_CAP = 8  # largest nu of the subgradient cross-check
 FLAT_RETRY_BUDGET = 20  # draws sample_flat_lambda makes by default
+FLAT_ELL_LIMIT = 400  # sample_flat_lambda needs ell above this
 
 # fwht moves data through two scratch tiles of 2^_TILE_BITS elements each
 # (see its docstring).  A pass runs _TILE_BITS // 2 index bits, so past the
@@ -288,17 +289,17 @@ def sample_flat_lambda(
 ) -> FlatSample:
     """Resample Bernoulli(alpha) subsets until the spectrum is flat.
 
-    alpha = 2*ell*nu*2^(-nu) must be < 1 and ell > 400.  Success means the
-    trivial value is at least ell*nu and every nontrivial value is at most
-    (20/sqrt(ell)) times the trivial one.
+    alpha = 2*ell*nu*2^(-nu) must be < 1 and ell > FLAT_ELL_LIMIT (400).
+    Success means the trivial value is at least ell*nu and every nontrivial
+    value is at most (20/sqrt(ell)) times the trivial one.
     """
     _check_nu_cap(nu)
-    if ell <= 400:
-        raise ValueError("need ell > 400")
+    if ell <= FLAT_ELL_LIMIT:
+        raise ConfigError(f"need ell > {FLAT_ELL_LIMIT}")
     n = 2**nu
     alpha = 2 * ell * nu / n
     if not 0 < alpha < 1:
-        raise ValueError(f"alpha = {alpha} must lie in (0, 1)")
+        raise ConfigError(f"alpha = {alpha} must lie in (0, 1)")
     ratio = 20.0 / math.sqrt(ell)
     for t in range(max_retries):
         rng = stream(seed, nu, ell, t)
@@ -428,7 +429,7 @@ def analyticity_witness(
     if rho is None:
         rho = rho_default
     if rho > nu:
-        raise ValueError("rho cannot exceed nu")
+        raise ConfigError("rho cannot exceed nu")
     if y_masks is None:
         y_masks = [1 << b for b in range(rho)]
     if len(y_masks) != rho:

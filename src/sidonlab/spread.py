@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import FpVector, LatticePoint, fp_rank, next_prime
+from .core import ConfigError, FpVector, LatticePoint, fp_rank, next_prime
 from .growth import DoubleLog, GrowthFunction
 from .mesh import (
     BoundSpec,
@@ -51,7 +51,7 @@ GRID_H_DEFAULT = (1, 2, 3)
 GRID_K_DEFAULT = (1, 2, 3, 4, 5)
 
 
-class ScheduleError(ValueError):
+class ScheduleError(ConfigError):
     """A schedule condition fails on the declared test grid."""
 
 
@@ -90,7 +90,7 @@ class Schedule:
         ps: Optional[Sequence[int]] = None,
     ) -> "Schedule":
         if not 1 <= J <= J_CAP:
-            raise ValueError(f"J must lie in [1, {J_CAP}]")
+            raise ConfigError(f"J must lie in [1, {J_CAP}]")
         ells = tuple(ells) if ells else tuple(_default_ell(j) for j in range(1, J + 1))
         nus = tuple(nus) if nus else tuple(_default_nu(j) for j in range(1, J + 1))
         ps = tuple(ps) if ps else tuple(
@@ -110,7 +110,7 @@ class Schedule:
         if j <= self.J:
             return self.ps[j - 1]
         if j > J_CAP:
-            raise ValueError(f"primes beyond j = {J_CAP} are not materialized")
+            raise ConfigError(f"primes beyond j = {J_CAP} are not materialized")
         return next_prime(4 * _default_ell(j) * 2 ** (2**j))
 
 

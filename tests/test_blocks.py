@@ -10,7 +10,7 @@ from sidonlab.blocks import (
     theorem2_mesh_reports,
 )
 from sidonlab.core import FpVector, fp_rank
-from sidonlab.growth import DoubleLog, StepTable
+from sidonlab.growth import DoubleLog, Power, StepTable
 from sidonlab.selection import k_ell
 
 
@@ -42,6 +42,39 @@ def test_choose_nu_exact_at_threshold():
     nu = choose_nu(2, 2, w)
     assert w(K * nu) >= 3 * 2 / K
     assert w(K * (nu - 1)) < 3 * 2 / K
+
+
+def _bisection_nu(ell, p, w, cap):
+    """The float bisection over [16, cap] that choose_nu_capped once ran."""
+    K = k_ell(p, ell)
+    target = 3 * ell / K
+    lo, hi = 16, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if w(K * mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("w, p, ell, cap", [
+    (StepTable(((1, 1), (7, 1000))), 2, 2, 200),
+    (StepTable(((1, 1), (3, 40), (30, 500))), 3, 4, 5000),
+    (Power(0.5), 3, 2, 10**5),
+    (Power(0.3), 5, 3, 10**8),
+    (DoubleLog(50.0), 3, 2, 1000),
+    (DoubleLog(120.0), 7, 5, 10**4),
+])
+def test_choose_nu_capped_below_the_cap_equals_the_old_bisection(w, p, ell, cap):
+    nu, capped = choose_nu_capped(ell, p, w, cap)
+    assert 16 < nu <= cap and not capped  # the case lies strictly inside (16, cap]
+    assert nu == _bisection_nu(ell, p, w, cap) == choose_nu(ell, p, w)
+
+
+def test_choose_nu_capped_binds_when_the_answer_exceeds_a_cap_below_16():
+    w = StepTable(((1, 10**6),))  # met everywhere, so choose_nu answers 16
+    assert choose_nu_capped(2, 2, w, cap=10) == (10, True)
 
 
 def test_build_single_block_window():

@@ -9,8 +9,6 @@ import pytest
 import sidonlab
 from sidonlab.cli import ConfigError, main, parse_config, run
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def _strip_meta(report: dict) -> dict:
     out = dict(report)
@@ -314,9 +312,9 @@ _OVER_CAP_MESH_REPORT = {
     ({"lambda": None}, "ConfigError: mesh-report input lacks 'lambda'"),
     ({"meshes": None}, "ConfigError: mesh-report input lacks 'meshes'"),
     ({"bound": None}, "ConfigError: mesh-report input lacks 'bound'"),
-    ({"bound": {"kind": "nope"}}, "ValueError: unknown bound kind 'nope'"),
-    ({"bound": {"kind": "k_w_k"}}, "ValueError: bound kind 'k_w_k' needs 'w'"),
-    ({"bound": {"kind": "sidon_log"}}, "ValueError: bound kind 'sidon_log' needs 'C'"),
+    ({"bound": {"kind": "nope"}}, "ConfigError: unknown bound kind 'nope'"),
+    ({"bound": {"kind": "k_w_k"}}, "ConfigError: bound kind 'k_w_k' needs 'w'"),
+    ({"bound": {"kind": "sidon_log"}}, "ConfigError: bound kind 'sidon_log' needs 'C'"),
     ({"meshes": [{"basis": [1, 2]}]}, "ConfigError: meshes[0] lacks 'height' or 'coeffs'"),
     ({"lambda": [1, [2, None]]}, "ConfigError: malformed mesh-report input"),
     ({"bound": {"kind": "sidon_log", "C": "2"}}, "ConfigError: malformed mesh-report input"),
@@ -425,3 +423,137 @@ def test_theorem3_checks_its_schedule_on_the_sampled_grid():
     assert report.all_passed
     # the schedule's p_7 is not materialized, so k = 7 cannot be checked
     assert main(["theorem3", "--k-max", "7", "--out", os.devnull]) == 2
+
+
+def _floored_opts():
+    from sidonlab.cli import _COMMON, _SUBCOMMANDS
+
+    return [(sub, opt) for sub, opts in _SUBCOMMANDS.items() for opt in opts + _COMMON
+            if opt.floor is not None]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "sub, opt", _floored_opts(), ids=[f"{sub}--{opt.name}" for sub, opt in _floored_opts()]
+)
+def test_a_value_below_its_floor_exits_2_before_the_run(sub, opt, source, tmp_path,
+                                                        monkeypatch, capsys):
+    import sidonlab.cli
+
+    def never(params, seed, pool):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(sidonlab.cli._HANDLERS, sub, never)
+    value = opt.floor - 1
+    if source == "flag":
+        argv = [sub, f"--{opt.name}", str(value)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{opt.name}={value}\n")
+        argv = [sub, "--config", str(cfg)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sidonlab: ConfigError: ")
+    assert f"--{opt.name} must be >= {opt.floor}, got {value}" in lines[0]
+
+
+def test_every_default_meets_its_floor():
+    for sub, opt in _floored_opts():
+        assert opt.default >= opt.floor, (sub, opt.name)
+
+
+def test_one_config_error_type():
+    import sidonlab.cli
+    import sidonlab.core
+    from sidonlab.spread import ScheduleError
+
+    assert sidonlab.cli.ConfigError is sidonlab.core.ConfigError
+    assert issubclass(ConfigError, ValueError) and issubclass(ScheduleError, ConfigError)
+
+
+def _library_refusals():
+    from sidonlab.blocks import build_theorem2_prefix
+    from sidonlab.construction import build_matrix, embed_theorem1
+    from sidonlab.growth import DoubleLog
+    from sidonlab.mesh import BoundSpec
+    from sidonlab.selection import SelectionConfig, lemma_search
+    from sidonlab.spectral import analyticity_witness, sample_flat_lambda
+    from sidonlab.spread import Schedule
+
+    return {
+        "selection-prime": lambda: SelectionConfig(p=4, nu=16, ell=1),
+        "selection-ell": lambda: SelectionConfig(p=2, nu=16, ell=0),
+        "selection-alpha": lambda: SelectionConfig(p=2, nu=16, ell=3000),
+        "lemma-mode": lambda: lemma_search(SelectionConfig(p=2, nu=15, ell=1)),
+        "lemma-eighth": lambda: lemma_search(SelectionConfig(p=2, nu=16, ell=1), use_eighth=True),
+        "theorem2-L": lambda: build_theorem2_prefix(p=3, w=DoubleLog(1.0), L=1),
+        "flat-ell": lambda: sample_flat_lambda(16, 400),
+        "flat-alpha": lambda: sample_flat_lambda(16, 5000),
+        "witness-rho": lambda: analyticity_witness([1, 2], ell=401, rho=5, nu=4),
+        "schedule-J": lambda: Schedule.default(7),
+        "schedule-p": lambda: Schedule.default(2).p(7),
+        "matrix-nu": lambda: build_matrix(13),
+        "embed-nu": lambda: embed_theorem1(0),
+        "bound-kind": lambda: BoundSpec("nope"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_library_refusals()))
+def test_library_refusals_are_config_errors(case):
+    with pytest.raises(ConfigError):
+        _library_refusals()[case]()
+
+
+def test_a_value_error_from_a_handler_exits_3(monkeypatch, capsys):
+    import sidonlab.cli
+
+    def broken(params, seed, pool):
+        raise ValueError("injected")
+
+    monkeypatch.setitem(sidonlab.cli._HANDLERS, "theorem1", broken)
+    assert main(["theorem1", "--out", os.devnull]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: injected" in err
+
+
+@pytest.mark.parametrize("where", ["config", "out"])
+def test_a_missing_file_or_directory_exits_2(where, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    if where == "config":
+        argv = ["theorem1", "--nu-max", "1", "--config", str(missing / "run.cfg")]
+    else:
+        argv = ["theorem1", "--nu-max", "1", "--out", str(missing / "r.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sidonlab: FileNotFoundError: ")
+    assert captured.out == ""
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n\xff\n")
+    with pytest.raises(ConfigError, match="is not UTF-8"):
+        parse_config(["select", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["select", "--ell", "3000"], None),
+    (["select", "--seed", "-1"], None),
+    (["analyticity-demo", "--nu", "16", "--ell", "400"], None),
+    (["analyticity-demo", "--nu", "16", "--ell", "5000"], None),
+    (["theorem1", "--nu-max", "13"], None),
+    (["theorem2", "--blocks", "1"], None),
+    (["theorem2", "--nu-cap", "10"], None),
+    (["theorem3", "--blocks", "7"], None),
+    (["verify-qi"], b'{"points": [1, 2'),
+    (["verify-qi"], b"\xff\xfe[1]"),
+], ids=["select-ell", "select-seed", "flat-ell", "flat-alpha", "theorem1-nu-max",
+        "theorem2-blocks", "theorem2-nu-cap", "theorem3-blocks", "verify-qi-truncated",
+        "verify-qi-not-utf8"])
+def test_usage_errors_exit_2_with_one_config_error_line(argv, payload, tmp_path):
+    if payload is not None:
+        inp = tmp_path / "p.json"
+        inp.write_bytes(payload)
+        argv = [*argv, "--input", str(inp)]
+    _assert_cap_exit(_run_cli(*argv), "ConfigError")
