@@ -26,7 +26,7 @@ from .blocks import NU_CAP_DEFAULT
 from .core import ConfigError, LatticePoint, is_prime
 from .growth import GrowthFunction, parse_growth, validate_growth
 from .mesh import ENUM_CAP
-from .parallel import Parallelism, default_threads
+from .parallel import Parallelism
 from .selection import LEMMA_NU_MIN, RETRY_BUDGET, TIED_MIN_TRIALS
 from .spectral import FLAT_ELL_LIMIT, FLAT_RETRY_BUDGET
 from .tails import MIN_TRIALS
@@ -112,9 +112,9 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
         Opt("export", str, "", "write the construction JSON here"),
     ],
     "analyticity-demo": [
-        Opt("nu", int, 22, "dimension of (Z/2Z)^nu"),
+        Opt("nu", int, 22, "dimension of (Z/2Z)^nu", 1),
         Opt("ell", int, 40000, f"density parameter (> {FLAT_ELL_LIMIT})"),
-        Opt("rho", int, -1, "number of characters; -1 means the default rule"),
+        Opt("rho", int, -1, "number of characters; -1 means the default rule", -1),
         Opt("max-retries", int, FLAT_RETRY_BUDGET, "flat-sample retry budget", 0),
         Opt("csv", str, "", "optional CSV of top spectrum magnitudes"),
         Opt("top", int, 32, "rows in the spectrum CSV", 0),
@@ -132,7 +132,7 @@ class ExperimentConfig:
     subcommand: str
     params: dict
     seed: int
-    threads: int
+    threads: int  # 0 means the default, which Parallelism resolves
     out: str
     provenance: dict
 
@@ -247,7 +247,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             raise ConfigError(f"--{name} must be >= {opt.floor}, got {params[name]}")
 
     seed = params.pop("seed")
-    threads = params.pop("threads") or default_threads()
+    threads = params.pop("threads")
     out = params.pop("out")
     return ExperimentConfig(
         subcommand=ns.subcommand,
@@ -630,7 +630,7 @@ def _run_theorem3(params, seed, pool):
 def _run_analyticity(params, seed, pool):
     import numpy as np
 
-    from .spectral import FlatnessFailure, analyticity_witness, sample_flat_lambda
+    from .spectral import FlatnessFailure, analyticity_witness, sample_flat_lambda, sigma_hat
 
     nu, ell, budget = params["nu"], params["ell"], params["max-retries"]
     if params["rho"] > nu:
@@ -641,7 +641,7 @@ def _run_analyticity(params, seed, pool):
         # no flat sample within the budget: it needs at least budget + 1 draws
         checks = [Check("flat-sample-retries", float(budget + 1), float(budget), False)]
         return checks, {"search_error": str(exc)}
-    rho = None if params["rho"] < 0 else params["rho"]
+    rho = None if params["rho"] == -1 else params["rho"]
     report = analyticity_witness(sample, rho=rho)
 
     checks = [
@@ -657,7 +657,7 @@ def _run_analyticity(params, seed, pool):
     if params["csv"]:
         import csv as _csv
 
-        mags = np.abs(sample.spectrum.values)
+        mags = np.abs(sigma_hat(sample.mask).values)  # the sample keeps no spectrum
         top = np.argsort(mags)[::-1][: params["top"]]
         with open(params["csv"], "w", newline="") as fh:
             writer = _csv.writer(fh)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -256,25 +256,32 @@ def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -
     return SpectralTable(nu, table)
 
 
+def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
+    """sigma^(0) and max |sigma^| over the nontrivial characters; the
+    spectrum itself is released on return."""
+    table = sigma_hat(mask)
+    return table.at_one, table.sup_offpeak()
+
+
 @dataclass(frozen=True, eq=False)
 class FlatSample:
-    """A Bernoulli selection whose nontrivial spectrum is flat."""
+    """A Bernoulli selection whose nontrivial spectrum is flat.
+
+    Of the spectrum sigma_hat(mask) it keeps only the two numbers that the
+    flatness test and the witness read: sigma1, the value at the trivial
+    character, and sup_offpeak, the largest modulus off it.  The spectrum
+    itself (8 bytes per point) is not kept; sigma_hat(mask) rebuilds it bit
+    for bit.
+    """
 
     nu: int
     ell: int
     alpha: float
     mask: np.ndarray
-    spectrum: SpectralTable
+    sigma1: float
+    sup_offpeak: float
     retries_used: int
     lambda_param: float  # 10 * sqrt(nu), the tail parameter backing flatness
-
-    @property
-    def sigma1(self) -> float:
-        return self.spectrum.at_one
-
-    @property
-    def sup_offpeak(self) -> float:
-        return self.spectrum.sup_offpeak()
 
     @property
     def flatness_threshold(self) -> float:
@@ -304,15 +311,15 @@ def sample_flat_lambda(
     for t in range(max_retries):
         rng = stream(seed, nu, ell, t)
         mask = rng.random(n) < alpha
-        table = sigma_hat(mask)
-        s1 = table.at_one
-        if s1 >= ell * nu and table.sup_offpeak() <= ratio * s1:
+        s1, sup = _spectrum_summary(mask)
+        if s1 >= ell * nu and sup <= ratio * s1:
             return FlatSample(
                 nu=nu,
                 ell=ell,
                 alpha=alpha,
                 mask=mask,
-                spectrum=table,
+                sigma1=s1,
+                sup_offpeak=sup,
                 retries_used=t + 1,
                 lambda_param=10.0 * math.sqrt(nu),
             )
@@ -415,12 +422,18 @@ def analyticity_witness(
     Reports the exact algebra norm of f itself (= rho: one unit Walsh
     coefficient per mask) alongside the chain value
     (2^(-rho/2) + (20/sqrt(ell)) 2^(rho/2))^(-1).
+
+    Of sigma's spectrum only sigma^(1) and its largest off-peak modulus are
+    read: from a FlatSample they are its fields; for a raw mask sigma_hat
+    runs once and its spectrum is released before mu is transformed.  So
+    beyond the mask the peak holds mu's complex transform, the codes and
+    fwht's two tiles, and no other array of 2^nu entries.
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
-        mask, spectrum = lam.mask, lam.spectrum  # spectrum is sigma_hat(mask)
+        mask, summary = lam.mask, (lam.sigma1, lam.sup_offpeak)
     else:
-        mask, spectrum = _as_mask_array(lam, nu), None
+        mask, summary = _as_mask_array(lam, nu), None
     if ell is None:
         raise ValueError("ell is required")
     n = mask.shape[0]
@@ -437,12 +450,10 @@ def analyticity_witness(
     if not masks_independent(y_masks):
         raise ValueError("character masks are dependent over F_2")
 
-    f = _character_sum(nu, y_masks)
-    f_norm = float(np.abs(fwht(f)).sum()) / n
+    s1, sup_off = _spectrum_summary(mask) if summary is None else summary
 
-    if spectrum is None:
-        spectrum = sigma_hat(mask)
-    s1, sup_off = spectrum.at_one, spectrum.sup_offpeak()
+    f = _character_sum(nu, y_masks)
+    f_norm = float(_abs_sum(fwht(f))) / n
 
     # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
     # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
@@ -478,16 +489,25 @@ def analyticity_witness(
     )
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """max |a|, one tile-sized chunk at a time instead of through an
-    array-sized temporary (a maximum is exact in any order)."""
+def _abs_chunks(a: np.ndarray, dtype) -> Iterator[np.ndarray]:
+    """|a| one tile-sized chunk at a time, each written into the same
+    buffer of dtype, instead of into an array-sized temporary."""
     step = 1 << _TILE_BITS
-    buf = np.empty(min(a.shape[0], step), np.float64)
-    peaks = []
+    buf = np.empty(min(a.shape[0], step), dtype)
     for i in range(0, a.shape[0], step):
-        part = buf[:min(step, a.shape[0] - i)]
-        peaks.append(np.abs(a[i:i + step], out=part).max())
-    return float(np.max(peaks))
+        yield np.abs(a[i:i + step], out=buf[:min(step, a.shape[0] - i)])
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| in float64 (a maximum is exact in any order)."""
+    return float(max(part.max() for part in _abs_chunks(a, np.float64)))
+
+
+def _abs_sum(a: np.ndarray) -> int:
+    """sum |a| of an integer array, exactly: each chunk's sum stays in
+    int64 (it is at most 2^_TILE_BITS * max|a|) and the chunks add as
+    Python ints."""
+    return sum(int(part.sum()) for part in _abs_chunks(a, np.int64))
 
 
 def a_norm_upper_bound(v: np.ndarray, mask: np.ndarray) -> float:

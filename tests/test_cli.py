@@ -378,6 +378,23 @@ def test_analyticity_exhausted_flat_sample_is_a_failed_check(tmp_path):
     ]
 
 
+def test_analyticity_csv_lists_the_top_spectrum_magnitudes(tmp_path):
+    import csv
+
+    import numpy as np
+
+    from sidonlab.spectral import sample_flat_lambda, sigma_hat
+
+    path = tmp_path / "top.csv"
+    argv = ["analyticity-demo", "--nu", "14", "--ell", "401", "--csv", str(path)]
+    assert main([*argv, "--out", os.devnull]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    mags = np.abs(sigma_hat(sample_flat_lambda(14, 401, seed=0).mask).values)
+    top = np.argsort(mags)[::-1][:32]  # --top defaults to 32
+    assert rows == [["mask", "magnitude"]] + [[str(int(y)), str(float(mags[y]))] for y in top]
+
+
 def test_select_failed_tied_check_reports_the_measured_frequency(monkeypatch, tmp_path):
     import sidonlab.selection
 
@@ -414,6 +431,18 @@ def test_meaningless_flags_exit_2_with_a_config_error(argv, flag):
     assert len(lines) == 1 and lines[0].startswith("sidonlab: ConfigError: ")
     assert flag in lines[0]
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--nu", "-3", "--ell", "401"], "--nu must be >= 1, got -3"),
+    (["--nu", "0"], "--nu must be >= 1, got 0"),
+    (["--nu", "16", "--ell", "401", "--rho", "-5"], "--rho must be >= -1, got -5"),
+    (["--rho", "-2"], "--rho must be >= -1, got -2"),
+])
+def test_analyticity_flags_below_their_floors_exit_2(argv, line):
+    proc = _run_cli("analyticity-demo", *argv)
+    _assert_cap_exit(proc, "ConfigError")
+    assert line in proc.stderr
 
 
 def test_theorem3_checks_its_schedule_on_the_sampled_grid():

@@ -28,3 +28,21 @@ def test_threaded_cli_report_matches_serial():
         report.pop("meta")
         report["provenance"].pop("threads")
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+
+
+def test_threads_zero_is_resolved_by_the_pool_alone(monkeypatch):
+    import sidonlab.cli
+    from sidonlab.cli import parse_config, run
+
+    seen = []
+
+    def handler(params, seed, pool):
+        seen.append(pool.threads)
+        return [], {}
+
+    monkeypatch.setitem(sidonlab.cli._HANDLERS, "theorem1", handler)
+    monkeypatch.setenv(ENV_VAR, "2")
+    config = parse_config(["theorem1", "--threads", "0"])
+    assert config.threads == 0  # left for Parallelism to resolve
+    run(config)
+    assert seen == [2]

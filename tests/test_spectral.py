@@ -262,6 +262,30 @@ def test_witness_peak_memory():
     assert peak <= mu_bytes + n + n + 2 * tile_bytes + slack
 
 
+def test_flat_sample_and_witness_peak_memory(small_flat):
+    # the CLI's path: the sample stays alive through the witness.  The peak
+    # may hold mu's complex transform, the mask, the int8 codes, fwht's two
+    # tiles and one float64 chunk of the chunked |.|; neither sigma's
+    # spectrum nor an array-sized |fwht(f)| may join them.  (small_flat is
+    # drawn before tracing starts, so numpy.random's import is not counted.)
+    import tracemalloc
+
+    from sidonlab.spectral import _TILE_BITS
+
+    n = 2**20
+    tracemalloc.start()
+    try:
+        sample = sample_flat_lambda(nu=20, ell=4000, seed=0)
+        analyticity_witness(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tiles, chunk = 2 * (16 << _TILE_BITS), 8 << _TILE_BITS
+    # slack as in test_fwht_allocates_the_output_and_two_tiles
+    slack = 3 * np.getbufsize() * 16 + 64 * 1024
+    assert peak <= 16 * n + n + n + tiles + chunk + slack
+
+
 def test_witness_report_pin_at_nu22(seed0_nu22):
     report = analyticity_witness(seed0_nu22).to_dict()
     assert report["sup_mu"] == 622869.9163268361
@@ -386,8 +410,8 @@ def test_witness_structure(small_flat):
 
 
 def test_witness_from_sample_equals_witness_from_mask(small_flat):
-    # the sample path reuses the stored spectrum; the mask path transforms
-    # sigma itself
+    # the sample path reads sigma's two numbers from the sample; the mask
+    # path transforms sigma itself
     for rho in (0, 2):
         from_sample = analyticity_witness(small_flat, rho=rho)
         from_mask = analyticity_witness(small_flat.mask, ell=small_flat.ell, rho=rho)
