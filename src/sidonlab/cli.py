@@ -75,7 +75,7 @@ _COMMON = [
 _SUBCOMMANDS: dict[str, list[Opt]] = {
     "verify-qi": [
         Opt("input", str, "", "JSON file with the points to test"),
-        Opt("n-max", int, N_MAX_DEFAULT, "cap on the number of elements"),
+        Opt("n-max", int, N_MAX_DEFAULT, "cap on the number of elements", 0),
     ],
     "theorem1": [
         Opt("nu-max", int, 7, "build blocks 1..nu_max"),
@@ -84,7 +84,7 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
     "mesh-report": [
         Opt("input", str, "", "JSON file with lambda, meshes and the bound"),
         Opt("csv", str, "", "optional CSV summary path"),
-        Opt("cap", int, ENUM_CAP, "enumeration cap"),
+        Opt("cap", int, ENUM_CAP, "enumeration cap", 0),
     ],
     "select": [
         Opt("p", _prime_type, 2, "prime modulus"),
@@ -96,7 +96,7 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
     "theorem2": [
         Opt("p", _prime_type, 3, "prime modulus"),
         Opt("blocks", int, 6, "last block index L (blocks 2..L)"),
-        Opt("nu-cap", int, NU_CAP_DEFAULT, "desk cap on block sizes"),
+        Opt("nu-cap", int, NU_CAP_DEFAULT, "desk cap on block sizes", LEMMA_NU_MIN),
         Opt("w", _growth_type, parse_growth("doublelog:1"), "growth function"),
         Opt("mesh-count", int, 500, "sampled meshes", 1),
         Opt("k-max", int, 6, "max mesh rank", 1),

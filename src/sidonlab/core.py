@@ -2,13 +2,19 @@
 
 Everything here is an immutable value object with exact integer arithmetic
 (Python ints, so coordinates may grow without bound), plus rank computation
-over prime fields by Gaussian elimination.
+over prime fields by Gaussian elimination.  It also fixes the one row key
+of every exact join (``row_keys``, ``add_keys``).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "is_prime",
@@ -19,6 +25,9 @@ __all__ = [
     "signed_combination",
     "fp_rank",
     "is_free",
+    "KEY_MOD",
+    "row_keys",
+    "add_keys",
     "ConfigError",
     "ResourceCapError",
 ]
@@ -269,3 +278,43 @@ def fp_rank(vectors: Sequence[FpVector]) -> int:
 def is_free(vectors: Sequence[FpVector]) -> bool:
     """True iff the vectors are linearly independent over F_p."""
     return fp_rank(vectors) == len(vectors)
+
+
+# Keys of every exact join are residues mod this Mersenne prime: a sum of two
+# stays below 2^62, in int64.
+KEY_MOD = 2**61 - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _key_weights(dim: int) -> np.ndarray:
+    """The fixed column weights W_0 = 1, W_1, ..., W_{dim-1}, all below 2^31."""
+    draw = random.Random(KEY_MOD).getrandbits
+    weights = np.array([1] + [draw(31) for _ in range(dim - 1)], dtype=np.int64)[:dim]
+    weights.flags.writeable = False  # one cached array serves every caller
+    return weights
+
+
+def row_keys(rows) -> np.ndarray:
+    """key(r) = sum_c r[c] * W_c mod KEY_MOD for every row, as int64.
+
+    The key is linear, and an integer x (a row of one column) keys as x mod
+    KEY_MOD.  Distinct rows may share a key, so every join confirms its hits
+    exactly on the rows.  A 2-D integer array with dim * max|entry| < 2^32 is
+    keyed by one int64 matrix product, which cannot overflow (W_c < 2^31);
+    any other rows are keyed one by one in Python ints.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        dim = rows.shape[1]
+        peak = max(-int(rows.min()), int(rows.max()))
+        if dim * peak < 2**32:
+            return rows.astype(np.int64, copy=False) @ _key_weights(dim) % KEY_MOD
+        rows = rows.tolist()
+    weights = _key_weights(max(map(len, rows), default=0)).tolist()
+    return np.array([sum(map(operator.mul, r, weights)) % KEY_MOD for r in rows], np.int64)
+
+
+def add_keys(a, b) -> np.ndarray:
+    """(a + b) mod KEY_MOD for keys a and b, both in [0, KEY_MOD)."""
+    total = a + b  # below 2^62
+    np.subtract(total, KEY_MOD, out=total, where=total >= KEY_MOD)
+    return total

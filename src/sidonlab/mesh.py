@@ -12,18 +12,15 @@ Counting routes (all exact):
 * a digit route for one-dimensional super-increasing integer bases, where
   membership is decided by greedy digit extraction without enumeration,
   scanning only the integers of Lambda within reach of the mesh;
-* a keyed route for every other integer basis: the members' residues mod
-  M = 2^61 - 1 come from broadcast additions in int64 (every term is reduced
-  below 2^61, so a sum of two stays below 2^62 and cannot overflow), and are
-  joined to Lambda's residues, encoded once.  A matching residue is
-  necessary for equality; each match is then confirmed by the member's
-  exact sum in Python ints, which is sufficient, so a collision mod M is
-  rejected and never counted.  ``count_distinct_sums`` uses the same keys
-  and computes exact sums only for rows that share a residue;
+* a keyed route for every other integer basis: the members' ``core.row_keys``
+  keys come from broadcast ``add_keys`` of the terms' keys and are joined to
+  Lambda's keys; each match is confirmed by the member's exact sum in Python
+  ints, so a key collision is never counted.  ``count_distinct_sums`` uses
+  the same keys and computes exact sums only for rows that share a key;
 * a vectorized route for F_p vector bases: the coefficient domain is
   reduced mod p first (a height-h box becomes min(2h+1, p)^k residue rows),
-  the members are one matrix product mod p, and the count is an exact join
-  on whole-row keys against Lambda, encoded once per (p, nu).
+  the members are one matrix product mod p, and they are joined on their
+  row keys to Lambda's rows, keyed once per (p, nu), rows compared exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, FpVector, LatticePoint, ResourceCapError
+from .core import ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys, row_keys
 
 __all__ = [
     "Box",
@@ -248,39 +245,24 @@ def _count_by_digits(
     return count
 
 
-# Keys of the integer routes are residues mod this Mersenne prime.  Residues
-# lie below 2^61, so the sum of two of them is below 2^62 and int64 holds it.
-_KEY_MOD = 2**61 - 1
-
-
-def _sumset_residues(basis: Sequence[int], domain: Domain) -> np.ndarray:
-    """sum_j n_j * basis[j] mod _KEY_MOD for every coefficient row, as int64.
+def _sumset_keys(basis: Sequence[int], domain: Domain) -> np.ndarray:
+    """The row key of sum_j n_j * basis[j] for every coefficient row.
 
     Rows come in domain order: C order over (n_1 + h, ..., n_k + h) for a
-    box of height h, list order for an explicit list.  Each term is reduced
-    before it is added and each sum is reduced at once, so no value ever
-    reaches 2^62.
+    box of height h, list order for an explicit list.  The key is linear, so
+    the keys of the terms n_j * basis[j] are added with ``add_keys``.
     """
     if isinstance(domain, Box):
         h = domain.height
         acc = np.zeros(1, dtype=np.int64)
         for b in basis:
-            r = b % _KEY_MOD
-            terms = np.array([n * r % _KEY_MOD for n in range(-h, h + 1)], dtype=np.int64)
-            acc = _add_mod(acc[:, None], terms[None, :]).ravel()
+            terms = row_keys([(n * b,) for n in range(-h, h + 1)])
+            acc = add_keys(acc[:, None], terms[None, :]).ravel()
         return acc
     acc = np.zeros(len(domain.coeffs), dtype=np.int64)
     for j, b in enumerate(basis):
-        r = b % _KEY_MOD
-        terms = np.array([row[j] * r % _KEY_MOD for row in domain.coeffs], dtype=np.int64)
-        acc = _add_mod(acc, terms)
+        acc = add_keys(acc, row_keys([(row[j] * b,) for row in domain.coeffs]))
     return acc
-
-
-def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    total = a + b  # both below _KEY_MOD < 2^61
-    np.subtract(total, _KEY_MOD, out=total, where=total >= _KEY_MOD)
-    return total
 
 
 def _exact_sums(basis: Sequence[int], domain: Domain, rows: np.ndarray) -> list[int]:
@@ -297,13 +279,13 @@ def _exact_sums(basis: Sequence[int], domain: Domain, rows: np.ndarray) -> list[
 def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
     """|{sum_j n_j * basis[j] : n in domain}| for integers of any size.
 
-    Rows whose residues differ have different sums; exact sums are computed
-    only for rows that share a residue with another row.
+    Rows whose keys differ have different sums; exact sums are computed only
+    for rows that share a key with another row.
     """
     basis = [operator.index(b) for b in basis]
-    residues = _sumset_residues(basis, domain)
-    order = np.argsort(residues, kind="stable")
-    ranked = residues[order]
+    keys = _sumset_keys(basis, domain)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     shared = np.zeros(len(ranked), dtype=bool)
     same = ranked[1:] == ranked[:-1]
     shared[1:] |= same
@@ -313,25 +295,19 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
 
 
 def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an integer basis by a residue join, hits confirmed.
+    """|Lambda ∩ M| for an integer basis by a key join, hits confirmed.
 
-    A member can equal a point of Lambda only if their residues match; each
-    matched member's exact sum is then looked up in Lambda, so a residue
+    A member can equal a point of Lambda only if their keys match; each
+    matched member's exact sum is then looked up in Lambda, so a key
     collision is rejected, never counted.
     """
     check_enum_cap(mesh.domain_size(), cap)
     if not lam.ints:
         return 0
     basis = [b.as_int() for b in mesh.basis]
-    residues = _sumset_residues(basis, mesh.domain)
-    hits = np.flatnonzero(np.isin(residues, lam.int_residues))
-    found = {x for x in _exact_sums(basis, mesh.domain, hits) if _contains(lam.ints, x)}
-    return len(found)
-
-
-def _contains(ordered: Sequence[int], x: int) -> bool:
-    i = bisect_left(ordered, x)
-    return i < len(ordered) and ordered[i] == x
+    keys = _sumset_keys(basis, mesh.domain)
+    hits = np.flatnonzero(np.isin(keys, lam.int_keys))
+    return len(lam.int_set.intersection(_exact_sums(basis, mesh.domain, hits)))
 
 
 def _is_fp_basis(mesh: Mesh) -> bool:
@@ -343,11 +319,11 @@ def _is_fp_basis(mesh: Mesh) -> bool:
 
 
 class _Lambda:
-    """Lambda deduplicated and encoded once for every counting route.
+    """Lambda deduplicated and keyed once for every counting route.
 
-    Its integers (plain ints and points of Z) are kept as a sorted list and
-    as int64 residues mod _KEY_MOD in the same order; its F_p points as row
-    keys per (p, nu).
+    Its integers (plain ints and points of Z) are kept as a set, a sorted
+    list and the row keys; its F_p points, per (p, nu), as a row array
+    sorted by row key, with the sorted keys.
     """
 
     def __init__(self, lam: Iterable):
@@ -363,19 +339,14 @@ class _Lambda:
                 ints.add(v)
             elif isinstance(v, LatticePoint) and v.dim <= 1:
                 ints.add(v.as_int())
-        self.ints = sorted(ints)
-        self.int_residues = np.array([x % _KEY_MOD for x in self.ints], dtype=np.int64)
-        # row keys of the points that are FpVectors in (Z/pZ)^nu, by (p, nu)
-        self.fp_keys = {
-            key: _row_keys(np.array(group, dtype=np.int64), key[0])
-            for key, group in rows.items()
-        }
-
-
-def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
-    """One opaque key per row of residues in [0, p): equal keys iff equal rows."""
-    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(p - 1))
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        self.int_set, self.ints = ints, sorted(ints)
+        self.int_keys = row_keys([(x,) for x in ints])
+        self.fp = {}
+        for (p, nu), group in rows.items():
+            group = np.array(group, dtype=np.min_scalar_type(p - 1))
+            keys = row_keys(group)
+            order = np.argsort(keys)
+            self.fp[p, nu] = (group[order], keys[order])
 
 
 def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
@@ -390,14 +361,21 @@ def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
 
 
 def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
+    """|Lambda ∩ M| for an F_p basis by a row-key join: a member whose key is
+    in Lambda's sorted keys counts only where the rows are equal."""
     check_enum_cap(mesh.domain_size(), cap)
     p = mesh.basis[0].p
-    lam_keys = lam.fp_keys.get((p, mesh.basis[0].nu))
-    if lam_keys is None:
+    fp = lam.fp.get((p, mesh.basis[0].nu))
+    if fp is None:
         return 0
+    lam_rows, lam_keys = fp
     basis = np.array([b.coords for b in mesh.basis], dtype=np.int64)
     members = _residue_coeffs(mesh, p) @ basis % p
-    return int(np.isin(lam_keys, _row_keys(members, p)).sum())
+    keys = row_keys(members)
+    lo, hi = np.searchsorted(lam_keys, keys), np.searchsorted(lam_keys, keys, side="right")
+    found = {j for i in np.flatnonzero(lo < hi).tolist() for j in range(lo[i], hi[i])
+             if np.array_equal(lam_rows[j], members[i])}
+    return len(found)
 
 
 def mesh_count(

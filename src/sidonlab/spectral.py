@@ -239,17 +239,21 @@ def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -
     """Transform of the counting measure of a subset of (Z/2Z)^nu.
 
     The value at mask 0 equals |Lambda|.  Verifies the Parseval identity
-    sum_y s(y)^2 = 2^nu * |Lambda| to 1e-9 relative before returning.  The
-    mask is transformed in integers and then converted: every value is an
-    integer of magnitude at most 2^nu, so it equals the float64 transform of
-    the 0/1 mask bit for bit.
+    sum_y s(y)^2 = 2^nu * |Lambda|, its left side summed exactly, to 1e-9
+    relative before returning.  The integer transform is then converted in
+    place, chunk by chunk: every value is an integer of magnitude at most
+    2^nu, so it equals the float64 transform of the 0/1 mask bit for bit.
     """
     mask = _as_mask_array(lam, nu)
     n = mask.shape[0]
     nu = n.bit_length() - 1
     _check_nu_cap(nu)
-    table = fwht(mask).astype(np.float64)
-    lhs = float(np.sum(table * table))
+    values = fwht(mask)  # from int32 tiles, so every square is below 2^62
+    table, lhs, step = values.view(np.float64), 0, 1 << _TILE_BITS
+    for i, part in zip(range(0, n, step), _abs_chunks(values, np.int64)):
+        np.multiply(part, part, out=part)  # a chunk sums its squares' halves below 2^47
+        lhs += (int((part >> 31).sum()) << 31) + int((part & (2**31 - 1)).sum())
+        table[i:i + step] = values[i:i + step]
     rhs = float(n) * float(mask.sum())
     if rhs > 0 and abs(lhs - rhs) > 1e-9 * rhs:
         raise AssertionError("Parseval identity violated beyond tolerance")

@@ -5,10 +5,8 @@ A set is quasi-independent when no nontrivial coefficient vector over
 
 * ``verify_qi_exhaustive`` -- meet-in-the-middle over the 3^N sign vectors
   (the Horowitz-Sahni split), exact, with an explicit witness on failure.
-  Each point of Z^n is packed into one exact integer key by a balanced
-  mixed radix wide enough that distinct signed sums get distinct keys; the
-  keys are int64 when the radix span provably fits, Python ints in an
-  ``object`` array otherwise, through the same numpy code;
+  Signed sums are joined on the int64 row keys of :mod:`sidonlab.core`, and
+  every key match is confirmed by the exact signed sum of the points;
 * ``verify_qi_structural`` -- the fast inductive check for matrices produced
   by the doubling recursion in :mod:`sidonlab.construction`.
 
@@ -25,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LatticePoint, ResourceCapError, SignVector, signed_combination
+from .core import KEY_MOD, LatticePoint, ResourceCapError, SignVector, add_keys, row_keys
+from .core import signed_combination
 
 __all__ = [
     "DependencyWitness",
@@ -38,7 +37,6 @@ __all__ = [
 N_MAX_DEFAULT = 24  # desk limit: a left half-table of at most 3^12 entries
 
 _SIGNS = (0, 1, -1)  # base-3 digit d of a sign index stands for _SIGNS[d]
-_INT64_SPAN = 2**62  # int64 keys when the packed span stays below this
 
 
 class QiResourceError(ResourceCapError):
@@ -62,48 +60,21 @@ class DependencyWitness:
         return s.is_zero()
 
 
-def _packed_keys(elements: Sequence) -> np.ndarray:
-    """One exact integer key per point, by balanced mixed radix.
-
-    Coordinate c gets the radix prod_{c' < c} (2 B_c' + 1), where B_c is
-    the sum of |coordinate c| over all points.  Every signed sum then has
-    coordinate c in [-B_c, B_c], so distinct sums get distinct keys and
-    key(-v) = -key(v).  The keys are int64 when the whole span
-    prod_c (2 B_c + 1) is below 2^62, Python ints otherwise.
-    """
-    for el in elements:
-        if not isinstance(el, LatticePoint):
-            raise TypeError(
-                f"verify_qi_exhaustive takes LatticePoints, got {type(el).__name__}"
-            )
-    dim = max(el.dim for el in elements)
-    rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
-    radices = []
-    span = 1
-    for c in range(dim):
-        radices.append(span)
-        span *= 2 * sum(abs(row[c]) for row in rows) + 1
-    keys = [sum(map(operator.mul, row, radices)) for row in rows]
-    return np.array(keys, dtype=np.int64 if span < _INT64_SPAN else object)
-
-
 def _extend(sums: np.ndarray, key) -> np.ndarray:
-    """Each sum followed by sum + key and sum - key (sign order 0, 1, -1)."""
-    return np.stack([sums, sums + key, sums - key], axis=1).ravel()
+    """Each key sum followed by sum + key and sum - key (sign order 0, 1, -1)."""
+    return np.stack([sums, add_keys(sums, key), add_keys(sums, -key % KEY_MOD)], axis=1).ravel()
 
 
 def _signs(index: int, length: int) -> tuple[int, ...]:
     """The sign vector of a base-3 index, most significant digit first."""
-    digits = []
-    for _ in range(length):
-        index, d = divmod(int(index), 3)
-        digits.append(_SIGNS[d])
-    return tuple(reversed(digits))
+    return tuple(_SIGNS[int(index) // 3**k % 3] for k in reversed(range(length)))
 
 
-def _dependent(left: tuple[int, ...], right: tuple[int, ...], n: int):
-    eps = left + right
-    return False, DependencyWitness(SignVector(eps + (0,) * (n - len(eps))))
+def _witness(rows: list, signs: tuple[int, ...]) -> Optional[DependencyWitness]:
+    """The witness of signs if it cancels the first len(signs) rows exactly."""
+    if any(sum(map(operator.mul, signs, col)) for col in zip(*rows)):
+        return None
+    return DependencyWitness(SignVector(signs + (0,) * (len(rows) - len(signs))))
 
 
 def verify_qi_exhaustive(
@@ -112,19 +83,15 @@ def verify_qi_exhaustive(
 ) -> tuple[bool, Optional[DependencyWitness]]:
     """Exhaustive quasi-independence test by meet-in-the-middle.
 
-    The points are packed into exact integer keys (int64 when the packed
-    span is below 2^62, else Python ints in an ``object`` array), so a
-    signed combination vanishes exactly when its key sum is 0.
-
-    The left half's signed sums are built element by element, each sum
-    followed by sum + key and sum - key, keeping only the first occurrence
-    of every value together with its sign prefix (a base-3 index).  The
-    all-zero prefix always holds value 0 first, so a later prefix reaching 0
-    is returned at once as a dependency.  The right half's 3^(N - N//2)
-    sums are then enumerated in ``itertools.product((0, 1, -1))`` order and
-    joined against the sorted left values by ``searchsorted``; the first
-    nonzero right sign vector whose negated sum is a left value gives the
-    witness, joined with that value's first left prefix.
+    Signed sums are taken of the points' ``core.row_keys`` keys, which are
+    linear, so a vanishing combination has key sum 0; each key sum of 0 is
+    confirmed on the exact rows.  The left half's 3^(N//2) sums are built
+    element by element (sum, sum + key, sum - key), so position i holds the
+    prefix of base-3 index i, and after each step the first exactly
+    vanishing prefix in index order is returned.  The right half's sums, in
+    ``itertools.product((0, 1, -1))`` order, are joined against the sorted
+    left sums: the first nonzero right vector with an exact match gives the
+    witness, with the smallest left index among its exact matches.
 
     Returns (True, None) when quasi-independent, else (False, witness).
     Raises QiResourceError when len(elements) > n_max (N_MAX_DEFAULT when
@@ -139,37 +106,36 @@ def verify_qi_exhaustive(
         )
     if n == 0:
         return True, None
-    keys = _packed_keys(elements)
+    for el in elements:
+        if not isinstance(el, LatticePoint):
+            raise TypeError(f"verify_qi_exhaustive takes LatticePoints, got {type(el).__name__}")
+    dim = max(el.dim for el in elements)
+    rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
+    keys = row_keys(rows)
     n_left = n // 2
 
-    left = np.zeros(1, dtype=keys.dtype)
-    left_index = np.zeros(1, dtype=np.int64)
+    left = np.zeros(1, dtype=np.int64)
     for step, key in enumerate(keys[:n_left]):
         left = _extend(left, key)
-        left_index = (3 * left_index[:, None] + np.arange(3)).ravel()
-        zeros = np.flatnonzero(left == 0)
-        if len(zeros) > 1:  # zeros[0] is the all-zero prefix
-            return _dependent(_signs(left_index[zeros[1]], step + 1), (), n)
-        _, first = np.unique(left, return_index=True)
-        first.sort()
-        left, left_index = left[first], left_index[first]
+        for i in np.flatnonzero(left == 0)[1:].tolist():  # [0]: the all-zero prefix
+            witness = _witness(rows, _signs(i, step + 1))
+            if witness is not None:
+                return False, witness
 
-    right = np.zeros(1, dtype=keys.dtype)
+    right = np.zeros(1, dtype=np.int64)
     for key in keys[n_left:]:
         right = _extend(right, key)
-    order = np.argsort(left)
-    sorted_left = left[order]
-    need = -right
-    pos = np.minimum(np.searchsorted(sorted_left, need), len(sorted_left) - 1)
-    hit = sorted_left[pos] == need
+    ranked = np.sort(left)
+    need = (KEY_MOD - right) % KEY_MOD
+    pos = np.minimum(np.searchsorted(ranked, need), len(ranked) - 1)
+    hit = ranked[pos] == need
     hit[0] = False  # the all-zero right vector
-    hits = np.flatnonzero(hit)
-    if len(hits) == 0:
-        return True, None
-    j = hits[0]
-    return _dependent(
-        _signs(left_index[order[pos[j]]], n_left), _signs(j, n - n_left), n
-    )
+    for j in np.flatnonzero(hit).tolist():
+        for i in np.flatnonzero(left == need[j]).tolist():
+            witness = _witness(rows, _signs(i, n_left) + _signs(j, n - n_left))
+            if witness is not None:
+                return False, witness
+    return True, None
 
 
 def verify_qi_naive(

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonlab.core import FpVector, LatticePoint, next_prime
+from sidonlab.core import KEY_MOD, FpVector, LatticePoint, next_prime
 from sidonlab.mesh import (
-    _KEY_MOD,
     BoundSpec,
     Box,
     ExplicitList,
@@ -216,6 +215,30 @@ def test_fp_route_matches_enumeration_on_residue_domains():
                 )
 
 
+def test_fp_route_rejects_forced_key_collisions(monkeypatch):
+    import sidonlab.core
+
+    # every weight 1: a row keys as its coordinate sum, so distinct rows collide
+    monkeypatch.setattr(sidonlab.core, "_key_weights", lambda dim: np.ones(dim, np.int64))
+    rng = np.random.default_rng(5)
+    collided = 0
+    for _ in range(80):
+        p = int(rng.choice([2, 3, 5, 7]))
+        nu = int(rng.integers(2, 5))
+        basis = tuple(_fp(p, rng.integers(0, p, nu)) for _ in range(int(rng.integers(1, 4))))
+        mesh = Mesh(basis, Box(int(rng.integers(0, 3))))
+        members = sorted(mesh_members(mesh), key=lambda v: v.coords)
+        picked = [members[i] for i in rng.choice(len(members), size=min(4, len(members)))]
+        # a rotated member has a member's key and is mostly not a member
+        rotated = [_fp(p, np.roll(v.coords, 1)) for v in members]
+        lam = picked + rotated + [_fp(p, rng.integers(0, p, nu)) for _ in range(5)]
+        collided += any(v not in members for v in rotated)
+        want = mesh_count(lam, mesh, method="enumerate")
+        assert mesh_count(lam, mesh) == want
+        assert mesh_count(rotated, mesh) == mesh_count(rotated, mesh, method="enumerate")
+    assert collided >= 20
+
+
 def test_check_mesh_condition_mixed_meshes_match_mesh_count():
     rng = np.random.default_rng(5)
     p, nu = 3, 4
@@ -266,7 +289,7 @@ def _plain_sums(basis, domain):
     return {sum(n * b for n, b in zip(row, basis)) for row in rows}
 
 
-_EDGES = (_KEY_MOD, 2**61, 2**62, 2**63, 2**64)
+_EDGES = (KEY_MOD, 2**61, 2**62, 2**63, 2**64)
 _FAR = (2**100, 3**150, 10**700)
 
 key_ints = st.one_of(
@@ -285,8 +308,8 @@ def int_meshes(draw):
     extra = draw(st.sampled_from(("none", "repeat", "shift")))
     if extra == "repeat":
         basis.append(basis[0])
-    elif extra == "shift":  # congruent to basis[0] mod _KEY_MOD, but unequal
-        basis.append(basis[0] + _KEY_MOD)
+    elif extra == "shift":  # congruent to basis[0] mod KEY_MOD, but unequal
+        basis.append(basis[0] + KEY_MOD)
     coeff = st.integers(-3, 3)
     domain = draw(st.one_of(
         st.builds(Box, st.integers(0, 3)),
@@ -296,7 +319,7 @@ def int_meshes(draw):
     ))
     members = sorted(_plain_sums(basis, domain))
     picked = draw(st.lists(st.sampled_from(members), max_size=6))
-    lam = picked + [x + s * _KEY_MOD for x in picked[:3] for s in (1, -2)]
+    lam = picked + [x + s * KEY_MOD for x in picked[:3] for s in (1, -2)]
     lam += draw(st.lists(key_ints, max_size=6))
     return Mesh(tuple(ip(b) for b in basis), domain), basis, [ip(x) for x in lam]
 
@@ -316,7 +339,7 @@ def test_keyed_route_matches_enumeration(case):
     "b", [3, 2**61 + 5, 2**64 - 1, 10**700 + 1], ids=["3", "2^61+5", "2^64-1", "10^700+1"]
 )
 def test_keyed_route_rejects_residue_collisions(b):
-    m = _KEY_MOD
+    m = KEY_MOD
     one = Mesh((ip(b),), Box(1))  # members -b, 0, b
     shifted = [ip(b + m), ip(b - m), ip(-b + 2 * m), ip(m)]
     assert _count_keyed(_Lambda(shifted), one, 10**7) == 0
@@ -347,7 +370,7 @@ def test_keyed_route_cap_uses_the_full_domain_size():
 
 
 def test_count_distinct_sums_confirms_shared_residues():
-    m = _KEY_MOD
+    m = KEY_MOD
     for b in (1, 2**61, 10**700):
         for basis, h in (([b, b + m], 1), ([b, b + m, b], 1), ([b, 2 * b + m], 2), ([m, 2 * m], 1)):
             assert count_distinct_sums(basis, Box(h)) == len(_plain_sums(basis, Box(h)))

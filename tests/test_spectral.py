@@ -286,6 +286,28 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
     assert peak <= 16 * n + n + n + tiles + chunk + slack
 
 
+def test_flat_sample_peak_memory(small_flat):
+    # sigma's int64 transform is converted to float64 in place and its
+    # Parseval sum is taken in chunks, so beside that one spectrum the
+    # sample holds only the mask (or the draw's float64 uniforms and the
+    # mask) and two int64 chunks; fwht's int32 tiles are gone by then.
+    import tracemalloc
+
+    from sidonlab.spectral import _TILE_BITS
+
+    n = 2**20
+    tracemalloc.start()
+    try:
+        sample_flat_lambda(nu=20, ell=4000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = 8 << _TILE_BITS
+    # slack as in test_fwht_allocates_the_output_and_two_tiles
+    slack = 3 * np.getbufsize() * 16 + 64 * 1024
+    assert peak <= 8 * n + n + 2 * chunk + slack
+
+
 def test_witness_report_pin_at_nu22(seed0_nu22):
     report = analyticity_witness(seed0_nu22).to_dict()
     assert report["sup_mu"] == 622869.9163268361

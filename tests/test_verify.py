@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidonlab.construction import build_matrix
-from sidonlab.core import FpVector, LatticePoint, SignVector, signed_combination
+from sidonlab.core import KEY_MOD, FpVector, LatticePoint, SignVector, signed_combination
 from sidonlab.verify import (
     DependencyWitness,
     QiResourceError,
-    _packed_keys,
     verify_qi_exhaustive,
     verify_qi_naive,
     verify_qi_structural,
@@ -158,11 +157,6 @@ def test_witnesses_are_pinned(pts, signs):
     assert witness.validates(pts)
 
 
-def test_packing_uses_int64_while_the_span_fits():
-    assert _packed_keys([lp(2**20, -3), lp(5, 2**20)]).dtype == np.int64
-    assert _packed_keys([lp(2**70)]).dtype == object
-
-
 def test_python_int_path_matches_naive_oracle():
     rng = np.random.default_rng(71)
     big = 2**70
@@ -172,21 +166,59 @@ def test_python_int_path_matches_naive_oracle():
             lp(*(int(a) * big + int(b) for a, b in rng.integers(-2, 3, size=(2, 2))))
             for _ in range(n)
         ]
-        assert _packed_keys(pts).dtype == object
         qi_fast, w_fast = verify_qi_exhaustive(pts)
         qi_slow, w_slow = verify_qi_naive(pts)
         assert qi_fast == qi_slow
         if not qi_fast:
             assert w_fast.validates(pts) and w_slow.validates(pts)
-    # small coordinates, but eight of them: the packed span exceeds 2^62
+    # small coordinates, but eight of them
     for _ in range(30):
         pts = [lp(*(int(x) for x in rng.integers(-50, 51, size=8))) for _ in range(8)]
         pts.append(pts[0] + pts[1] - pts[2])  # one planted dependency
-        assert _packed_keys(pts).dtype == object
         qi_fast, w_fast = verify_qi_exhaustive(pts)
         qi_slow, w_slow = verify_qi_naive(pts)
         assert not qi_fast and not qi_slow
         assert w_fast.validates(pts) and w_slow.validates(pts)
+
+
+@st.composite
+def colliding_point_sets(draw):
+    """Coordinates c * KEY_MOD + e: the keys see only e, so many signed sums
+    that differ share a key; half the sets get a planted dependency."""
+    dim = draw(st.integers(1, 2))
+    coord = st.builds(
+        lambda c, e: c * KEY_MOD + e, st.integers(-3, 3), st.sampled_from((0, 0, 1, -1))
+    )
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=3))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+        planted = tuple(sum(s * rows[i][c] for s, i in zip(signs, picks)) for c in range(dim))
+        rows.insert(draw(st.integers(0, len(rows))), planted)
+    return [LatticePoint(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_point_sets())
+def test_forced_key_collisions_match_naive_oracle(pts):
+    qi_fast, w_fast = verify_qi_exhaustive(pts)
+    qi_slow, w_slow = verify_qi_naive(pts)
+    assert qi_fast == qi_slow
+    if not qi_fast:
+        assert w_fast.validates(pts) and w_slow.validates(pts)
+
+
+def test_forced_key_collisions_are_rejected():
+    m = KEY_MOD
+    # every key is 0, yet only the last set is dependent
+    independent = [lp(m), lp(3 * m), lp(9 * m), lp(27 * m), lp(81 * m)]
+    assert verify_qi_exhaustive(independent) == (True, None)
+    qi, witness = verify_qi_exhaustive(independent + [lp(13 * m)])
+    assert not qi and witness.validates(independent + [lp(13 * m)])
+    assert verify_qi_naive(independent)[0]
+    # 3 + m keys as 3 = key(1) + key(2), yet 1 + 2 != 3 + m
+    pts = [lp(1), lp(2), lp(3 + m), lp(5 * m + 7)]
+    assert verify_qi_exhaustive(pts) == verify_qi_naive(pts) == (True, None)
 
 
 def test_exhaustive_takes_only_lattice_points():
