@@ -1,6 +1,16 @@
 """Desk-scale lab for quasi-independent sets, meshes, random selection in
 (Z/pZ)^nu, Walsh spectra, and sub-Gaussian tail bounds."""
 
+import os
+
+# The lab makes no BLAS call: its only matrix products (``core.row_keys`` and
+# the F_p route of ``mesh``) are int64, which numpy computes without BLAS.
+# Yet OpenBLAS starts nproc - 1 idle threads when numpy loads, and again when
+# scipy.special loads its own copy, so cap it at one thread before either
+# loads.  The value stays set for the whole process (scipy loads late, in
+# ``tails``), and a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     FpVector,
     LatticePoint,

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 ENUM_CAP = 10**7  # desk limit on enumerated members; read when a call has no cap
+_CONFIRM_CHUNK = 2**14  # shared rows whose exact sums count_distinct_sums builds at once
 
 
 class MeshResourceError(ResourceCapError):
@@ -269,10 +270,12 @@ def _exact_sums(basis: Sequence[int], domain: Domain, rows: np.ndarray) -> list[
     """The exact sums, as Python ints, of the domain rows at the given indices."""
     if isinstance(domain, Box):
         h = domain.height
-        digits = np.unravel_index(rows, (2 * h + 1,) * len(basis))
-        coeffs = (np.stack(digits, axis=1) - h).tolist()
-    else:
-        coeffs = [domain.coeffs[i] for i in rows.tolist()]
+        sums = [0] * len(rows)
+        for b in reversed(basis):  # C order: the last coefficient varies fastest
+            rows, digit = np.divmod(rows, 2 * h + 1)
+            sums = [s + (d - h) * b for s, d in zip(sums, digit.tolist())]
+        return sums
+    coeffs = [domain.coeffs[i] for i in rows.tolist()]
     return [sum(n * b for n, b in zip(row, basis)) for row in coeffs]
 
 
@@ -280,18 +283,24 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
     """|{sum_j n_j * basis[j] : n in domain}| for integers of any size.
 
     Rows whose keys differ have different sums; exact sums are computed only
-    for rows that share a key with another row.
+    for rows that share a key with another row, _CONFIRM_CHUNK rows at a
+    time into one set.  The keys, sorted in place, and their sort order
+    (8 bytes a row each) are the only large arrays held.
     """
     basis = [operator.index(b) for b in basis]
     keys = _sumset_keys(basis, domain)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    shared = np.zeros(len(ranked), dtype=bool)
-    same = ranked[1:] == ranked[:-1]
+    order = np.argsort(keys)
+    keys.sort()  # in place: the same values as keys[order]
+    shared = np.zeros(len(keys), dtype=bool)
+    same = keys[1:] == keys[:-1]
     shared[1:] |= same
     shared[:-1] |= same
-    lone = len(ranked) - int(shared.sum())
-    return lone + len(set(_exact_sums(basis, domain, order[shared])))
+    del keys, same  # the confirmation below needs only order and shared
+    sums: set[int] = set()
+    for start in range(0, len(order), _CONFIRM_CHUNK):
+        rows = order[start : start + _CONFIRM_CHUNK][shared[start : start + _CONFIRM_CHUNK]]
+        sums.update(_exact_sums(basis, domain, rows))
+    return len(order) - int(shared.sum()) + len(sums)
 
 
 def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,11 +71,14 @@ def _signs(index: int, length: int) -> tuple[int, ...]:
     return tuple(_SIGNS[int(index) // 3**k % 3] for k in reversed(range(length)))
 
 
-def _witness(rows: list, signs: tuple[int, ...]) -> Optional[DependencyWitness]:
-    """The witness of signs if it cancels the first len(signs) rows exactly."""
-    if any(sum(map(operator.mul, signs, col)) for col in zip(*rows)):
-        return None
-    return DependencyWitness(SignVector(signs + (0,) * (len(rows) - len(signs))))
+def _combination(cols: list, signs: tuple[int, ...]) -> tuple[int, ...]:
+    """The exact signed sum, column by column, of the first len(signs) rows."""
+    return tuple(sum(map(operator.mul, signs, col)) for col in cols)
+
+
+def _witness(signs: tuple[int, ...], n: int) -> DependencyWitness:
+    """The witness of n signs that starts with the given ones, zero-padded."""
+    return DependencyWitness(SignVector(signs + (0,) * (n - len(signs))))
 
 
 def verify_qi_exhaustive(
@@ -113,14 +117,15 @@ def verify_qi_exhaustive(
     rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
     keys = row_keys(rows)
     n_left = n // 2
+    cols, right_cols = list(zip(*rows)), list(zip(*rows[n_left:]))
 
     left = np.zeros(1, dtype=np.int64)
     for step, key in enumerate(keys[:n_left]):
         left = _extend(left, key)
         for i in np.flatnonzero(left == 0)[1:].tolist():  # [0]: the all-zero prefix
-            witness = _witness(rows, _signs(i, step + 1))
-            if witness is not None:
-                return False, witness
+            signs = _signs(i, step + 1)
+            if not any(_combination(cols, signs)):
+                return False, _witness(signs, n)
 
     right = np.zeros(1, dtype=np.int64)
     for key in keys[n_left:]:
@@ -130,11 +135,24 @@ def verify_qi_exhaustive(
     pos = np.minimum(np.searchsorted(ranked, need), len(ranked) - 1)
     hit = ranked[pos] == need
     hit[0] = False  # the all-zero right vector
+    # Per hit key, the (exact sum, index) pairs of the left sums with that key,
+    # sorted, so a right vector costs one bisection however many left sums
+    # share its key.  Not a dict: Python hashes an int by its residue mod
+    # 2^61 - 1 = KEY_MOD, so sums that share a key can share a hash too (all
+    # do for points c * KEY_MOD), and a dict of them degrades to a scan.
+    exact: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for j in np.flatnonzero(hit).tolist():
-        for i in np.flatnonzero(left == need[j]).tolist():
-            witness = _witness(rows, _signs(i, n_left) + _signs(j, n - n_left))
-            if witness is not None:
-                return False, witness
+        key = int(need[j])
+        if key not in exact:
+            exact[key] = sorted(
+                (_combination(cols, _signs(i, n_left)), i)
+                for i in np.flatnonzero(left == key).tolist()
+            )
+        table, signs = exact[key], _signs(j, n - n_left)
+        target = tuple(-x for x in _combination(right_cols, signs))
+        pos = bisect_left(table, (target,))  # the smallest index with this sum
+        if pos < len(table) and table[pos][0] == target:
+            return False, _witness(_signs(table[pos][1], n_left) + signs, n)
     return True, None
 
 

@@ -236,9 +236,10 @@ def test_select_search_cap_exits_2(monkeypatch):
     assert main(["select", "--trials", "120", "--out", "/dev/null"]) == 2
 
 
-def _run_cli(*argv, code=None):
-    """Run the CLI (or `code`) in a fresh interpreter on this checkout's sources."""
-    env = dict(os.environ, PYTHONPATH=str(Path(sidonlab.__file__).parents[1]))
+def _run_cli(*argv, code=None, env=None):
+    """Run the CLI (or `code`) in a fresh interpreter on this checkout's sources,
+    in `env` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(Path(sidonlab.__file__).parents[1]))
     cmd = [sys.executable, "-c", code] if code else [sys.executable, "-m", "sidonlab.cli"]
     return subprocess.run([*cmd, *argv], env=env, capture_output=True, text=True, timeout=120)
 
@@ -273,6 +274,26 @@ def test_cli_start_does_not_import_mpmath():
     proc = _run_cli(code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_import_starts_no_blas_threads():
+    # importing sidonlab set the variable here too, so the child must not inherit it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = (
+        "import os; import sidonlab.cli; a = len(os.listdir('/proc/self/task')); "
+        "import scipy.special; print(a, len(os.listdir('/proc/self/task')))"
+    )
+    proc = _run_cli(code=code, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 1"  # numpy's and scipy's OpenBLAS start no pool
+
+
+def test_import_keeps_the_users_openblas_threads():
+    code = "import os; import sidonlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = _run_cli(code=code, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
 
 
 def _assert_cap_exit(proc, error):

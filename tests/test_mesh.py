@@ -376,3 +376,24 @@ def test_count_distinct_sums_confirms_shared_residues():
             assert count_distinct_sums(basis, Box(h)) == len(_plain_sums(basis, Box(h)))
     # all 9 sums of (b, b + m) are distinct although only 5 residues are
     assert count_distinct_sums([5, 5 + m], Box(1)) == 9
+
+
+@pytest.mark.parametrize("kind", ["distinct-sums", "colliding-sums"])
+def test_count_distinct_sums_memory_per_row(kind):
+    import random
+    import tracemalloc
+
+    # 5^8 rows: at this seed the random basis gives 5^8 distinct sums; the
+    # sums of 3^i cover each integer in [-(3^8 - 1), 3^8 - 1] many times
+    draw = random.Random(0).randrange
+    basis = [draw(10**12) for _ in range(8)] if kind == "distinct-sums" else [3**i for i in range(8)]
+    tracemalloc.start()
+    try:
+        count = count_distinct_sums(basis, Box(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == (5**8 if kind == "distinct-sums" else 2 * (3**8 - 1) + 1)
+    # the keys and their sort order, 8 bytes a row each, and two bool masks;
+    # exact sums are held a chunk at a time
+    assert peak <= 20 * 5**8

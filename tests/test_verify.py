@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +222,64 @@ def test_forced_key_collisions_are_rejected():
     # 3 + m keys as 3 = key(1) + key(2), yet 1 + 2 != 3 + m
     pts = [lp(1), lp(2), lp(3 + m), lp(5 * m + 7)]
     assert verify_qi_exhaustive(pts) == verify_qi_naive(pts) == (True, None)
+
+
+def _search_order_witness(pts):
+    """The witness verify_qi_exhaustive promises, by plain enumeration: the
+    first vanishing left prefix (shortest, then in product order), else the
+    first right vector in product order with its first left match."""
+    dim = max(p.dim for p in pts)
+    rows = [p.coords + (0,) * (dim - p.dim) for p in pts]
+    n, n_left = len(rows), len(rows) // 2
+
+    def vanishes(signs):
+        return not any(sum(s * x for s, x in zip(signs, col)) for col in zip(*rows))
+
+    for step in range(1, n_left + 1):
+        for prefix in itertools.product((0, 1, -1), repeat=step):
+            if any(prefix) and vanishes(prefix):
+                return prefix + (0,) * (n - step)
+    for right in itertools.product((0, 1, -1), repeat=n - n_left):
+        if any(right):
+            for prefix in itertools.product((0, 1, -1), repeat=n_left):
+                if vanishes(prefix + right):
+                    return prefix + right
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(colliding_point_sets())
+def test_witness_order_holds_under_key_collisions(pts):
+    qi, witness = verify_qi_exhaustive(pts)
+    want = _search_order_witness(pts)
+    assert (witness.eps.signs if witness else None) == want
+    assert qi == (want is None)
+
+
+def _keyless_points(n):
+    """3^i * KEY_MOD: every key and every signed key sum is 0, yet the points
+    are quasi-independent (dissociated in base 3)."""
+    return [lp(3**i * KEY_MOD) for i in range(n)]
+
+
+def test_colliding_keys_match_naive_oracle():
+    for n in range(1, 11):
+        pts = _keyless_points(n)
+        assert verify_qi_exhaustive(pts) == verify_qi_naive(pts) == (True, None)
+        dependent = pts + [lp(4 * KEY_MOD)]  # 3^0 + 3^1, once n >= 2
+        qi_fast, w_fast = verify_qi_exhaustive(dependent)
+        qi_slow, w_slow = verify_qi_naive(dependent)
+        assert qi_fast == qi_slow == (n < 2)
+        if not qi_fast:
+            assert w_fast.validates(dependent) and w_slow.validates(dependent)
+
+
+def test_colliding_keys_cost_one_lookup_per_right_vector():
+    # every (left, right) pair shares the key 0: 3^14 confirmations one by one
+    pts = _keyless_points(14)
+    start = time.perf_counter()
+    assert verify_qi_exhaustive(pts) == (True, None)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exhaustive_takes_only_lattice_points():
