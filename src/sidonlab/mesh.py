@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys, row_keys
+from .core import KEY_MOD, ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys, row_keys
 
 __all__ = [
     "Box",
@@ -284,8 +284,10 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
 
     Rows whose keys differ have different sums; exact sums are computed only
     for rows that share a key with another row, _CONFIRM_CHUNK rows at a
-    time into one set.  The keys, sorted in place, and their sort order
-    (8 bytes a row each) are the only large arrays held.
+    time into one set of divmod(sum, KEY_MOD) pairs (the sums themselves
+    would share a hash wherever they share a key; see _count_keyed).  The
+    keys, sorted in place, and their sort order (8 bytes a row each) are
+    the only large arrays held.
     """
     basis = [operator.index(b) for b in basis]
     keys = _sumset_keys(basis, domain)
@@ -296,10 +298,10 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
     shared[1:] |= same
     shared[:-1] |= same
     del keys, same  # the confirmation below needs only order and shared
-    sums: set[int] = set()
+    sums: set[tuple[int, int]] = set()
     for start in range(0, len(order), _CONFIRM_CHUNK):
         rows = order[start : start + _CONFIRM_CHUNK][shared[start : start + _CONFIRM_CHUNK]]
-        sums.update(_exact_sums(basis, domain, rows))
+        sums.update(divmod(s, KEY_MOD) for s in _exact_sums(basis, domain, rows))
     return len(order) - int(shared.sum()) + len(sums)
 
 
@@ -307,8 +309,11 @@ def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
     """|Lambda ∩ M| for an integer basis by a key join, hits confirmed.
 
     A member can equal a point of Lambda only if their keys match; each
-    matched member's exact sum is then looked up in Lambda, so a key
-    collision is rejected, never counted.
+    matched member's exact sum is then looked up in Lambda's sorted ints by
+    bisection, so a key collision is rejected, never counted.  (Not a set:
+    Python hashes an int by its residue mod 2^61 - 1 = KEY_MOD, so exact
+    values that share a key share a hash too, and a set of them degrades to
+    a scan.)
     """
     check_enum_cap(mesh.domain_size(), cap)
     if not lam.ints:
@@ -316,7 +321,12 @@ def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
     basis = [b.as_int() for b in mesh.basis]
     keys = _sumset_keys(basis, mesh.domain)
     hits = np.flatnonzero(np.isin(keys, lam.int_keys))
-    return len(lam.int_set.intersection(_exact_sums(basis, mesh.domain, hits)))
+    ints, found = lam.ints, set()
+    for s in _exact_sums(basis, mesh.domain, hits):
+        i = bisect_left(ints, s)
+        if i < len(ints) and ints[i] == s:
+            found.add(i)
+    return len(found)
 
 
 def _is_fp_basis(mesh: Mesh) -> bool:
@@ -330,26 +340,31 @@ def _is_fp_basis(mesh: Mesh) -> bool:
 class _Lambda:
     """Lambda deduplicated and keyed once for every counting route.
 
-    Its integers (plain ints and points of Z) are kept as a set, a sorted
-    list and the row keys; its F_p points, per (p, nu), as a row array
-    sorted by row key, with the sorted keys.
+    Its integers (plain ints and points of Z) are kept as a sorted list,
+    deduplicated by sorting rather than hashing (see _count_keyed), and
+    their row keys; its other points as a deduplicated list; its F_p
+    points, per (p, nu), as a row array sorted by row key, with the sorted
+    keys.
     """
 
     def __init__(self, lam: Iterable):
-        self.points = list(dict.fromkeys(lam))  # |Lambda ∩ M| is a set intersection
-        ints = set()
+        values, points = [], []
+        for v in lam:
+            if isinstance(v, int):
+                values.append(v)
+            elif isinstance(v, LatticePoint) and v.dim <= 1:
+                values.append(v.as_int())
+            else:
+                points.append(v)
+        values.sort()
+        self.ints = [x for i, x in enumerate(values) if i == 0 or x != values[i - 1]]
+        self.int_keys = row_keys([(x,) for x in self.ints])
+        self.points = list(dict.fromkeys(points))  # |Lambda ∩ M| is a set intersection
         rows: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for v in self.points:
-            if isinstance(v, FpVector):
-                # larger primes never pass the int64 guard of the vectorized route
-                if (v.p - 1) ** 2 < 2**62:
-                    rows.setdefault((v.p, v.nu), []).append(v.coords)
-            elif isinstance(v, int):
-                ints.add(v)
-            elif isinstance(v, LatticePoint) and v.dim <= 1:
-                ints.add(v.as_int())
-        self.int_set, self.ints = ints, sorted(ints)
-        self.int_keys = row_keys([(x,) for x in ints])
+            # larger primes never pass the int64 guard of the vectorized route
+            if isinstance(v, FpVector) and (v.p - 1) ** 2 < 2**62:
+                rows.setdefault((v.p, v.nu), []).append(v.coords)
         self.fp = {}
         for (p, nu), group in rows.items():
             group = np.array(group, dtype=np.min_scalar_type(p - 1))
@@ -410,7 +425,8 @@ def mesh_count(
         members = _members(mesh, cap)
         if _is_int_basis(mesh):
             return sum(1 for x in lam.ints if x in members)
-        return len(members.intersection(lam.points))
+        in_z = sum(1 for x in lam.ints if LatticePoint.from_int(x) in members)
+        return in_z + len(members.intersection(lam.points))
     if method not in ("auto", "digits"):
         raise ValueError(f"unknown method {method!r}")
     triples = _digit_bounds(mesh)

@@ -7,7 +7,9 @@ involution up to the factor 2^nu).  ``sample_flat_lambda`` draws Bernoulli
 selections until the nontrivial spectrum is flat relative to the mass at
 the trivial character; ``analyticity_witness`` then certifies, by duality,
 a lower bound on the restriction-algebra norm of exp(i pi/4 f) for a sum f
-of independent characters.
+of independent characters.  Its sup |mu^| comes from one exact int64
+transform, whose near-maximal characters alone get fwht's float values
+(see ``_sup_mu``); the full complex transform is its oracle and fallback.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ FLAT_ELL_LIMIT = 400  # sample_flat_lambda needs ell above this
 # first pass a tile is read and written in contiguous runs of at least
 # 2^(_TILE_BITS // 2) elements.
 _TILE_BITS = 16
+
+# The witness's sup |mu^| (see _sup_mu).  EPS_IN bounds |v_k - e^(i pi k/4)|
+# for the float phases v_k of _phases, |k| <= NU_CAP (the worst is 2.45e-15,
+# about 2^-48.5).  An exact transform packs Re + 2^31 Im into int64, so both
+# parts must stay below _PACK_LIMIT in modulus.  Past _MAX_CANDIDATES
+# near-maximal characters the full complex transform is cheaper than their
+# cones.  The exact scan and the cones run _CHUNK elements at a time.
+EPS_IN = 2.0**-48
+_PACK_LIMIT = 1 << 30
+_MAX_CANDIDATES = 8
+_CHUNK = 1 << 16
 
 
 class FlatnessFailure(RuntimeError):
@@ -429,9 +442,12 @@ def analyticity_witness(
 
     Of sigma's spectrum only sigma^(1) and its largest off-peak modulus are
     read: from a FlatSample they are its fields; for a raw mask sigma_hat
-    runs once and its spectrum is released before mu is transformed.  So
-    beyond the mask the peak holds mu's complex transform, the codes and
-    fwht's two tiles, and no other array of 2^nu entries.
+    runs once and its spectrum is released before mu is transformed.
+    sup |mu^| is fwht's float maximum bit for bit, found by _sup_mu from
+    the exact int64 transform of 2^(rho/2) mu.  So beyond the mask the peak
+    holds that int64 transform, the int8 codes, fwht's two tiles and a few
+    fixed-size chunks: about 9 * 2^nu bytes, and no complex array of 2^nu
+    entries unless _sup_mu falls back to mu's full transform.
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
@@ -464,13 +480,13 @@ def analyticity_witness(
     # mask is set) from the table of v's values times False, then times
     # True: the complex products np.multiply(v, mask) makes, signed zeros
     # included.  The codes overwrite f.
-    v = np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))
+    v = _phases(rho)
     table = np.concatenate((v * False, v * True))
     codes = f if 4 * rho + 1 <= np.iinfo(f.dtype).max else f.astype(np.int16)
     codes += rho
     np.add(codes, 2 * rho + 1, out=codes, where=mask)
     del f
-    sup_mu = _max_abs(fwht(codes, table=table))
+    sup_mu = _sup_mu(codes, table, rho, int(np.count_nonzero(mask)))
 
     ratio = 20.0 / math.sqrt(ell)
     lower = s1 / sup_mu if sup_mu > 0 else math.inf
@@ -491,6 +507,143 @@ def analyticity_witness(
         flatness_holds=sup_off <= ratio * s1,
         passed=lower >= target,
     )
+
+
+def _phases(rho: int) -> np.ndarray:
+    """v_k = exp(i pi k / 4) in complex128 for k = -rho..rho."""
+    return np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))
+
+
+def _gaussian_phases(rho: int) -> list[tuple[int, int]]:
+    """(Re, Im) of g_k = 2^(rho/2) e^(i pi k/4) for k = -rho..rho, exactly.
+
+    f(x) = k means a = (rho + k)/2 characters at +1 and b = (rho - k)/2 at
+    -1, so prod_j (1 + i chi_j(x)) = (1 + i)^a (1 - i)^b, a Gaussian
+    integer.  k of the other parity never occurs and gets 0.
+    """
+    out = []
+    for k in range(-rho, rho + 1):
+        re, im = (1, 0) if (rho - k) % 2 == 0 else (0, 0)
+        for _ in range((rho + k) // 2):
+            re, im = re - im, re + im  # times 1 + i
+        for _ in range((rho - k) // 2):
+            re, im = re + im, im - re  # times 1 - i
+        out.append((re, im))
+    return out
+
+
+def _rounding_bound(nu: int, count: int) -> float:
+    """delta >= | |V(y)| - |E(y)| | for every y, where V is fwht's float
+    transform of v * mask, E the exact transform of e^(i pi f/4) * mask and
+    |V(y)| the float modulus; count = |Lambda|.
+
+    The butterflies round each complex sum to within u = 2^-53 of its
+    modulus, nu times per input, so they err by at most gamma_nu * sum |v_x|
+    (gamma_nu = nu u / (1 - nu u)); the inputs err by at most EPS_IN each;
+    the modulus, and the cross-check's 2^(-rho/2) sqrt(Q), by a few ulps of
+    values below 2 * count.
+    """
+    u = 2.0**-53
+    gamma = nu * u / (1 - nu * u)
+    return count * (gamma * (1 + EPS_IN) + EPS_IN + 16 * u)
+
+
+def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float:
+    """max |fwht(codes, table=table)|, bit for bit, mostly without that
+    complex transform.
+
+    mu^ = 2^(-rho/2) W with W the exact transform of g * mask (see
+    _gaussian_phases), so one int64 transform gives Q = |W|^2 for every
+    character.  Only characters whose exact modulus lies within 2 delta of
+    the exact maximum (delta from _rounding_bound) can hold the float
+    maximum; their float values come from _cone_values, and the maximum
+    from _max_abs as before.  The float maximum must lie within delta of
+    2^(-rho/2) sqrt(max Q), else AssertionError.  When W does not pack
+    (2^ceil(rho/2) * count >= _PACK_LIMIT) or more than _MAX_CANDIDATES
+    characters are near the maximum, the full transform is taken.
+    """
+    n = codes.shape[0]
+    delta = _rounding_bound(n.bit_length() - 1, count)
+    q_max = ys = None
+    if count << (rho + 1) // 2 < _PACK_LIMIT:
+        q_max, ys = _near_maxima(codes, rho, math.ldexp(2 * delta, (rho + 1) // 2))
+    if ys is None:
+        sup = _max_abs(fwht(codes, table=table))
+    else:
+        sup = _max_abs(_cone_values(codes, table, ys))
+    if q_max is not None and abs(sup - 2 ** (-rho / 2) * math.sqrt(q_max)) > delta:
+        raise AssertionError("float and exact sup |mu^| disagree beyond rounding")
+    return sup
+
+
+def _near_maxima(codes: np.ndarray, rho: int, slack: float) -> tuple[int, Optional[list[int]]]:
+    """max Q and the y with sqrt(Q(y)) >= sqrt(max Q) - slack, for Q = |W|^2
+    and W the exact transform of g * mask; None for the y's when there are
+    more than _MAX_CANDIDATES of them.
+
+    W = A + iB comes from one int64 transform of the table Re g + 2^31 Im g,
+    indexed by the witness's codes (0 where the mask is unset).  |A| and |B|
+    stay below _PACK_LIMIT = 2^30, so each chunk unpacks by bit operations
+    and is overwritten in place by Q = A^2 + B^2 < 2^61.
+    """
+    g = _gaussian_phases(rho)
+    packed = np.array([0] * len(g) + [re + (im << 31) for re, im in g], dtype=np.int64)
+    w = fwht(codes, table=packed)
+    n = w.shape[0]
+    low = np.empty(min(n, _CHUNK), np.int64)
+    q_max = 0
+    for i in range(0, n, _CHUNK):
+        part, a = w[i:i + _CHUNK], low[:min(_CHUNK, n - i)]
+        np.add(part, 1 << 30, out=a)
+        a &= (1 << 31) - 1
+        a -= 1 << 30  # A, the low 31 bits read as signed
+        part -= a
+        part >>= 31  # B
+        np.multiply(part, part, out=part)
+        np.multiply(a, a, out=a)
+        part += a
+        q_max = max(q_max, int(part.max()))
+    # keep Q >= floor(t^2 / 2^64) with t <= 2^32 (sqrt(max Q) - slack), so
+    # no y within slack of the maximum is dropped
+    t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
+    threshold = (t * t) >> 64 if t > 0 else 0
+    ys: list[int] = []
+    for i in range(0, n, _CHUNK):
+        ys += (np.flatnonzero(w[i:i + _CHUNK] >= threshold) + i).tolist()
+        if len(ys) > _MAX_CANDIDATES:
+            return q_max, None
+    return q_max, ys
+
+
+def _cone_values(codes: np.ndarray, table: np.ndarray, ys: Sequence[int]) -> np.ndarray:
+    """fwht(codes, table=table)[y] for each y in ys, bit for bit.
+
+    The stage of bit b pairs (x, x + 2^b) into a + b at x and a - b at
+    x + 2^b, so out[y] needs after that stage only the entries that agree
+    with y on bits 0..b: each stage halves the entries that y reads, in
+    fwht's order and with its operands, about 2^nu additions in all.  The
+    inputs are gathered _CHUNK at a time, and each chunk is halved down to
+    one entry per y before the entries of all chunks are halved on.
+    """
+    n = codes.shape[0]
+    step = min(n, _CHUNK)
+    bits = step.bit_length() - 1
+    tops = np.empty((len(ys), n // step), np.complex128)
+    for c, i in enumerate(range(0, n, step)):
+        x = table[codes[i:i + step]]
+        for j, y in enumerate(ys):
+            tops[j, c] = _halve(x, y, bits)[0]
+    rest = n.bit_length() - 1 - bits
+    return np.array([_halve(top, y >> bits, rest)[0] for top, y in zip(tops, ys)])
+
+
+def _halve(x: np.ndarray, y: int, bits: int) -> np.ndarray:
+    """The stages of bits 0..bits-1 on x, keeping only the entries that
+    agree with y on those bits."""
+    for b in range(bits):
+        pairs = x.reshape(-1, 2)
+        x = (np.subtract if y >> b & 1 else np.add)(pairs[:, 0], pairs[:, 1])
+    return x
 
 
 def _abs_chunks(a: np.ndarray, dtype) -> Iterator[np.ndarray]:

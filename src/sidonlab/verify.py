@@ -38,6 +38,7 @@ __all__ = [
 N_MAX_DEFAULT = 24  # desk limit: a left half-table of at most 3^12 entries
 
 _SIGNS = (0, 1, -1)  # base-3 digit d of a sign index stands for _SIGNS[d]
+_SIGN_CHUNK = 2**14  # zero-key prefixes whose sign vectors are built at once
 
 
 class QiResourceError(ResourceCapError):
@@ -69,6 +70,12 @@ def _extend(sums: np.ndarray, key) -> np.ndarray:
 def _signs(index: int, length: int) -> tuple[int, ...]:
     """The sign vector of a base-3 index, most significant digit first."""
     return tuple(_SIGNS[int(index) // 3**k % 3] for k in reversed(range(length)))
+
+
+def _sign_rows(indices: np.ndarray, length: int) -> list[tuple[int, ...]]:
+    """_signs of each index, its digits taken in one array operation."""
+    digits = indices[:, None] // 3 ** np.arange(length - 1, -1, -1, dtype=np.int64) % 3
+    return list(map(tuple, np.array(_SIGNS)[digits].tolist()))
 
 
 def _combination(cols: list, signs: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,10 +129,14 @@ def verify_qi_exhaustive(
     left = np.zeros(1, dtype=np.int64)
     for step, key in enumerate(keys[:n_left]):
         left = _extend(left, key)
-        for i in np.flatnonzero(left == 0)[1:].tolist():  # [0]: the all-zero prefix
-            signs = _signs(i, step + 1)
-            if not any(_combination(cols, signs)):
-                return False, _witness(signs, n)
+        zero = np.flatnonzero(left == 0)
+        # a prefix ending in sign 0 is the prefix before it, confirmed a step
+        # earlier (index 0, the all-zero prefix, among them)
+        zero = zero[zero % 3 != 0]
+        for start in range(0, len(zero), _SIGN_CHUNK):
+            for signs in _sign_rows(zero[start:start + _SIGN_CHUNK], step + 1):
+                if not any(_combination(cols, signs)):
+                    return False, _witness(signs, n)
 
     right = np.zeros(1, dtype=np.int64)
     for key in keys[n_left:]:

@@ -226,6 +226,20 @@ def test_parseval_assertion_exits_3(monkeypatch, capsys):
     assert "AssertionError: Parseval identity violated" in capsys.readouterr().err
 
 
+def test_witness_cross_check_exits_3(monkeypatch, capsys):
+    import sidonlab.spectral
+
+    exact = sidonlab.spectral._gaussian_phases
+
+    def doubled(rho):  # an exact spectrum twice too large
+        return [(2 * re, 2 * im) for re, im in exact(rho)]
+
+    monkeypatch.setattr(sidonlab.spectral, "_gaussian_phases", doubled)
+    assert main(["analyticity-demo", "--nu", "14", "--ell", "401", "--rho", "2",
+                 "--out", "/dev/null"]) == 3
+    assert "AssertionError: float and exact sup |mu^| disagree" in capsys.readouterr().err
+
+
 def test_select_search_cap_exits_2(monkeypatch):
     import sidonlab.selection
 

@@ -360,6 +360,34 @@ def test_ints_and_points_of_z_count_once_per_value():
         assert mesh_count(lam, mesh, method=method) == 2
     digits = Mesh((ip(1), ip(10)), Box(1))
     assert mesh_count(lam, digits) == mesh_count(lam, digits, method="enumerate") == 1
+    # a basis of Z^2 whose members (1, 0) and (0, 0) are points of Z
+    plane = Mesh((LatticePoint((1, 2)), LatticePoint((0, 2))), Box(1))
+    assert mesh_count([1, 0, ip(1), LatticePoint((1, 2))], plane) == 3
+
+
+# Lambda and the sums are multiples of KEY_MOD: every key is 0, and Python's
+# hash of an int is its residue mod KEY_MOD, so every hash is 0 as well
+@pytest.mark.parametrize("h", [0, 1, 2, 5])
+def test_colliding_keys_count_the_closed_forms(h):
+    m = KEY_MOD
+    lam = [ip(j * m) for j in range(-10 * h - 1, 10 * h + 2)]
+    mesh = Mesh((ip(m), ip(3 * m)), Box(h))  # the sums j * m, |j| <= 4h
+    assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate") == 8 * h + 1
+    assert count_distinct_sums([m, 2 * m], Box(h)) == 6 * h + 1  # the sums j * m, |j| <= 3h
+    assert count_distinct_sums([m, 2 * m], Box(h)) == len(_plain_sums([m, 2 * m], Box(h)))
+
+
+def test_colliding_keys_take_no_hash_scan():
+    import time
+
+    m, h = KEY_MOD, 200
+    lam = [ip(j * m) for j in range(-3000, 3001)]
+    start = time.perf_counter()
+    assert mesh_count(lam, Mesh((ip(m), ip(3 * m)), Box(h))) == 8 * h + 1
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert count_distinct_sums([m, 2 * m], Box(h)) == 6 * h + 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_keyed_route_cap_uses_the_full_domain_size():

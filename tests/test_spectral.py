@@ -240,37 +240,41 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
 
 
 def test_witness_peak_memory():
-    # above the sample, the witness holds at most mu's spectrum, the codes,
-    # f, fwht's two tiles and the ufunc buffers of its butterflies: v =
-    # exp(i pi/4 f) times the mask is never built, and max |mu^| takes no
-    # array-sized temporary
+    # above the sample, the witness holds at most the int64 transform of the
+    # exact spectrum, the codes, fwht's two int64 tiles, the scan's chunks
+    # and the ufunc buffers of the butterflies: neither mu's complex
+    # transform nor v = exp(i pi/4 f) times the mask is ever built.  The
+    # cones' chunks (about 33 * _CHUNK bytes) come after the int64
+    # transform is released.  rho = 3 makes the packed table need int64
+    # tiles.
     import tracemalloc
 
-    from sidonlab.spectral import _TILE_BITS
+    from sidonlab.spectral import _CHUNK, _TILE_BITS
 
     sample = sample_flat_lambda(nu=18, ell=401, seed=0)
     n = sample.mask.shape[0]
     tracemalloc.start()
     try:
-        analyticity_witness(sample)
+        analyticity_witness(sample, rho=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    mu_bytes, tile_bytes = 16 * n, 16 << _TILE_BITS
+    tiles, chunks = 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= mu_bytes + n + n + 2 * tile_bytes + slack
+    assert peak <= 8 * n + n + n + tiles + chunks + slack
 
 
 def test_flat_sample_and_witness_peak_memory(small_flat):
     # the CLI's path: the sample stays alive through the witness.  The peak
-    # may hold mu's complex transform, the mask, the int8 codes, fwht's two
-    # tiles and one float64 chunk of the chunked |.|; neither sigma's
-    # spectrum nor an array-sized |fwht(f)| may join them.  (small_flat is
-    # drawn before tracing starts, so numpy.random's import is not counted.)
+    # may hold the int64 transform of the exact spectrum, the mask, the int8
+    # codes, fwht's two int64 tiles and the scan's chunks; neither sigma's
+    # spectrum, mu's complex transform nor an array-sized |fwht(f)| may join
+    # them.  (small_flat is drawn before tracing starts, so numpy.random's
+    # import is not counted.)
     import tracemalloc
 
-    from sidonlab.spectral import _TILE_BITS
+    from sidonlab.spectral import _CHUNK, _TILE_BITS
 
     n = 2**20
     tracemalloc.start()
@@ -280,10 +284,10 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tiles, chunk = 2 * (16 << _TILE_BITS), 8 << _TILE_BITS
+    tiles, chunks = 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= 16 * n + n + n + tiles + chunk + slack
+    assert peak <= 8 * n + n + n + tiles + chunks + slack
 
 
 def test_flat_sample_peak_memory(small_flat):
@@ -505,3 +509,124 @@ def test_duality_bound_below_subgradient_upper():
     v = np.exp(1j * (math.pi / 4) * f)
     upper = a_norm_upper_bound(v, mask)
     assert rep.lower_bound <= upper + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sup |mu^| from the exact transform and the cones of its near-maxima
+# ---------------------------------------------------------------------------
+
+
+def _mu_inputs(nu, y_masks, mask):
+    """The witness's codes and complex table for mu = exp(i pi/4 f) * mask."""
+    from sidonlab.spectral import _phases
+
+    rho = len(y_masks)
+    v = _phases(rho)
+    codes = _character_sum(nu, y_masks) + rho
+    np.add(codes, 2 * rho + 1, out=codes, where=mask)
+    return codes, np.concatenate((v * False, v * True)), rho
+
+
+def _independent_masks(nu, rho, rng):
+    masks = []
+    while len(masks) < rho:
+        y = int(rng.integers(1, 2**nu))
+        if masks_independent(masks + [y]):
+            masks.append(y)
+    return masks
+
+
+@pytest.mark.parametrize("tile_bits", [1, 3, 16])
+@pytest.mark.parametrize("nu", [0, 1, 2, 5, 8, 10])
+def test_cone_values_equal_the_transform(nu, tile_bits, monkeypatch):
+    from sidonlab.spectral import _cone_values
+
+    monkeypatch.setattr("sidonlab.spectral._TILE_BITS", tile_bits)
+    rng = np.random.default_rng(nu + 100 * tile_bits)
+    table = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-300, 7.0, -0.5])
+    table = table + 1j * table[::-1]
+    codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
+    full = fwht(codes, table=table)
+    assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("chunk_bits", [0, 1, 3])
+@pytest.mark.parametrize("nu", [1, 4, 8])
+def test_cone_values_across_chunks(nu, chunk_bits, monkeypatch):
+    # chunks smaller than the input: the per-chunk entries are halved on
+    from sidonlab.spectral import _cone_values
+
+    monkeypatch.setattr("sidonlab.spectral._CHUNK", 1 << chunk_bits)
+    rng = np.random.default_rng(nu)
+    codes, table, _ = _mu_inputs(nu, _independent_masks(nu, nu // 2, rng), rng.random(2**nu) < 0.5)
+    full = fwht(codes, table=table)
+    assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda nu: st.tuples(st.just(nu), st.integers(0, nu))),
+    st.sampled_from([0.0, 0.001, 0.05, 0.5, 0.95, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sup_mu_equals_the_full_transform_property(nu_rho, density, seed):
+    from sidonlab.spectral import _max_abs, _sup_mu
+
+    nu, rho = nu_rho
+    rng = np.random.default_rng(seed)
+    mask = rng.random(2**nu) < density
+    codes, table, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), mask)
+    want = _max_abs(fwht(codes, table=table))
+    assert _sup_mu(codes, table, rho, int(mask.sum())).hex() == want.hex()
+
+
+def test_sup_mu_fallbacks_agree(monkeypatch):
+    import sidonlab.spectral as sp
+
+    nu = 10
+    full = np.ones(2**nu, dtype=bool)
+    codes, table, rho = _mu_inputs(nu, [1, 2, 4, 8], full)
+    want = sp._max_abs(fwht(codes, table=table))
+    # a full mask: |mu^| = 2^(nu - rho/2) on the 16 characters of the subgroup
+    assert want == 2.0 ** (nu - rho / 2)
+
+    def unused(*args):
+        raise RuntimeError("this route should not run")
+
+    with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
+        m.setattr(sp, "_cone_values", unused)
+        assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
+    with monkeypatch.context() as m:  # the exact transform does not pack
+        m.setattr(sp, "_PACK_LIMIT", 1)
+        m.setattr(sp, "_near_maxima", unused)
+        assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
+    # an empty mask ties all 2^nu characters at 0
+    codes, table, rho = _mu_inputs(nu, [1, 2], np.zeros(2**nu, dtype=bool))
+    assert sp._sup_mu(codes, table, rho, 0) == 0.0
+
+
+def test_phase_tables_within_eps_in():
+    import mpmath
+
+    from sidonlab.spectral import EPS_IN, NU_CAP, _gaussian_phases, _phases
+
+    with mpmath.workprec(200):
+        for rho in range(NU_CAP + 1):
+            v = _phases(rho)
+            assert (v * True).tobytes() == v.tobytes()  # the witness's masked values
+            for k, vk, (re, im) in zip(range(-rho, rho + 1), v, _gaussian_phases(rho)):
+                exact = mpmath.expjpi(mpmath.mpf(k) / 4)
+                assert abs(mpmath.mpc(vk.real, vk.imag) - exact) <= EPS_IN
+                if (rho - k) % 2 == 0:
+                    assert abs(mpmath.mpc(re, im) - 2 ** (mpmath.mpf(rho) / 2) * exact) < 1e-50
+                else:
+                    assert (re, im) == (0, 0)
+
+
+def test_witness_rejects_a_wrong_exact_transform(small_flat, monkeypatch):
+    import sidonlab.spectral as sp
+
+    exact = sp._gaussian_phases
+    monkeypatch.setattr(sp, "_gaussian_phases", lambda rho: [(2 * a, 2 * b) for a, b in exact(rho)])
+    with pytest.raises(AssertionError, match="exact sup"):
+        analyticity_witness(small_flat, rho=2)

@@ -282,6 +282,30 @@ def test_colliding_keys_cost_one_lookup_per_right_vector():
     assert time.perf_counter() - start < 1.0
 
 
+def test_left_phase_confirms_each_zero_key_prefix_once(monkeypatch):
+    # every left prefix of 3^i * KEY_MOD keys to 0; a prefix ending in sign 0
+    # repeats the one confirmed a step earlier, so step s confirms 2 * 3^(s-1)
+    # prefixes (the right half's table then confirms all 3^m left sums)
+    import collections
+
+    import sidonlab.verify
+
+    lengths = collections.Counter()
+    combination = sidonlab.verify._combination
+
+    def counted(cols, signs):
+        if len(cols[0]) == n:  # the left phase and the table: all columns
+            lengths[len(signs)] += 1
+        return combination(cols, signs)
+
+    monkeypatch.setattr(sidonlab.verify, "_combination", counted)
+    n, m = 12, 6
+    assert verify_qi_exhaustive(_keyless_points(n)) == (True, None)
+    want = {s: 2 * 3 ** (s - 1) for s in range(1, m)}
+    want[m] = 2 * 3 ** (m - 1) + 3**m
+    assert dict(lengths) == want
+
+
 def test_exhaustive_takes_only_lattice_points():
     pts = [FpVector(5, (1, 0)), FpVector(5, (0, 1)), FpVector(5, (1, 1))]
     with pytest.raises(TypeError):
