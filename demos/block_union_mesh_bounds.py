@@ -9,8 +9,7 @@ ratio, yet the sampled mesh condition survives with margin.
 
 from sidonlab import DoubleLog, build_theorem2_prefix, pisier_ratio, theorem2_mesh_reports
 
-w = DoubleLog(1.0)
-bc = build_theorem2_prefix(p=3, w=w, L=6, seed=0, nu_cap=24)
+bc = build_theorem2_prefix(p=3, w=DoubleLog(1.0), L=6, seed=0, nu_cap=24)
 
 print(f"p = {bc.p}; blocks ell = 2..6 in disjoint coordinate ranges "
       f"(total dimension {bc.total_dim})")
@@ -25,7 +24,7 @@ print("The ratios exceed ell and keep growing with ell, while any set whose")
 print("mesh counts admit a bounded subgroup ratio would have to stop growing.")
 print()
 
-reports = theorem2_mesh_reports(bc, w, count=300, seed=0)
+reports = theorem2_mesh_reports(bc, count=300, seed=0)
 violations = [r for r in reports if not r.passed]
 worst = min(r.bound - r.count for r in reports)
 print(f"sampled meshes: {len(reports)}, violations of count <= k*w(k): {len(violations)}")

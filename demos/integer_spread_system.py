@@ -8,7 +8,7 @@ against the bound k * w(kh).
 """
 
 from sidonlab import build_theorem3_prefix, theorem3_mesh_reports, v_p_size, well_spread_check
-from sidonlab.spread import default_w, pick_independent_subset
+from sidonlab.spread import pick_independent_subset
 
 system = build_theorem3_prefix(J=4, seed=0)
 s = system.schedule
@@ -38,8 +38,7 @@ for b in system.blocks:
         print(f"  block {b.j}: |V_{p_small}(A')| = {got} = {p_small}^4: {got == p_small**4}")
 print()
 
-w = default_w()
-reports = theorem3_mesh_reports(system, w, count=300, seed=0)
+reports = theorem3_mesh_reports(system, count=300, seed=0)
 violations = [r for r in reports if not r.passed]
 print(f"sampled height-h meshes: {len(reports)}, violations of count <= k*w(kh): "
       f"{len(violations)}")

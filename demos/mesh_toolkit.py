@@ -29,7 +29,7 @@ print("basis {1, 2}, height 1:", sorted(p.as_int() for p in mesh_members(m)),
 
 m = Mesh((ip(1), ip(10), ip(200)), Box(2))
 lam = [ip(x) for x in (0, 1, 12, 21, 222, 199, 500, -19)]
-print("count via digits:     ", mesh_count(lam, m, method="digits"))
+print("count via digits:     ", mesh_count(lam, m))  # super-increasing basis
 print("count via enumeration:", mesh_count(lam, m, method="enumerate"))
 
 fp_basis = (FpVector(5, (1, 0, 2)), FpVector(5, (0, 1, 1)))

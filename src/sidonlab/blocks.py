@@ -74,9 +74,11 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockConstruction:
-    """Disjoint blocks ell = 2..L with their selections, living in F_p^D."""
+    """Disjoint blocks ell = 2..L with their selections, living in F_p^D,
+    sized for the weight w."""
 
     p: int
+    w: GrowthFunction
     blocks: tuple[Block, ...]
     seed: int
 
@@ -158,7 +160,7 @@ def build_theorem2_prefix(
             Block(ell=ell, nu=nu, offset=offset, cap_bound=capped, certificate=cert)
         )
         offset += nu
-    return BlockConstruction(p=p, blocks=tuple(blocks), seed=seed)
+    return BlockConstruction(p=p, w=w, blocks=tuple(blocks), seed=seed)
 
 
 def pisier_ratio(construction: BlockConstruction, ell: int):
@@ -171,14 +173,14 @@ def pisier_ratio(construction: BlockConstruction, ell: int):
 
 def theorem2_mesh_reports(
     construction: BlockConstruction,
-    w: GrowthFunction,
     count: int = 500,
     seed: int = 0,
     k_choices: Sequence[int] = (1, 2, 3, 4, 5, 6),
     heights: Sequence[int] = (1, 2),
     parallelism=None,
 ) -> list[MeshReport]:
-    """Sampled k-meshes against the bound k*w(k); zero failures expected.
+    """Sampled k-meshes against the bound k*w(k) for the construction's w;
+    zero failures expected.
 
     Mesh bases mix points of the union, coordinate vectors, and random
     small vectors, as a seeded falsification family.
@@ -195,5 +197,5 @@ def theorem2_mesh_reports(
     meshes = random_meshes(
         pool, random_vec, count=count, seed=seed, k_choices=k_choices, heights=heights
     )
-    bound = BoundSpec("k_w_k", w=w)
+    bound = BoundSpec("k_w_k", w=construction.w)
     return check_mesh_condition(union, meshes, bound, parallelism=parallelism)

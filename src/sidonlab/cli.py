@@ -524,9 +524,8 @@ def _run_select(params, seed, pool):
 def _run_theorem2(params, seed, pool):
     from .blocks import build_theorem2_prefix, pisier_ratio, theorem2_mesh_reports
 
-    w = params["w"]
     bc = build_theorem2_prefix(
-        p=params["p"], w=w, L=params["blocks"], seed=seed, nu_cap=params["nu-cap"]
+        p=params["p"], w=params["w"], L=params["blocks"], seed=seed, nu_cap=params["nu-cap"]
     )
     checks = []
     for b in bc.blocks:
@@ -536,7 +535,6 @@ def _run_theorem2(params, seed, pool):
         checks.append(Check(f"certificate-reverify ell={b.ell}", float(ok), 1.0, ok))
     reports = theorem2_mesh_reports(
         bc,
-        w,
         count=params["mesh-count"],
         seed=seed,
         k_choices=tuple(range(1, params["k-max"] + 1)),
@@ -559,6 +557,7 @@ def _run_theorem2(params, seed, pool):
 
 def _run_theorem3(params, seed, pool):
     from .spread import (
+        PREFIX_ENUM_CAP,
         build_theorem3_prefix,
         pick_independent_subset,
         theorem3_mesh_reports,
@@ -566,10 +565,11 @@ def _run_theorem3(params, seed, pool):
         well_spread_check,
     )
 
-    w = params["w"]
     # the schedule is checked on the (h, k) grid that the meshes sample
     grid_h, grid_k = range(1, params["h-max"] + 1), range(1, params["k-max"] + 1)
-    system = build_theorem3_prefix(w=w, J=params["blocks"], seed=seed, grid_h=grid_h, grid_k=grid_k)
+    system = build_theorem3_prefix(
+        w=params["w"], J=params["blocks"], seed=seed, grid_h=grid_h, grid_k=grid_k
+    )
     checks = []
     for b in system.blocks:
         checks.append(
@@ -577,20 +577,19 @@ def _run_theorem3(params, seed, pool):
         )
     ok = system.structurally_well_spread()
     checks.append(Check("beta-growth-distinctness", float(ok), 1.0, ok))
-    enum_cap = 3 * 10**5
     for b in system.blocks:
         basis = system.block_basis(b.j)
         # deepest prefix enumerable at the block's own prime; blocks whose
         # prime already exceeds the cap are enumerated at q = 37 instead
         depth = 0
-        while b.p ** (depth + 1) <= enum_cap and depth < len(basis):
+        while b.p ** (depth + 1) <= PREFIX_ENUM_CAP and depth < len(basis):
             depth += 1
         if depth >= 1:
-            ok = well_spread_check(basis[:depth], b.p, cap=enum_cap)
+            ok = well_spread_check(basis[:depth], b.p, cap=PREFIX_ENUM_CAP)
             checks.append(
                 Check(f"well-spread-prefix j={b.j} q=p_j depth={depth}", float(ok), 1.0, ok)
             )
-        ok = well_spread_check(basis[:3], 37, cap=enum_cap)
+        ok = well_spread_check(basis[:3], 37, cap=PREFIX_ENUM_CAP)
         checks.append(Check(f"well-spread-prefix j={b.j} q=37 depth=3", float(ok), 1.0, ok))
     for b in system.blocks:
         for p_small in (3, 5):
@@ -603,13 +602,7 @@ def _run_theorem3(params, seed, pool):
                           float(got), float(want), got == want)
                 )
     reports = theorem3_mesh_reports(
-        system,
-        w,
-        count=params["mesh-count"],
-        seed=seed,
-        k_choices=system.grid_k,
-        heights=system.grid_h,
-        parallelism=pool,
+        system, count=params["mesh-count"], seed=seed, parallelism=pool
     )
     violations = sum(0 if r.passed else 1 for r in reports)
     checks.append(Check("mesh-bound-violations", float(violations), 0.0, violations == 0))

@@ -140,14 +140,12 @@ class DissociatedBasis:
     nu_max: int
 
     @classmethod
-    def build(cls, nu_max: int, max_index: Optional[int] = None) -> "DissociatedBasis":
-        if max_index is None:
-            # Lambda uses indices [2, 2^(nu_max+1)); witness padding takes
-            # fresh indices beyond, at most 2^nu_max - 1 of them.
-            max_index = 2 ** (nu_max + 1) + 2**nu_max
+    def build(cls, nu_max: int) -> "DissociatedBasis":
         betas = [1]
         weight = _coefficient_bound(1) * 1
-        for j in range(2, max_index + 1):
+        # Lambda uses indices [2, 2^(nu_max+1)); witness padding takes
+        # fresh indices beyond, at most 2^nu_max - 1 of them.
+        for j in range(2, 2 ** (nu_max + 1) + 2**nu_max + 1):
             beta = 2 * weight + 1
             betas.append(beta)
             weight += _coefficient_bound(j) * beta

@@ -416,9 +416,8 @@ def mesh_count(
     method: "auto" picks the digit route for super-increasing integer
     bases, the keyed route for other integer bases, a vectorized route for
     F_p bases, and set enumeration otherwise; "enumerate" forces plain
-    enumeration (the oracle route); "digits" forces the digit route (error
-    when inapplicable).  Integers of Lambda count once per value, whether
-    given as ints or as points of Z.
+    enumeration (the oracle route).  Integers of Lambda count once per
+    value, whether given as ints or as points of Z.
     """
     lam = lam if isinstance(lam, _Lambda) else _Lambda(lam)
     if method == "enumerate":
@@ -427,13 +426,11 @@ def mesh_count(
             return sum(1 for x in lam.ints if x in members)
         in_z = sum(1 for x in lam.ints if LatticePoint.from_int(x) in members)
         return in_z + len(members.intersection(lam.points))
-    if method not in ("auto", "digits"):
+    if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     triples = _digit_bounds(mesh)
     if triples is not None:
         return _count_by_digits(lam.ints, mesh, triples)
-    if method == "digits":
-        raise ValueError("digit route does not apply to this mesh")
     if _is_int_basis(mesh):
         return _count_keyed(lam, mesh, cap)
     if _is_fp_basis(mesh):

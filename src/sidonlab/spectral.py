@@ -386,11 +386,6 @@ def _character_sum(nu: int, masks: Iterable[int]) -> np.ndarray:
     return total
 
 
-def _character_values(nu: int, y: int) -> np.ndarray:
-    """(-1)^popcount(x & y) for all x, as an int8 array."""
-    return _character_sum(nu, [y])
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Certified lower bound for the norm of exp(i pi/4 f) restricted to

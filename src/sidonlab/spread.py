@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import ConfigError, FpVector, LatticePoint, fp_rank, next_prime
@@ -49,6 +50,7 @@ __all__ = [
 J_CAP = 6  # p_7 would leave the deterministic primality range
 GRID_H_DEFAULT = (1, 2, 3)
 GRID_K_DEFAULT = (1, 2, 3, 4, 5)
+PREFIX_ENUM_CAP = 3 * 10**5  # members of each theorem3 well-spread prefix check
 
 
 class ScheduleError(ConfigError):
@@ -61,57 +63,45 @@ def default_w() -> GrowthFunction:
     return DoubleLog(2500.0)
 
 
-def _default_ell(j: int) -> int:
-    return 1 + int(math.log2(1 + j))
-
-
-def _default_nu(j: int) -> int:
-    return 16 + j
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Primes p_j (fast), sizes nu_j (slow), densities ell_j (very slow).
-
-    Overridden prefixes extend by the default formulas beyond J.
-    """
+    """Primes p_j (fast), sizes nu_j (slow), densities ell_j (very slow),
+    by closed formulas in j; J is the number of blocks built."""
 
     J: int
-    ells: tuple[int, ...]
-    nus: tuple[int, ...]
-    ps: tuple[int, ...]
 
     @classmethod
-    def default(
-        cls,
-        J: int,
-        ells: Optional[Sequence[int]] = None,
-        nus: Optional[Sequence[int]] = None,
-        ps: Optional[Sequence[int]] = None,
-    ) -> "Schedule":
+    def default(cls, J: int) -> "Schedule":
         if not 1 <= J <= J_CAP:
             raise ConfigError(f"J must lie in [1, {J_CAP}]")
-        ells = tuple(ells) if ells else tuple(_default_ell(j) for j in range(1, J + 1))
-        nus = tuple(nus) if nus else tuple(_default_nu(j) for j in range(1, J + 1))
-        ps = tuple(ps) if ps else tuple(
-            next_prime(4 * e * 2 ** (2**j)) for j, e in zip(range(1, J + 1), ells)
-        )
-        if not (len(ells) == len(nus) == len(ps) == J):
-            raise ValueError("override lengths must equal J")
-        return cls(J=J, ells=ells, nus=nus, ps=ps)
+        return cls(J=J)
 
-    def ell(self, j: int) -> int:
-        return self.ells[j - 1] if j <= self.J else _default_ell(j)
+    @staticmethod
+    def ell(j: int) -> int:
+        return 1 + int(math.log2(1 + j))
 
-    def nu(self, j: int) -> int:
-        return self.nus[j - 1] if j <= self.J else _default_nu(j)
+    @staticmethod
+    def nu(j: int) -> int:
+        return 16 + j
 
-    def p(self, j: int) -> int:
-        if j <= self.J:
-            return self.ps[j - 1]
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def p(j: int) -> int:
         if j > J_CAP:
             raise ConfigError(f"primes beyond j = {J_CAP} are not materialized")
-        return next_prime(4 * _default_ell(j) * 2 ** (2**j))
+        return next_prime(4 * Schedule.ell(j) * 2 ** (2**j))
+
+    @property
+    def ells(self) -> tuple[int, ...]:
+        return tuple(self.ell(j) for j in range(1, self.J + 1))
+
+    @property
+    def nus(self) -> tuple[int, ...]:
+        return tuple(self.nu(j) for j in range(1, self.J + 1))
+
+    @property
+    def ps(self) -> tuple[int, ...]:
+        return tuple(self.p(j) for j in range(1, self.J + 1))
 
 
 def five_ten_bound(k: int, h: int, p: int) -> float:
@@ -119,23 +109,15 @@ def five_ten_bound(k: int, h: int, p: int) -> float:
     return k * (1 + (k + 1) * math.log(2 * h + 1) / math.log(p))
 
 
-def _x_factor(schedule: Schedule, h: int, k: int) -> int:
+def _x_factor(h: int, k: int) -> int:
     """max(1, max ell_j over blocks with nu_j <= 8 (2h+1)^k).
 
-    The sup runs over the whole (infinite) schedule; beyond the overridden
-    prefix the default formulas apply, and there nu_j = 16 + j increases
-    while ell_j is nondecreasing, so the tail contributes ell at the last
+    The sup runs over the whole (infinite) schedule: nu_j = 16 + j
+    increases while ell_j is nondecreasing, so it is ell at the last
     admissible index.
     """
-    threshold = 8 * (2 * h + 1) ** k
-    best = 1
-    for j in range(1, schedule.J + 1):
-        if schedule.nu(j) <= threshold:
-            best = max(best, schedule.ell(j))
-    j_star = threshold - 16
-    if j_star > schedule.J:
-        best = max(best, _default_ell(j_star))
-    return best
+    j_star = 8 * (2 * h + 1) ** k - 16
+    return Schedule.ell(j_star) if j_star >= 1 else 1
 
 
 def check_schedule(
@@ -161,7 +143,7 @@ def check_schedule(
                 ("sum of nu_j within k*sqrt(w)/2",
                  float(sum(schedule.nu(j) for j in range(1, k + 1))), 0.5 * k * sqw),
                 ("3*ell_k within sqrt(w)", 3.0 * schedule.ell(k), sqw),
-                ("density factor X within sqrt(w)", float(_x_factor(schedule, h, k)), sqw),
+                ("density factor X within sqrt(w)", float(_x_factor(h, k)), sqw),
             ]
             for name, lhs, rhs in cases:
                 rows.append(
@@ -196,9 +178,11 @@ class SpreadBlock:
 
 @dataclass(frozen=True)
 class SpreadSystem:
-    """The full construction: betas, per-index bounds q(i), and blocks."""
+    """The full construction: betas, per-index bounds q(i), and blocks,
+    with the weight w and the (h, k) grid its schedule was checked on."""
 
     schedule: Schedule
+    w: GrowthFunction
     betas: tuple[int, ...]  # betas[i-1] = beta_i
     qs: tuple[int, ...]
     blocks: tuple[SpreadBlock, ...]
@@ -255,20 +239,17 @@ def build_theorem3_prefix(
     w: Optional[GrowthFunction] = None,
     J: int = 4,
     seed: int = 0,
-    ells: Optional[Sequence[int]] = None,
-    nus: Optional[Sequence[int]] = None,
-    ps: Optional[Sequence[int]] = None,
     grid_h: Sequence[int] = GRID_H_DEFAULT,
     grid_k: Sequence[int] = GRID_K_DEFAULT,
 ) -> SpreadSystem:
-    """Build J blocks with the default (or overridden) schedule.
+    """Build J blocks with the default schedule (default_w() when w is None).
 
     Raises ScheduleError when a schedule condition fails on the grid.  Each
     block's selection uses the K -> 1/8 replacement (valid by 4*ell < p).
     """
     if w is None:
         w = default_w()
-    schedule = Schedule.default(J, ells, nus, ps)
+    schedule = Schedule.default(J)
     conditions = check_schedule(schedule, w, grid_h, grid_k)
 
     total = sum(schedule.nu(j) for j in range(1, J + 1))
@@ -310,6 +291,7 @@ def build_theorem3_prefix(
         lo += nu_j
     system = SpreadSystem(
         schedule=schedule,
+        w=w,
         betas=tuple(betas),
         qs=tuple(qs),
         blocks=tuple(blocks),
@@ -366,16 +348,12 @@ def pick_independent_subset(block: SpreadBlock, size: int) -> list[int]:
 
 def theorem3_mesh_reports(
     system: SpreadSystem,
-    w: Optional[GrowthFunction] = None,
     count: int = 500,
     seed: int = 0,
-    k_choices: Sequence[int] = (1, 2, 3, 4, 5),
-    heights: Sequence[int] = (1, 2, 3),
     parallelism=None,
 ) -> list[MeshReport]:
-    """Sampled height-h meshes against the bound k*w(kh)."""
-    if w is None:
-        w = default_w()
+    """Sampled height-h meshes on the system's (h, k) grid against the bound
+    k*w(kh) for the system's w."""
     lam = [LatticePoint.from_int(x) for x in system.lambda_union()]
     pool = lam + [LatticePoint.from_int(b) for b in system.betas]
 
@@ -390,8 +368,8 @@ def theorem3_mesh_reports(
         random_int_point,
         count=count,
         seed=seed,
-        k_choices=k_choices,
-        heights=heights,
+        k_choices=system.grid_k,
+        heights=system.grid_h,
     )
-    bound = BoundSpec("k_w_kh", w=w)
+    bound = BoundSpec("k_w_kh", w=system.w)
     return check_mesh_condition(lam, meshes, bound, parallelism=parallelism)

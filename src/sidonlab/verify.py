@@ -38,7 +38,7 @@ __all__ = [
 N_MAX_DEFAULT = 24  # desk limit: a left half-table of at most 3^12 entries
 
 _SIGNS = (0, 1, -1)  # base-3 digit d of a sign index stands for _SIGNS[d]
-_SIGN_CHUNK = 2**14  # zero-key prefixes whose sign vectors are built at once
+_SIGN_CHUNK = 2**10  # sign indices whose sign vectors are built at once
 
 
 class QiResourceError(ResourceCapError):
@@ -67,15 +67,16 @@ def _extend(sums: np.ndarray, key) -> np.ndarray:
     return np.stack([sums, add_keys(sums, key), add_keys(sums, -key % KEY_MOD)], axis=1).ravel()
 
 
-def _signs(index: int, length: int) -> tuple[int, ...]:
-    """The sign vector of a base-3 index, most significant digit first."""
-    return tuple(_SIGNS[int(index) // 3**k % 3] for k in reversed(range(length)))
+def _sign_rows(indices: np.ndarray, length: int):
+    """Each base-3 index with its sign vector, most significant digit first.
 
-
-def _sign_rows(indices: np.ndarray, length: int) -> list[tuple[int, ...]]:
-    """_signs of each index, its digits taken in one array operation."""
-    digits = indices[:, None] // 3 ** np.arange(length - 1, -1, -1, dtype=np.int64) % 3
-    return list(map(tuple, np.array(_SIGNS)[digits].tolist()))
+    The digits of _SIGN_CHUNK indices are taken in one array operation.
+    """
+    powers = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    for start in range(0, len(indices), _SIGN_CHUNK):
+        chunk = indices[start:start + _SIGN_CHUNK]
+        signs = np.array(_SIGNS)[chunk[:, None] // powers % 3].tolist()
+        yield from zip(chunk.tolist(), map(tuple, signs))
 
 
 def _combination(cols: list, signs: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,11 +133,9 @@ def verify_qi_exhaustive(
         zero = np.flatnonzero(left == 0)
         # a prefix ending in sign 0 is the prefix before it, confirmed a step
         # earlier (index 0, the all-zero prefix, among them)
-        zero = zero[zero % 3 != 0]
-        for start in range(0, len(zero), _SIGN_CHUNK):
-            for signs in _sign_rows(zero[start:start + _SIGN_CHUNK], step + 1):
-                if not any(_combination(cols, signs)):
-                    return False, _witness(signs, n)
+        for _, signs in _sign_rows(zero[zero % 3 != 0], step + 1):
+            if not any(_combination(cols, signs)):
+                return False, _witness(signs, n)
 
     right = np.zeros(1, dtype=np.int64)
     for key in keys[n_left:]:
@@ -152,18 +151,19 @@ def verify_qi_exhaustive(
     # 2^61 - 1 = KEY_MOD, so sums that share a key can share a hash too (all
     # do for points c * KEY_MOD), and a dict of them degrades to a scan.
     exact: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for j in np.flatnonzero(hit).tolist():
+    for j, signs in _sign_rows(np.flatnonzero(hit), n - n_left):
         key = int(need[j])
         if key not in exact:
             exact[key] = sorted(
-                (_combination(cols, _signs(i, n_left)), i)
-                for i in np.flatnonzero(left == key).tolist()
+                (_combination(cols, left_signs), i)
+                for i, left_signs in _sign_rows(np.flatnonzero(left == key), n_left)
             )
-        table, signs = exact[key], _signs(j, n - n_left)
+        table = exact[key]
         target = tuple(-x for x in _combination(right_cols, signs))
         pos = bisect_left(table, (target,))  # the smallest index with this sum
         if pos < len(table) and table[pos][0] == target:
-            return False, _witness(_signs(table[pos][1], n_left) + signs, n)
+            [(_, left_signs)] = _sign_rows(np.array([table[pos][1]]), n_left)
+            return False, _witness(left_signs + signs, n)
     return True, None
 
 

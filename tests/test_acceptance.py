@@ -22,10 +22,11 @@ from sidonlab.construction import (
 )
 from sidonlab.growth import DoubleLog
 from sidonlab.blocks import build_theorem2_prefix, pisier_ratio, theorem2_mesh_reports
-from sidonlab.mesh import Box, mesh_count
+from sidonlab.mesh import Box, _digit_bounds, mesh_count
 from sidonlab.selection import SelectionConfig, lemma_search, sample_lambda
 from sidonlab.spectral import analyticity_witness, fwht, naive_wht, sample_flat_lambda
 from sidonlab.spread import (
+    PREFIX_ENUM_CAP,
     build_theorem3_prefix,
     pick_independent_subset,
     theorem3_mesh_reports,
@@ -108,7 +109,7 @@ def test_criterion_4_theorem2_prefix():
     for b in bc.blocks:
         assert pisier_ratio(bc, b.ell) >= b.ell
     reports = theorem2_mesh_reports(
-        bc, w, count=500, seed=0, k_choices=(1, 2, 3, 4, 5, 6), heights=(1, 2)
+        bc, count=500, seed=0, k_choices=(1, 2, 3, 4, 5, 6), heights=(1, 2)
     )
     assert len(reports) == 500
     violations = [r for r in reports if not r.passed]
@@ -121,24 +122,22 @@ def test_criterion_5_theorem3_prefix():
     for b in system.blocks:
         assert 4 * b.ell < b.p
     assert system.structurally_well_spread()
-    enumeration_cap = 3 * 10**5
     for b in system.blocks:
         basis = system.block_basis(b.j)
         depth = 1
-        while b.p ** (depth + 1) <= enumeration_cap and depth < len(basis):
+        while b.p ** (depth + 1) <= PREFIX_ENUM_CAP and depth < len(basis):
             depth += 1
-        if b.p**depth <= enumeration_cap:
-            assert well_spread_check(basis[:depth], b.p, cap=enumeration_cap)
+        if b.p**depth <= PREFIX_ENUM_CAP:
+            assert well_spread_check(basis[:depth], b.p, cap=PREFIX_ENUM_CAP)
         # deeper prefixes, checked at the smallest block prime
-        assert well_spread_check(basis[:3], 37, cap=enumeration_cap)
+        assert well_spread_check(basis[:3], 37, cap=PREFIX_ENUM_CAP)
     for b in system.blocks:
         for p_small in (3, 5):
             for size in (1, 2, 3, 4):
                 part = pick_independent_subset(b, size)
                 assert v_p_size(part, p_small) == p_small**size
-    reports = theorem3_mesh_reports(
-        system, count=500, seed=0, k_choices=(1, 2, 3, 4, 5), heights=(1, 2, 3)
-    )
+    assert system.grid_k == (1, 2, 3, 4, 5) and system.grid_h == (1, 2, 3)
+    reports = theorem3_mesh_reports(system, count=500, seed=0)
     assert len(reports) == 500
     violations = [r for r in reports if not r.passed]
     assert violations == []
@@ -211,9 +210,8 @@ def test_criterion_8_oracle_equivalences():
     lam = list(construction.lambda_points)
     for k in (2, 4, 7, 10):
         mesh, _ = theorem1_witness(k, construction)
-        assert mesh_count(lam, mesh, method="digits") == mesh_count(
-            lam, mesh, method="enumerate"
-        )
+        assert _digit_bounds(mesh) is not None
+        assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
     # rank vs span enumeration
     for _ in range(40):
         p = int(rng.choice([2, 3, 5, 7]))

@@ -125,10 +125,12 @@ def test_embedding_dimensions():
 
 
 def test_mesh_reports_all_pass():
-    bc = build_theorem2_prefix(p=3, w=DoubleLog(1.0), L=4, seed=0)
-    reports = theorem2_mesh_reports(bc, DoubleLog(1.0), count=120, seed=0)
+    w = DoubleLog(1.0)
+    bc = build_theorem2_prefix(p=3, w=w, L=4, seed=0)
+    reports = theorem2_mesh_reports(bc, count=120, seed=0)
     assert len(reports) == 120
     assert all(r.passed for r in reports)
+    assert all(r.bound == r.k * w(r.k) for r in reports)  # the construction's w
     assert all(r.bound >= r.k for r in reports)  # w >= 1
 
 

@@ -14,6 +14,7 @@ from sidonlab.mesh import (
     Mesh,
     MeshResourceError,
     _count_keyed,
+    _digit_bounds,
     _Lambda,
     check_mesh_condition,
     count_distinct_sums,
@@ -107,9 +108,8 @@ def test_digit_route_matches_enumeration():
             continue
         members = [p.as_int() for p in mesh_members(mesh)]
         lam = [ip(v) for v in members[::3]] + [ip(int(x)) for x in rng.integers(-100, 100, 20)]
-        assert mesh_count(lam, mesh, method="digits") == mesh_count(
-            lam, mesh, method="enumerate"
-        )
+        assert _digit_bounds(mesh) is not None
+        assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
 
 
 def test_digit_route_with_explicit_domain():
@@ -117,7 +117,8 @@ def test_digit_route_with_explicit_domain():
     dom = ExplicitList(((1, 0, 0), (1, 1, 0), (-1, 0, 1), (0, 0, 0)))
     mesh = Mesh(basis, dom)
     lam = [ip(x) for x in (0, 1, 11, 199, 210, -9, 9)]
-    assert mesh_count(lam, mesh, method="digits") == mesh_count(lam, mesh, method="enumerate")
+    assert _digit_bounds(mesh) is not None
+    assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
 
 
 def test_fp_vectorized_matches_enumeration():

@@ -478,11 +478,11 @@ def test_v_spectrum_is_flat_on_subgroup():
     nu, rho = 5, 3
     n = 2**nu
     masks = [1, 2, 4]
-    from sidonlab.spectral import _character_values
+    from sidonlab.spectral import _character_sum
 
     f = np.zeros(n, dtype=np.int64)
     for y in masks:
-        f += _character_values(nu, y)
+        f += _character_sum(nu, [y])
     v = np.exp(1j * (math.pi / 4) * f)
     vh = fwht(v) / n
     subgroup = {0}
@@ -503,9 +503,9 @@ def test_duality_bound_below_subgradient_upper():
     mask = rng.random(n) < 0.3
     mask[0] = True
     rep = analyticity_witness(mask, ell=401, rho=1)
-    from sidonlab.spectral import _character_values
+    from sidonlab.spectral import _character_sum
 
-    f = _character_values(nu, 1).astype(np.int64)
+    f = _character_sum(nu, [1]).astype(np.int64)
     v = np.exp(1j * (math.pi / 4) * f)
     upper = a_norm_upper_bound(v, mask)
     assert rep.lower_bound <= upper + 1e-9

@@ -48,12 +48,6 @@ def test_infeasible_schedule_is_named():
     assert "condition" in str(err.value)
 
 
-def test_bad_override_rejected():
-    with pytest.raises(ScheduleError) as err:
-        build_theorem3_prefix(J=2, seed=0, ells=(2, 2), nus=(17, 18), ps=(7, 131))
-    assert "4*ell_j < p_j" in str(err.value)
-
-
 def test_well_spread_examples():
     assert well_spread_check([1, 10], 3)
     assert not well_spread_check([1, 2], 3)
@@ -155,6 +149,17 @@ def test_mesh_reports_all_pass(system):
     reports = theorem3_mesh_reports(system, count=150, seed=0)
     assert len(reports) == 150
     assert all(r.passed for r in reports)
+
+
+def test_mesh_reports_read_w_and_the_grid_from_the_system():
+    w = DoubleLog(4000.0)
+    system = build_theorem3_prefix(w=w, J=2, seed=0, grid_h=(1,), grid_k=(1, 2))
+    reports = theorem3_mesh_reports(system, count=60, seed=0)
+    assert len(reports) == 60
+    assert {r.k for r in reports} == {1, 2}
+    assert {r.height for r in reports} == {1}
+    assert all(r.bound == r.k * w(r.k * r.height) for r in reports)
+    assert system.w == w
 
 
 def test_export(system, tmp_path):
