@@ -10,10 +10,14 @@ a lower bound on the restriction-algebra norm of exp(i pi/4 f) for a sum f
 of independent characters.  Its sup |mu^| comes from one exact int64
 transform, whose near-maximal characters alone get fwht's float values
 (see ``_sup_mu``); the full complex transform is its oracle and fallback.
+The flatness test and the witness read their exact int64 transforms in
+``_PIECES`` contiguous output pieces (see ``_exact_pieces``), so neither
+holds a transform of 2^nu entries.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -59,6 +63,10 @@ EPS_IN = 2.0**-48
 _PACK_LIMIT = 1 << 30
 _MAX_CANDIDATES = 8
 _CHUNK = 1 << 16
+
+# _exact_pieces builds an exact transform as this many output pieces (a
+# power of two), so it holds two int64 arrays of 2^nu / _PIECES entries.
+_PIECES = 4
 
 
 class FlatnessFailure(RuntimeError):
@@ -264,20 +272,81 @@ def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -
     values = fwht(mask)  # from int32 tiles, so every square is below 2^62
     table, lhs, step = values.view(np.float64), 0, 1 << _TILE_BITS
     for i, part in zip(range(0, n, step), _abs_chunks(values, np.int64)):
-        np.multiply(part, part, out=part)  # a chunk sums its squares' halves below 2^47
-        lhs += (int((part >> 31).sum()) << 31) + int((part & (2**31 - 1)).sum())
+        lhs += _square_sum(part)
         table[i:i + step] = values[i:i + step]
-    rhs = float(n) * float(mask.sum())
-    if rhs > 0 and abs(lhs - rhs) > 1e-9 * rhs:
-        raise AssertionError("Parseval identity violated beyond tolerance")
+    _check_parseval(lhs, mask)
     return SpectralTable(nu, table)
 
 
+def _square_sum(part: np.ndarray) -> int:
+    """sum part^2 exactly, for int64 values of modulus at most 2^26 (the
+    spectrum of a mask, nu <= NU_CAP); part is overwritten by its squares.
+    Each half of a square sum stays below 2^47 for 2^16 values."""
+    np.multiply(part, part, out=part)
+    return (int((part >> 31).sum()) << 31) + int((part & (2**31 - 1)).sum())
+
+
+def _check_parseval(lhs: int, mask: np.ndarray) -> None:
+    """AssertionError unless lhs = sum_y sigma^(y)^2 is 2^nu |Lambda| to
+    1e-9 relative."""
+    rhs = float(mask.shape[0]) * float(mask.sum())
+    if rhs > 0 and abs(lhs - rhs) > 1e-9 * rhs:
+        raise AssertionError("Parseval identity violated beyond tolerance")
+
+
 def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
-    """sigma^(0) and max |sigma^| over the nontrivial characters; the
-    spectrum itself is released on return."""
-    table = sigma_hat(mask)
-    return table.at_one, table.sup_offpeak()
+    """sigma^(0) and max |sigma^| over the nontrivial characters, bit for
+    bit as sigma_hat(mask) gives them, after its Parseval check.
+
+    The exact spectrum is read in pieces (see _exact_pieces): every value
+    is an integer of modulus at most 2^nu, so its float is the float64
+    transform's value, and its maximum and square sum are exact in any
+    order.  Beyond the mask this holds two int64 arrays of 2^nu / _PIECES
+    entries and a few tile-sized chunks.
+    """
+    _check_nu_cap(mask.shape[0].bit_length() - 1)
+    at_one, sup = None, 0
+    # no enumerate: its cached tuple would keep the last piece alive
+    for piece in _exact_pieces(mask.view(np.int8), np.arange(2)):
+        if at_one is None:  # the first piece starts with the trivial character
+            at_one = int(piece[0])
+            lhs, piece = at_one * at_one, piece[1:]
+        for part in _abs_chunks(piece, np.int64):
+            sup = max(sup, int(part.max()))
+            lhs += _square_sum(part)
+        del piece  # before the next piece is built
+    _check_parseval(lhs, mask)
+    return float(at_one), float(sup)
+
+
+def _exact_pieces(codes: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
+    """fwht(table[codes]) for an integer table, exactly, as P = min(_PIECES,
+    n) contiguous int64 pieces of m = n / P entries, in order.
+
+    With x_i the i-th block of m entries of table[codes], out[j m + y] is
+    sum_i (-1)^popcount(i & j) fwht(x_i)[y], so piece j is the length-m
+    fwht of sum_i (-1)^popcount(i & j) x_i.  That input is built _CHUNK
+    entries at a time into one buffer of m int64s, reused by every piece.
+    So the transform holds one m-entry input and one m-entry output at a
+    time, as long as the caller releases each piece, and every view of it,
+    before it asks for the next.  Every value is an exact integer (int64
+    sums wrap, so only the transform's own values must fit), so the pieces
+    have the bytes of fwht(table[codes]).  The codes must index the table.
+    """
+    n = codes.shape[0]
+    count = min(_PIECES, n)
+    m = n // count
+    blocks = codes.reshape(count, m)
+    table = np.asarray(table, dtype=np.int64)
+    buf = np.empty(m, np.int64)
+    for j in range(count):
+        for k in range(0, m, _CHUNK):
+            part = buf[k:k + _CHUNK]
+            np.take(table, blocks[0, k:k + _CHUNK], out=part, mode="clip")
+            for i in range(1, count):
+                op = np.subtract if (i & j).bit_count() % 2 else np.add
+                op(part, table.take(blocks[i, k:k + _CHUNK], mode="clip"), out=part)
+        yield fwht(buf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,9 +355,10 @@ class FlatSample:
 
     Of the spectrum sigma_hat(mask) it keeps only the two numbers that the
     flatness test and the witness read: sigma1, the value at the trivial
-    character, and sup_offpeak, the largest modulus off it.  The spectrum
-    itself (8 bytes per point) is not kept; sigma_hat(mask) rebuilds it bit
-    for bit.
+    character, and sup_offpeak, the largest modulus off it.  They are read
+    from the exact spectrum in pieces (see _spectrum_summary), so no
+    spectrum of 2^nu entries is ever held; sigma_hat(mask) builds one with
+    the same two values bit for bit.
     """
 
     nu: int
@@ -325,9 +395,11 @@ def sample_flat_lambda(
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha = {alpha} must lie in (0, 1)")
     ratio = 20.0 / math.sqrt(ell)
+    mask = np.empty(n, dtype=bool)
     for t in range(max_retries):
         rng = stream(seed, nu, ell, t)
-        mask = rng.random(n) < alpha
+        for i in range(0, n, _CHUNK):  # the uniforms of rng.random(n), a chunk at a time
+            np.less(rng.random(min(_CHUNK, n - i)), alpha, out=mask[i:i + _CHUNK])
         s1, sup = _spectrum_summary(mask)
         if s1 >= ell * nu and sup <= ratio * s1:
             return FlatSample(
@@ -431,18 +503,20 @@ def analyticity_witness(
     mu = v * sigma, the bound is sigma^(1) / sup_y |mu^(y)|, which applies
     to the norm of v via the norm equality for this unimodular v.
 
-    Reports the exact algebra norm of f itself (= rho: one unit Walsh
-    coefficient per mask) alongside the chain value
-    (2^(-rho/2) + (20/sqrt(ell)) 2^(rho/2))^(-1).
+    Reports the exact algebra norm of f itself, rho: f's transform is 2^nu
+    at each mask and 0 elsewhere, so nothing cancels (the masks must be
+    independent and lie in [0, 2^nu), else ValueError).  Alongside it the
+    chain value (2^(-rho/2) + (20/sqrt(ell)) 2^(rho/2))^(-1).
 
     Of sigma's spectrum only sigma^(1) and its largest off-peak modulus are
-    read: from a FlatSample they are its fields; for a raw mask sigma_hat
-    runs once and its spectrum is released before mu is transformed.
+    read: from a FlatSample they are its fields; for a raw mask
+    _spectrum_summary reads them from the exact spectrum in pieces.
     sup |mu^| is fwht's float maximum bit for bit, found by _sup_mu from
-    the exact int64 transform of 2^(rho/2) mu.  So beyond the mask the peak
-    holds that int64 transform, the int8 codes, fwht's two tiles and a few
-    fixed-size chunks: about 9 * 2^nu bytes, and no complex array of 2^nu
-    entries unless _sup_mu falls back to mu's full transform.
+    the exact int64 transform of 2^(rho/2) mu, read in pieces too.  So
+    beyond the mask the peak holds the int8 codes, two int64 arrays of
+    2^nu / _PIECES entries, fwht's two tiles and a few fixed-size chunks:
+    about 5 * 2^nu bytes, and no complex array of 2^nu entries unless
+    _sup_mu falls back to mu's full transform.
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
@@ -462,13 +536,13 @@ def analyticity_witness(
         y_masks = [1 << b for b in range(rho)]
     if len(y_masks) != rho:
         raise ValueError("need exactly rho character masks")
-    if not masks_independent(y_masks):
-        raise ValueError("character masks are dependent over F_2")
+    # _character_sum reads only a mask's low nu bits
+    if not (all(0 <= int(y) < n for y in y_masks) and masks_independent(y_masks)):
+        raise ValueError("character masks must be independent and lie in [0, 2^nu)")
 
     s1, sup_off = _spectrum_summary(mask) if summary is None else summary
 
     f = _character_sum(nu, y_masks)
-    f_norm = float(_abs_sum(fwht(f))) / n
 
     # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
     # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
@@ -498,7 +572,7 @@ def analyticity_witness(
         lower_bound=lower,
         target=target,
         chain_bound=chain,
-        f_algebra_norm=f_norm,
+        f_algebra_norm=float(rho),
         flatness_holds=sup_off <= ratio * s1,
         passed=lower >= target,
     )
@@ -576,38 +650,44 @@ def _near_maxima(codes: np.ndarray, rho: int, slack: float) -> tuple[int, Option
     and W the exact transform of g * mask; None for the y's when there are
     more than _MAX_CANDIDATES of them.
 
-    W = A + iB comes from one int64 transform of the table Re g + 2^31 Im g,
-    indexed by the witness's codes (0 where the mask is unset).  |A| and |B|
-    stay below _PACK_LIMIT = 2^30, so each chunk unpacks by bit operations
-    and is overwritten in place by Q = A^2 + B^2 < 2^61.
+    W = A + iB is read in pieces (see _exact_pieces) of the int64 transform
+    of the table Re g + 2^31 Im g, indexed by the witness's codes (0 where
+    the mask is unset).  |A| and |B| stay below _PACK_LIMIT = 2^30, so each
+    chunk unpacks by bit operations and is overwritten in place by Q = A^2 +
+    B^2 < 2^61.  Only the _MAX_CANDIDATES + 1 largest (Q, y) pairs seen are
+    kept: the y's above the threshold are all among them when there are at
+    most _MAX_CANDIDATES, and fill them when there are more.
     """
     g = _gaussian_phases(rho)
     packed = np.array([0] * len(g) + [re + (im << 31) for re, im in g], dtype=np.int64)
-    w = fwht(codes, table=packed)
-    n = w.shape[0]
-    low = np.empty(min(n, _CHUNK), np.int64)
-    q_max = 0
-    for i in range(0, n, _CHUNK):
-        part, a = w[i:i + _CHUNK], low[:min(_CHUNK, n - i)]
-        np.add(part, 1 << 30, out=a)
-        a &= (1 << 31) - 1
-        a -= 1 << 30  # A, the low 31 bits read as signed
-        part -= a
-        part >>= 31  # B
-        np.multiply(part, part, out=part)
-        np.multiply(a, a, out=a)
-        part += a
-        q_max = max(q_max, int(part.max()))
+    keep = _MAX_CANDIDATES + 1
+    top: list[tuple[int, int]] = []
+    low = np.empty(min(codes.shape[0], _CHUNK), np.int64)
+    offset = 0
+    for piece in _exact_pieces(codes, packed):
+        for i in range(0, piece.shape[0], _CHUNK):
+            part, a = piece[i:i + _CHUNK], low[:min(_CHUNK, piece.shape[0] - i)]
+            np.add(part, 1 << 30, out=a)
+            a &= (1 << 31) - 1
+            a -= 1 << 30  # A, the low 31 bits read as signed
+            part -= a
+            part >>= 31  # B
+            np.multiply(part, part, out=part)
+            np.multiply(a, a, out=a)
+            part += a
+            if len(top) < keep or part.max() > top[-1][0]:  # a full top takes only a larger Q
+                most = min(keep, len(part))
+                found = np.argpartition(part, -most)[-most:].tolist()
+                top = heapq.nlargest(keep, top + [(int(part[k]), offset + i + k) for k in found])
+        offset += piece.shape[0]
+        del piece, part  # before the next piece is built
+    q_max = top[0][0]
     # keep Q >= floor(t^2 / 2^64) with t <= 2^32 (sqrt(max Q) - slack), so
     # no y within slack of the maximum is dropped
     t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
     threshold = (t * t) >> 64 if t > 0 else 0
-    ys: list[int] = []
-    for i in range(0, n, _CHUNK):
-        ys += (np.flatnonzero(w[i:i + _CHUNK] >= threshold) + i).tolist()
-        if len(ys) > _MAX_CANDIDATES:
-            return q_max, None
-    return q_max, ys
+    ys = sorted(y for q, y in top if q >= threshold)
+    return q_max, ys if len(ys) <= _MAX_CANDIDATES else None
 
 
 def _cone_values(codes: np.ndarray, table: np.ndarray, ys: Sequence[int]) -> np.ndarray:
@@ -653,13 +733,6 @@ def _abs_chunks(a: np.ndarray, dtype) -> Iterator[np.ndarray]:
 def _max_abs(a: np.ndarray) -> float:
     """max |a| in float64 (a maximum is exact in any order)."""
     return float(max(part.max() for part in _abs_chunks(a, np.float64)))
-
-
-def _abs_sum(a: np.ndarray) -> int:
-    """sum |a| of an integer array, exactly: each chunk's sum stays in
-    int64 (it is at most 2^_TILE_BITS * max|a|) and the chunks add as
-    Python ints."""
-    return sum(int(part.sum()) for part in _abs_chunks(a, np.int64))
 
 
 def a_norm_upper_bound(v: np.ndarray, mask: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,25 +68,56 @@ def _extend(sums: np.ndarray, key) -> np.ndarray:
 
 
 def _sign_rows(indices: np.ndarray, length: int):
-    """Each base-3 index with its sign vector, most significant digit first.
-
-    The digits of _SIGN_CHUNK indices are taken in one array operation.
-    """
+    """The sign vectors of base-3 indices, most significant digit first, as
+    int64 rows: yields (indices, signs) for _SIGN_CHUNK indices at a time,
+    their digits taken in one array operation."""
     powers = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)
     for start in range(0, len(indices), _SIGN_CHUNK):
         chunk = indices[start:start + _SIGN_CHUNK]
-        signs = np.array(_SIGNS)[chunk[:, None] // powers % 3].tolist()
-        yield from zip(chunk.tolist(), map(tuple, signs))
+        yield chunk, np.array(_SIGNS)[chunk[:, None] // powers % 3]
 
 
-def _combination(cols: list, signs: tuple[int, ...]) -> tuple[int, ...]:
-    """The exact signed sum, column by column, of the first len(signs) rows."""
-    return tuple(sum(map(operator.mul, signs, col)) for col in cols)
+def _sign_vector(index: int, length: int) -> tuple[int, ...]:
+    """The sign vector of one base-3 index, as _sign_rows orders it."""
+    return tuple(_SIGNS[index // 3**k % 3] for k in range(length - 1, -1, -1))
 
 
 def _witness(signs: tuple[int, ...], n: int) -> DependencyWitness:
     """The witness of n signs that starts with the given ones, zero-padded."""
     return DependencyWitness(SignVector(signs + (0,) * (n - len(signs))))
+
+
+def _sums_of(rows: list[tuple[int, ...]]) -> Callable[[np.ndarray, int], np.ndarray]:
+    """sums(signs, start): for each row of signs, the exact signed sum of
+    rows start, start + 1, ... as one row of int64 digits, equal exactly
+    when the sums are equal, and all 0 exactly when the sum is 0.
+
+    No coordinate of such a sum exceeds sum_i max|row i|.  Below 2^63 the
+    digits are the coordinates, one int64 product a chunk of sign rows.
+    Otherwise each coordinate is written in L digits of B bits, the top one
+    signed, with n 2^B < 2^62 so that the digits' signed sums stay in
+    int64; the product's digits are then carried until all but the top one
+    lie in [0, 2^B), which writes each sum one way.
+    """
+    n, dim = len(rows), len(rows[0])
+    if sum(max(map(abs, row), default=0) for row in rows) < 2**63:
+        width, count = 0, 1
+    else:
+        width = 62 - n.bit_length()
+        count = max(abs(x) for row in rows for x in row).bit_length() // width + 1
+    mask = (1 << width) - 1
+    digits = np.array([[x >> (width * k) & mask if k < count - 1 else x >> (width * k)
+                        for x in row for k in range(count)] for row in rows], dtype=np.int64)
+    digits = digits.reshape(n, dim * count)
+
+    def sums(signs: np.ndarray, start: int) -> np.ndarray:
+        out = (signs @ digits[start:start + signs.shape[1]]).reshape(len(signs), dim, count)
+        for k in range(count - 1):
+            out[:, :, k + 1] += out[:, :, k] >> width
+            out[:, :, k] &= mask
+        return out.reshape(len(signs), dim * count)
+
+    return sums
 
 
 def verify_qi_exhaustive(
@@ -97,9 +128,11 @@ def verify_qi_exhaustive(
 
     Signed sums are taken of the points' ``core.row_keys`` keys, which are
     linear, so a vanishing combination has key sum 0; each key sum of 0 is
-    confirmed on the exact rows.  The left half's 3^(N//2) sums are built
-    element by element (sum, sum + key, sum - key), so position i holds the
-    prefix of base-3 index i, and after each step the first exactly
+    confirmed on the exact rows, whose signed sums are taken for a chunk of
+    sign vectors at a time as one int64 product (see _sums_of).  The left
+    half's 3^(N//2) sums are built element by element (sum, sum + key,
+    sum - key), so position i holds the prefix of base-3 index i, and
+    after each step the first exactly
     vanishing prefix in index order is returned.  The right half's sums, in
     ``itertools.product((0, 1, -1))`` order, are joined against the sorted
     left sums: the first nonzero right vector with an exact match gives the
@@ -125,7 +158,7 @@ def verify_qi_exhaustive(
     rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
     keys = row_keys(rows)
     n_left = n // 2
-    cols, right_cols = list(zip(*rows)), list(zip(*rows[n_left:]))
+    sums = _sums_of(rows)
 
     left = np.zeros(1, dtype=np.int64)
     for step, key in enumerate(keys[:n_left]):
@@ -133,9 +166,10 @@ def verify_qi_exhaustive(
         zero = np.flatnonzero(left == 0)
         # a prefix ending in sign 0 is the prefix before it, confirmed a step
         # earlier (index 0, the all-zero prefix, among them)
-        for _, signs in _sign_rows(zero[zero % 3 != 0], step + 1):
-            if not any(_combination(cols, signs)):
-                return False, _witness(signs, n)
+        for chunk, signs in _sign_rows(zero[zero % 3 != 0], step + 1):
+            vanish = np.flatnonzero(~sums(signs, 0).any(axis=1))
+            if len(vanish):
+                return False, _witness(_sign_vector(int(chunk[vanish[0]]), step + 1), n)
 
     right = np.zeros(1, dtype=np.int64)
     for key in keys[n_left:]:
@@ -145,25 +179,26 @@ def verify_qi_exhaustive(
     pos = np.minimum(np.searchsorted(ranked, need), len(ranked) - 1)
     hit = ranked[pos] == need
     hit[0] = False  # the all-zero right vector
-    # Per hit key, the (exact sum, index) pairs of the left sums with that key,
-    # sorted, so a right vector costs one bisection however many left sums
-    # share its key.  Not a dict: Python hashes an int by its residue mod
+    # Per hit key, the (digits of the exact sum, index) pairs of the left sums
+    # with that key, sorted, so a right vector costs one bisection however
+    # many left sums share its key.  Not a dict: Python hashes an int by its residue mod
     # 2^61 - 1 = KEY_MOD, so sums that share a key can share a hash too (all
     # do for points c * KEY_MOD), and a dict of them degrades to a scan.
     exact: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for j, signs in _sign_rows(np.flatnonzero(hit), n - n_left):
-        key = int(need[j])
-        if key not in exact:
-            exact[key] = sorted(
-                (_combination(cols, left_signs), i)
-                for i, left_signs in _sign_rows(np.flatnonzero(left == key), n_left)
-            )
-        table = exact[key]
-        target = tuple(-x for x in _combination(right_cols, signs))
-        pos = bisect_left(table, (target,))  # the smallest index with this sum
-        if pos < len(table) and table[pos][0] == target:
-            [(_, left_signs)] = _sign_rows(np.array([table[pos][1]]), n_left)
-            return False, _witness(left_signs + signs, n)
+    for chunk, signs in _sign_rows(np.flatnonzero(hit), n - n_left):
+        for j, target in zip(chunk.tolist(), map(tuple, sums(-signs, n_left).tolist())):
+            key = int(need[j])
+            if key not in exact:
+                exact[key] = sorted(
+                    (total, i)
+                    for found, left_signs in _sign_rows(np.flatnonzero(left == key), n_left)
+                    for i, total in zip(found.tolist(), map(tuple, sums(left_signs, 0).tolist()))
+                )
+            table = exact[key]
+            pos = bisect_left(table, (target,))  # the smallest index with this sum
+            if pos < len(table) and table[pos][0] == target:
+                left_signs = _sign_vector(table[pos][1], n_left)
+                return False, _witness(left_signs + _sign_vector(j, n - n_left), n)
     return True, None
 
 

@@ -240,18 +240,18 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
 
 
 def test_witness_peak_memory():
-    # above the sample, the witness holds at most the int64 transform of the
-    # exact spectrum, the codes, fwht's two int64 tiles, the scan's chunks
-    # and the ufunc buffers of the butterflies: neither mu's complex
-    # transform nor v = exp(i pi/4 f) times the mask is ever built.  The
-    # cones' chunks (about 33 * _CHUNK bytes) come after the int64
-    # transform is released.  rho = 3 makes the packed table need int64
-    # tiles.
+    # above the sample, the witness holds at most the codes, the exact
+    # spectrum's two pieces (see _exact_pieces: an input and an output of
+    # n / _PIECES int64s), fwht's two int64 tiles, the scan's chunks and the
+    # ufunc buffers of the butterflies: neither mu's complex transform, a
+    # whole int64 transform nor v = exp(i pi/4 f) times the mask is ever
+    # built.  The cones' chunks (about 33 * _CHUNK bytes) come after the
+    # pieces are released.  rho = 3 makes the packed table need int64 tiles.
     import tracemalloc
 
-    from sidonlab.spectral import _CHUNK, _TILE_BITS
+    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
 
-    sample = sample_flat_lambda(nu=18, ell=401, seed=0)
+    sample = sample_flat_lambda(nu=20, ell=401, seed=0)
     n = sample.mask.shape[0]
     tracemalloc.start()
     try:
@@ -259,22 +259,22 @@ def test_witness_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tiles, chunks = 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= 8 * n + n + n + tiles + chunks + slack
+    assert peak <= pieces + n + tiles + chunks + slack
 
 
 def test_flat_sample_and_witness_peak_memory(small_flat):
     # the CLI's path: the sample stays alive through the witness.  The peak
-    # may hold the int64 transform of the exact spectrum, the mask, the int8
-    # codes, fwht's two int64 tiles and the scan's chunks; neither sigma's
-    # spectrum, mu's complex transform nor an array-sized |fwht(f)| may join
-    # them.  (small_flat is drawn before tracing starts, so numpy.random's
-    # import is not counted.)
+    # may hold the mask, the int8 codes, the exact spectrum's two pieces,
+    # fwht's two int64 tiles and the scan's chunks; neither sigma's
+    # spectrum, mu's complex transform, a whole int64 transform nor f's
+    # transform may join them.  (small_flat is drawn before tracing starts,
+    # so numpy.random's import is not counted.)
     import tracemalloc
 
-    from sidonlab.spectral import _CHUNK, _TILE_BITS
+    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
 
     n = 2**20
     tracemalloc.start()
@@ -284,20 +284,21 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tiles, chunks = 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= 8 * n + n + n + tiles + chunks + slack
+    assert peak <= pieces + n + n + tiles + chunks + slack
 
 
 def test_flat_sample_peak_memory(small_flat):
-    # sigma's int64 transform is converted to float64 in place and its
-    # Parseval sum is taken in chunks, so beside that one spectrum the
-    # sample holds only the mask (or the draw's float64 uniforms and the
-    # mask) and two int64 chunks; fwht's int32 tiles are gone by then.
+    # sigma's spectrum is read in two pieces of n / _PIECES int64s (see
+    # _spectrum_summary) and the uniforms are drawn a chunk at a time, so
+    # beside the mask the sample holds only those pieces and two
+    # tile-sized chunks (fwht's two int32 tiles, or the absolute values and
+    # a temporary of the square sum).
     import tracemalloc
 
-    from sidonlab.spectral import _TILE_BITS
+    from sidonlab.spectral import _PIECES, _TILE_BITS
 
     n = 2**20
     tracemalloc.start()
@@ -306,10 +307,10 @@ def test_flat_sample_peak_memory(small_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk = 8 << _TILE_BITS
+    pieces, chunk = 2 * 8 * (n // _PIECES), 8 << _TILE_BITS
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= 8 * n + n + 2 * chunk + slack
+    assert peak <= pieces + n + 2 * chunk + slack
 
 
 def test_witness_report_pin_at_nu22(seed0_nu22):
@@ -447,6 +448,10 @@ def test_witness_from_sample_equals_witness_from_mask(small_flat):
 def test_witness_validation(small_flat):
     with pytest.raises(ValueError):
         analyticity_witness(small_flat, rho=2, y_masks=[0b01, 0b01])
+    # masks that agree below bit nu are one character: f would be 2 chi_1
+    for y_masks in ([1, 1 + 2**small_flat.nu], [2**small_flat.nu], [-1]):
+        with pytest.raises(ValueError, match="independent"):
+            analyticity_witness(small_flat, rho=len(y_masks), y_masks=y_masks)
     with pytest.raises(ValueError):
         analyticity_witness(small_flat, rho=20)
     with pytest.raises(ValueError):
@@ -630,3 +635,115 @@ def test_witness_rejects_a_wrong_exact_transform(small_flat, monkeypatch):
     monkeypatch.setattr(sp, "_gaussian_phases", lambda rho: [(2 * a, 2 * b) for a, b in exact(rho)])
     with pytest.raises(AssertionError, match="exact sup"):
         analyticity_witness(small_flat, rho=2)
+
+
+# ---------------------------------------------------------------------------
+# exact transforms in pieces
+# ---------------------------------------------------------------------------
+
+
+def _packed_parts(nu):
+    """Re and Im parts of a packed table entry, up to the largest modulus
+    whose transform stays below _PACK_LIMIT."""
+    from sidonlab.spectral import _PACK_LIMIT
+
+    bound = (_PACK_LIMIT - 1) >> nu
+    return st.one_of(st.sampled_from([bound, -bound, bound - 1, 1 - bound, 0]),
+                     st.integers(-bound, bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8]),
+    st.sampled_from([1, 4, 1 << 16]),
+    st.integers(0, 12).flatmap(
+        lambda nu: st.tuples(
+            st.just(nu),
+            st.lists(st.tuples(_packed_parts(nu), _packed_parts(nu)), min_size=1, max_size=12),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_pieces_equal_the_transform_property(pieces, chunk, case, seed):
+    import sidonlab.spectral as sp
+
+    nu, parts = case
+    table = np.array([re + (im << 31) for re, im in parts], dtype=np.int64)
+    codes = np.random.default_rng(seed).integers(0, len(table), 2**nu).astype(np.int8)
+    saved = sp._PIECES, sp._CHUNK
+    sp._PIECES, sp._CHUNK = pieces, chunk
+    try:
+        got = list(sp._exact_pieces(codes, table))
+    finally:
+        sp._PIECES, sp._CHUNK = saved
+    assert len(got) == min(pieces, 2**nu)
+    assert all(p.dtype == np.int64 and p.shape == (2**nu // len(got),) for p in got)
+    assert np.concatenate(got).tobytes() == fwht(table[codes]).tobytes()
+
+
+@pytest.mark.parametrize("pieces", [1, 2, 4, 8])
+@pytest.mark.parametrize("nu", [0, 1, 2, 5, 11])
+def test_spectrum_summary_equals_sigma_hat(nu, pieces, monkeypatch):
+    from sidonlab.spectral import _spectrum_summary
+
+    monkeypatch.setattr("sidonlab.spectral._PIECES", pieces)
+    monkeypatch.setattr("sidonlab.spectral._TILE_BITS", 3)  # several abs chunks a piece
+    rng = np.random.default_rng(nu + 10 * pieces)
+    for mask in (np.zeros(2**nu, bool), np.ones(2**nu, bool), rng.random(2**nu) < 0.3):
+        table = sigma_hat(mask)
+        got = _spectrum_summary(mask)
+        assert [x.hex() for x in got] == [table.at_one.hex(), table.sup_offpeak().hex()]
+
+
+def _full_scan(codes, rho, slack):
+    """_near_maxima's answer from the whole exact transform: Re and Im of
+    g * mask transformed separately, every Q kept."""
+    from sidonlab.spectral import _MAX_CANDIDATES, _gaussian_phases
+
+    g = _gaussian_phases(rho)
+    re = fwht(np.array([0] * len(g) + [a for a, _ in g])[codes]).astype(object)
+    im = fwht(np.array([0] * len(g) + [b for _, b in g])[codes]).astype(object)
+    q = re * re + im * im
+    q_max = int(q.max())
+    t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
+    ys = np.flatnonzero(q >= ((t * t) >> 64 if t > 0 else 0)).tolist()
+    return q_max, ys if len(ys) <= _MAX_CANDIDATES else None
+
+
+@pytest.mark.parametrize("pieces", [1, 4, 8])
+@pytest.mark.parametrize("nu", [1, 4, 6, 9])
+def test_near_maxima_match_a_full_scan(nu, pieces, monkeypatch):
+    from sidonlab.spectral import _MAX_CANDIDATES, _near_maxima
+
+    monkeypatch.setattr("sidonlab.spectral._PIECES", pieces)
+    monkeypatch.setattr("sidonlab.spectral._CHUNK", 4)  # several chunks a piece
+    rng = np.random.default_rng(nu)
+    # rho = 0: W is sigma's integer spectrum, and slack = max|W| - level puts
+    # the threshold exactly at level^2, so every |W| = level ties on it
+    mask = rng.random(2**nu) < 0.4
+    s = np.abs(fwht(mask))
+    for level in sorted(set(s.tolist())):
+        want = np.flatnonzero(s >= level).tolist()
+        got = _near_maxima(mask.astype(np.int8), 0, float(s.max() - level))
+        assert got == (int(s.max()) ** 2, want if len(want) <= _MAX_CANDIDATES else None)
+    # a full mask ties 2^rho characters at the maximum: 8 are kept, 16 are not
+    for rho in [r for r in (3, 4) if r <= nu]:
+        codes, _, _ = _mu_inputs(nu, [1 << b for b in range(rho)], np.ones(2**nu, bool))
+        q_max, ys = _near_maxima(codes, rho, 0.0)
+        assert q_max == 4**nu and (len(ys) == 8 if rho == 3 else ys is None)
+        assert (q_max, ys) == _full_scan(codes, rho, 0.0)
+    for rho in range(nu + 1):
+        codes, _, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), rng.random(2**nu) < 0.5)
+        for slack in (0.0, 0.5, 3.0, 2.0**nu):
+            assert _near_maxima(codes, rho, slack) == _full_scan(codes, rho, slack)
+
+
+@pytest.mark.parametrize("nu", [1, 3, 8, 12])
+def test_f_algebra_norm_is_the_transform_sum(nu):
+    rng = np.random.default_rng(nu)
+    mask = rng.random(2**nu) < 0.5
+    for rho in sorted({0, 1, nu // 2, nu}):
+        masks = _independent_masks(nu, rho, rng)
+        report = analyticity_witness(mask, ell=401, rho=rho, y_masks=masks)
+        f = _character_sum(nu, masks)
+        assert report.f_algebra_norm.hex() == (float(np.abs(fwht(f)).sum()) / 2**nu).hex()

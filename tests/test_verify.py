@@ -256,6 +256,48 @@ def test_witness_order_holds_under_key_collisions(pts):
     assert qi == (want is None)
 
 
+# Coordinates on both sides of the int64 digits' limit: a point set whose
+# sum of max|coordinate| reaches 2^63 is written in several digits.
+_EDGE_COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**62, 2**62 - 1, 2**63 - 1, -(2**63), 2**63, 2**70, -(2**100) + 1]),
+    st.builds(lambda c, e: c * KEY_MOD + e, st.integers(-3, 3), st.integers(-1, 1)),
+    st.builds(lambda a, b, c: a * 2**120 + b * 2**58 + c, *[st.integers(-2, 2)] * 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda dim: st.lists(st.tuples(*[_EDGE_COORDS] * dim), min_size=1, max_size=6)))
+def test_exact_sum_digits_equal_exactly_when_the_sums_do(rows):
+    from sidonlab.verify import _sign_rows, _sums_of
+
+    n = len(rows)
+    sums = _sums_of(rows)
+    for start in sorted({0, n // 2}):
+        length = n - start
+        for _, signs in _sign_rows(np.arange(3**length), length):
+            digits = [tuple(row) for row in sums(signs, start).tolist()]
+            exact = [tuple(sum(int(s) * x for s, x in zip(row, col[start:])) for col in zip(*rows))
+                     for row in signs]
+            assert len(set(digits)) == len(set(exact)) == len(set(zip(digits, exact)))
+            assert [not any(d) for d in digits] == [not any(e) for e in exact]
+
+
+@pytest.mark.parametrize("rows", [
+    [(2**62,), (2**62 - 1,), (1,)],                   # max|x| sums to 2^63: digits
+    [(2**62 - 1,), (2**62,), (-1,), (3,)],            # ... and past it
+    [(2**62 - 1,), (2**62 - 2,), (1,)],               # 2^63 - 2: one int64 product
+    [(2**63 - 1, 1), (-(2**63), 5), (1, -6), (0, 1)],  # the int64 extremes
+    [(2**100, 3), (2**100 - 2**58, 3), (2**58, 0)],   # a carry across digits
+])
+def test_witness_order_holds_at_the_int64_limit(rows):
+    pts = [LatticePoint(row) for row in rows]
+    qi, witness = verify_qi_exhaustive(pts)
+    want = _search_order_witness(pts)
+    assert want is not None and witness.eps.signs == want and not qi
+
+
 def _keyless_points(n):
     """3^i * KEY_MOD: every key and every signed key sum is 0, yet the points
     are quasi-independent (dissociated in base 3)."""
@@ -285,24 +327,25 @@ def test_colliding_keys_cost_one_lookup_per_right_vector():
 def test_left_phase_confirms_each_zero_key_prefix_once(monkeypatch):
     # every left prefix of 3^i * KEY_MOD keys to 0; a prefix ending in sign 0
     # repeats the one confirmed a step earlier, so step s confirms 2 * 3^(s-1)
-    # prefixes (the right half's table then confirms all 3^m left sums)
+    # prefixes (the right half's table then confirms all 3^m left sums, and
+    # each of the 3^(n-m) - 1 nonzero right vectors is confirmed once)
     import collections
 
     import sidonlab.verify
 
     lengths = collections.Counter()
-    combination = sidonlab.verify._combination
+    sign_rows = sidonlab.verify._sign_rows
 
-    def counted(cols, signs):
-        if len(cols[0]) == n:  # the left phase and the table: all columns
-            lengths[len(signs)] += 1
-        return combination(cols, signs)
+    def counted(indices, length):
+        lengths[length] += len(indices)
+        return sign_rows(indices, length)
 
-    monkeypatch.setattr(sidonlab.verify, "_combination", counted)
-    n, m = 12, 6
+    monkeypatch.setattr(sidonlab.verify, "_sign_rows", counted)
+    n, m = 13, 6
     assert verify_qi_exhaustive(_keyless_points(n)) == (True, None)
     want = {s: 2 * 3 ** (s - 1) for s in range(1, m)}
     want[m] = 2 * 3 ** (m - 1) + 3**m
+    want[n - m] = 3 ** (n - m) - 1
     assert dict(lengths) == want
 
 
