@@ -18,7 +18,7 @@ ENV_VAR = "SIDONLAB_THREADS"
 
 def default_threads() -> int:
     value = os.environ.get(ENV_VAR, "").strip()
-    if value.isdigit() and int(value) > 0:
+    if value.isascii() and value.isdigit() and int(value) > 0:  # '²'.isdigit() is True
         return int(value)
     return 1
 

@@ -32,6 +32,7 @@ __all__ = [
     "sample_lambda",
     "sample_sub_lambda",
     "trial_statistics",
+    "tied_bound",
     "tied_probability_check",
     "estimate_tied_probability",
     "lemma_search",
@@ -166,21 +167,26 @@ class TiedEstimate(NamedTuple):
     bound: float
 
 
+def tied_bound(cfg: SelectionConfig) -> tuple[float, float]:
+    """The bound p^(-nu/2) on the tied probability, and the allowance of 3
+    binomial sigma (sigma evaluated at the bound, over cfg.trials trials) by
+    which a measured frequency may exceed it."""
+    bound = cfg.p ** (-cfg.nu / 2)
+    return bound, 3 * math.sqrt(bound * (1 - bound) / cfg.trials)
+
+
 def tied_probability_check(cfg: SelectionConfig, tied: int) -> TiedEstimate:
     """Compare ``tied`` dependent thinned sets in cfg.trials trials with p^(-nu/2).
 
-    Raises SelectionError if the frequency exceeds the bound by more than 3
-    binomial sigma (sigma evaluated at the bound).
+    Raises SelectionError if the frequency exceeds the bound by more than
+    the allowance of ``tied_bound``.
     """
     if cfg.trials < TIED_MIN_TRIALS:
         raise ValueError(f"need trials >= {TIED_MIN_TRIALS}")
     estimate = tied / cfg.trials
-    bound = cfg.p ** (-cfg.nu / 2)
-    sigma = math.sqrt(bound * (1 - bound) / cfg.trials)
-    if estimate > bound + 3 * sigma:
-        raise SelectionError(
-            f"tied frequency {estimate} exceeds {bound} + 3 sigma ({3 * sigma})"
-        )
+    bound, allowance = tied_bound(cfg)
+    if estimate > bound + allowance:
+        raise SelectionError(f"tied frequency {estimate} exceeds {bound} + 3 sigma ({allowance})")
     return TiedEstimate(estimate, bound)
 
 

@@ -246,8 +246,10 @@ def _as_mask_array(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int]) -> 
     if nu is None:
         raise ValueError("nu is required when passing masks")
     out = np.zeros(2**nu, dtype=bool)
-    for m in masks:
-        out[int(m)] = True
+    for m in map(int, masks):
+        if not 0 <= m < out.shape[0]:
+            raise ValueError(f"mask {m} lies outside [0, 2^{nu})")
+        out[m] = True
     return out
 
 

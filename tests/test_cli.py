@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sidonlab
-from sidonlab.cli import ConfigError, main, parse_config, run
+from sidonlab.cli import Check, ConfigError, main, parse_config, run
 
 
 def _strip_meta(report: dict) -> dict:
@@ -116,8 +118,44 @@ def test_report_schema_fields(tmp_path):
                 "all_passed", "artifacts", "meta"):
         assert key in report
     assert report["all_passed"]
-    for check in report["checks"]:
+    for check in report["checks"]:  # the relation and tolerance stay out of reports
         assert set(check) == {"name", "value", "bound", "passed"}
+        assert "relation" not in check and "tolerance" not in check
+
+
+@pytest.mark.parametrize("relation, below, equal, above", [
+    ("<=", True, True, False),
+    (">=", False, True, True),
+    ("<", True, False, False),
+    ("==", False, True, False),
+])
+def test_check_verdict_comes_from_value_relation_and_bound(relation, below, equal, above):
+    bound = 0.1
+    for value, want in ((math.nextafter(bound, -math.inf), below), (bound, equal),
+                        (math.nextafter(bound, math.inf), above)):
+        check = Check("c", value, relation, bound)
+        assert check.passed is want
+        assert check.to_dict() == {"name": "c", "value": value, "bound": bound, "passed": want}
+    assert not Check("c", math.nan, relation, bound).passed
+    assert not Check("c", bound, relation, math.nan).passed
+
+
+def test_check_has_no_passed_field_and_fails_minus_infinity_at_least():
+    assert "passed" not in {f.name for f in dataclasses.fields(Check)}
+    assert not Check("c", -math.inf, ">=", 0.0).passed
+    assert Check("c", -math.inf, "<=", 0.0).passed
+
+
+def test_check_tolerance_widens_at_most_only():
+    bound, tol = 0.5, 0.25
+    assert Check("c", bound + tol, "<=", bound, tol).passed
+    assert not Check("c", math.nextafter(bound + tol, math.inf), "<=", bound, tol).passed
+    assert not Check("c", bound + tol, "<=", bound).passed
+    # the other relations read the bound as it is
+    assert not Check("c", bound - tol, ">=", bound, tol).passed
+    assert not Check("c", bound, "<", bound, tol).passed
+    assert not Check("c", bound + tol, "==", bound, tol).passed
+    assert Check("c", bound, "==", bound, tol).passed
 
 
 def test_theorem1_export(tmp_path):
@@ -174,8 +212,14 @@ def test_theorem3_infeasible_schedule_exits_2():
 
 
 def test_appendix_check_runs_clean():
+    from sidonlab.tails import EXACT_LIMIT
+
     report = run(parse_config(["appendix-check", "--u-points", "101"]))
     assert report.all_passed
+    # the rows compare tail <= bound with no Monte Carlo slack: every N is exact
+    ns = [int(c.name.split()[1][2:]) for c in report.checks
+          if c.name.startswith("difference-tail ")]
+    assert ns and max(ns) <= EXACT_LIMIT
 
 
 def test_select_exhausted_search_is_a_failed_check(tmp_path):
@@ -432,18 +476,26 @@ def test_analyticity_csv_lists_the_top_spectrum_magnitudes(tmp_path):
 
 def test_select_failed_tied_check_reports_the_measured_frequency(monkeypatch, tmp_path):
     import sidonlab.selection
+    from sidonlab.selection import SelectionConfig, tied_bound
 
-    def half_tied(cfg, trial):  # every other thinned set is dependent
-        return 2 * cfg.ell * cfg.nu, trial % 2 == 0
+    trials = 120
+    bound, allowance = tied_bound(SelectionConfig(p=2, nu=16, ell=4, trials=trials))
+    assert bound == 2.0**-8 and allowance == 3 * math.sqrt(bound * (1 - bound) / trials)
+    # the row passes at bound + 3 sigma itself
+    assert Check("tied-probability", bound + allowance, "<=", bound, allowance).passed
+    most = math.floor((bound + allowance) * trials)  # the most tied trials that pass
+    for tied, passed in ((trials // 2, False), (most, True), (most + 1, False)):
+        def some_tied(cfg, trial, tied=tied):  # the first `tied` thinned sets are dependent
+            return 2 * cfg.ell * cfg.nu, trial < tied
 
-    monkeypatch.setattr(sidonlab.selection, "trial_statistics", half_tied)
-    out = tmp_path / "r.json"
-    assert main(["select", "--trials", "120", "--out", str(out)]) == 1
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert checks["tied-probability"] == {
-        "name": "tied-probability", "value": 0.5, "bound": 2.0**-8, "passed": False
-    }
-    assert checks["size-window-frequency"]["passed"]
+        monkeypatch.setattr(sidonlab.selection, "trial_statistics", some_tied)
+        out = tmp_path / "r.json"
+        assert main(["select", "--trials", str(trials), "--out", str(out)]) == 1 - passed
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["tied-probability"] == {
+            "name": "tied-probability", "value": tied / trials, "bound": bound, "passed": passed
+        }
+        assert checks["size-window-frequency"]["passed"]
 
 
 @pytest.mark.parametrize("argv, flag", [

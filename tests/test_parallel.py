@@ -14,8 +14,9 @@ def test_env_var_fallback(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
     assert default_threads() == 3
     assert Parallelism(None).threads == 3
-    monkeypatch.setenv(ENV_VAR, "junk")
-    assert default_threads() == 1
+    for junk in ("junk", "²", "0", "-2", "+2", "2.0", "1_0"):  # '²'.isdigit() is True
+        monkeypatch.setenv(ENV_VAR, junk)
+        assert default_threads() == 1
 
 
 def test_threaded_cli_report_matches_serial():

@@ -445,6 +445,16 @@ def test_witness_from_sample_equals_witness_from_mask(small_flat):
         assert from_sample.to_dict() == from_mask.to_dict()
 
 
+@pytest.mark.parametrize("masks", [[-1], [8], [1, 8]])
+def test_masks_outside_the_group_are_refused(masks):
+    # a negative mask must not wrap around to 2^nu - 1
+    bad = next(m for m in masks if not 0 <= m < 8)
+    with pytest.raises(ValueError, match=rf"mask {bad} lies outside \[0, 2\^3\)"):
+        sigma_hat(masks, nu=3)
+    with pytest.raises(ValueError, match=rf"mask {bad} "):
+        analyticity_witness(masks, ell=401, rho=0, nu=3)
+
+
 def test_witness_validation(small_flat):
     with pytest.raises(ValueError):
         analyticity_witness(small_flat, rho=2, y_masks=[0b01, 0b01])
