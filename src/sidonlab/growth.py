@@ -61,8 +61,8 @@ class DoubleLog(GrowthFunction):
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
     def __call__(self, x: float) -> float:
         return max(1.0, self.c * math.log1p(math.log1p(x)))
@@ -99,8 +99,8 @@ class Power(GrowthFunction):
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     def __call__(self, x: float) -> float:
         return max(1.0, x**self.eps)
@@ -138,9 +138,12 @@ class StepTable(GrowthFunction):
     steps: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        steps = tuple(sorted((float(x), float(v)) for x, v in self.steps))
+        steps = tuple((float(x), float(v)) for x, v in self.steps)
         if not steps:
             raise ValueError("step table needs at least one entry")
+        if not all(math.isfinite(t) for step in steps for t in step):
+            raise ValueError("step thresholds and values must be finite")
+        steps = tuple(sorted(steps))
         values = [v for _, v in steps]
         if any(v < 1 for v in values):
             raise ValueError("step values must be >= 1")

@@ -285,8 +285,33 @@ def _sample_direct(cfg: SelectionConfig, trial: int) -> set[FpVector]:
     """
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 2)
     size = int(rng.poisson(2 * cfg.ell * cfg.nu))
-    coords = rng.integers(0, cfg.p, size=(size, cfg.nu))
-    return {FpVector(cfg.p, tuple(int(c) for c in row)) for row in coords}
+    if cfg.p < 2**63:
+        coords = rng.integers(0, cfg.p, size=(size, cfg.nu)).tolist()
+    else:
+        flat = _wide_uniform(rng, cfg.p, size * cfg.nu)
+        coords = [flat[i:i + cfg.nu] for i in range(0, len(flat), cfg.nu)]
+    return {FpVector(cfg.p, tuple(row)) for row in coords}
+
+
+def _wide_uniform(rng: np.random.Generator, p: int, count: int) -> list[int]:
+    """count integers uniform on [0, p) for p beyond int64.
+
+    Each is built from the w = ceil(bits(p) / 64) next 64-bit words of
+    rng's bit generator; a value at or above the largest multiple of p
+    below 2^(64 w) is redrawn, so the rest reduce mod p without bias.
+    """
+    words = -(-p.bit_length() // 64)
+    limit = (1 << 64 * words) // p * p
+    out: list[int] = []
+    while len(out) < count:
+        raw = rng.bit_generator.random_raw((count - len(out)) * words).tolist()
+        for i in range(0, len(raw), words):
+            value = 0
+            for word in raw[i:i + words]:
+                value = value << 64 | word
+            if value < limit:
+                out.append(value % p)
+    return out
 
 
 def lemma_search(

@@ -7,9 +7,11 @@ involution up to the factor 2^nu).  ``sample_flat_lambda`` draws Bernoulli
 selections until the nontrivial spectrum is flat relative to the mass at
 the trivial character; ``analyticity_witness`` then certifies, by duality,
 a lower bound on the restriction-algebra norm of exp(i pi/4 f) for a sum f
-of independent characters.  Its sup |mu^| comes from one exact int64
-transform, whose near-maximal characters alone get fwht's float values
-(see ``_sup_mu``); the full complex transform is its oracle and fallback.
+of independent characters.  Its sup |mu^| comes, at every rho, from one
+exact int64 transform of a unit-valued spectrum, whose near-maximal
+characters alone get fwht's float values (see ``_sup_mu``); mu's full
+complex transform is its oracle, and is taken only when more than
+``_MAX_CANDIDATES`` characters are near the maximum.
 The flatness test and the witness read their exact int64 transforms in
 ``_PIECES`` contiguous output pieces (see ``_exact_pieces``), so neither
 holds a transform of 2^nu entries.
@@ -55,12 +57,12 @@ _TILE_BITS = 16
 
 # The witness's sup |mu^| (see _sup_mu).  EPS_IN bounds |v_k - e^(i pi k/4)|
 # for the float phases v_k of _phases, |k| <= NU_CAP (the worst is 2.45e-15,
-# about 2^-48.5).  An exact transform packs Re + 2^31 Im into int64, so both
-# parts must stay below _PACK_LIMIT in modulus.  Past _MAX_CANDIDATES
+# about 2^-48.5).  _UNITS holds (Re, Im) of (-i)^b for b = 0..3, the values
+# of the unit-valued spectrum (see _unit_phases).  Past _MAX_CANDIDATES
 # near-maximal characters the full complex transform is cheaper than their
 # cones.  The exact scan and the cones run _CHUNK elements at a time.
 EPS_IN = 2.0**-48
-_PACK_LIMIT = 1 << 30
+_UNITS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 _MAX_CANDIDATES = 8
 _CHUNK = 1 << 16
 
@@ -441,12 +443,12 @@ def _character_sum(nu: int, masks: Iterable[int]) -> np.ndarray:
     Bits of a mask at or above nu are ignored.  Each character is built by
     doubling over the nu index bits: its values on [2^b, 2^(b+1)) are its
     values on [0, 2^b), negated when bit b of the mask is set.  The sum is
-    int8 for fewer than 128 masks (it cannot leave [-127, 127]), int64
-    otherwise.
+    int8: independent masks number at most nu <= NU_CAP, so it stays in
+    [-NU_CAP, NU_CAP].
     """
     masks = [int(y) for y in masks]
     n = 1 << nu
-    total = np.zeros(n, dtype=np.int8 if len(masks) < 128 else np.int64)
+    total = np.zeros(n, dtype=np.int8)
     chi = np.empty(n, dtype=np.int8)
     for y in masks:
         chi[0] = 1
@@ -514,11 +516,14 @@ def analyticity_witness(
     read: from a FlatSample they are its fields; for a raw mask
     _spectrum_summary reads them from the exact spectrum in pieces.
     sup |mu^| is fwht's float maximum bit for bit, found by _sup_mu from
-    the exact int64 transform of 2^(rho/2) mu, read in pieces too.  So
-    beyond the mask the peak holds the int8 codes, two int64 arrays of
-    2^nu / _PIECES entries, fwht's two tiles and a few fixed-size chunks:
-    about 5 * 2^nu bytes, and no complex array of 2^nu entries unless
-    _sup_mu falls back to mu's full transform.
+    the exact int64 transform of the unit-valued spectrum u * mask (|mu^|
+    = |U|, see _unit_phases), read in pieces too, at every rho.  So beyond
+    the mask the peak holds the int8 codes, two int64 arrays of 2^nu /
+    _PIECES entries, fwht's two tiles and a few fixed-size chunks: about 5
+    * 2^nu bytes.  Only when more than _MAX_CANDIDATES characters are near
+    the maximum does _sup_mu take mu's full complex transform.  nu above
+    NU_CAP is refused (ResourceCapError): the cap keeps f in int8 and
+    the exact transform packable.
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
@@ -529,6 +534,7 @@ def analyticity_witness(
         raise ValueError("ell is required")
     n = mask.shape[0]
     nu = n.bit_length() - 1
+    _check_nu_cap(nu)
     rho_default, rho_exact = default_rho(ell)
     if rho is None:
         rho = rho_default
@@ -544,19 +550,16 @@ def analyticity_witness(
 
     s1, sup_off = _spectrum_summary(mask) if summary is None else summary
 
-    f = _character_sum(nu, y_masks)
-
     # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
     # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
     # mask is set) from the table of v's values times False, then times
     # True: the complex products np.multiply(v, mask) makes, signed zeros
-    # included.  The codes overwrite f.
+    # included.  The codes overwrite f in its int8 array (4 rho + 1 < 128).
     v = _phases(rho)
     table = np.concatenate((v * False, v * True))
-    codes = f if 4 * rho + 1 <= np.iinfo(f.dtype).max else f.astype(np.int16)
+    codes = _character_sum(nu, y_masks)
     codes += rho
     np.add(codes, 2 * rho + 1, out=codes, where=mask)
-    del f
     sup_mu = _sup_mu(codes, table, rho, int(np.count_nonzero(mask)))
 
     ratio = 20.0 / math.sqrt(ell)
@@ -585,22 +588,17 @@ def _phases(rho: int) -> np.ndarray:
     return np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))
 
 
-def _gaussian_phases(rho: int) -> list[tuple[int, int]]:
-    """(Re, Im) of g_k = 2^(rho/2) e^(i pi k/4) for k = -rho..rho, exactly.
+def _unit_phases(rho: int) -> list[tuple[int, int]]:
+    """(Re, Im) of u_k = (-i)^((rho - k)/2) for k = -rho..rho, exactly.
 
-    f(x) = k means a = (rho + k)/2 characters at +1 and b = (rho - k)/2 at
-    -1, so prod_j (1 + i chi_j(x)) = (1 + i)^a (1 - i)^b, a Gaussian
-    integer.  k of the other parity never occurs and gets 0.
+    f(x) = k means b = (rho - k)/2 characters at -1.  Each factor 1 + i
+    chi_j(x) is 1 + i or 1 - i = -i (1 + i), so prod_j (1 + i chi_j(x)) =
+    (1 + i)^rho (-i)^b, and e^(i pi k/4) = e^(i pi rho/4) u_k: the
+    spectra of u * mask and of e^(i pi f/4) * mask have the same modulus.
+    k of the other parity never occurs and gets 0.
     """
-    out = []
-    for k in range(-rho, rho + 1):
-        re, im = (1, 0) if (rho - k) % 2 == 0 else (0, 0)
-        for _ in range((rho + k) // 2):
-            re, im = re - im, re + im  # times 1 + i
-        for _ in range((rho - k) // 2):
-            re, im = re + im, im - re  # times 1 - i
-        out.append((re, im))
-    return out
+    return [_UNITS[(rho - k) // 2 % 4] if (rho - k) % 2 == 0 else (0, 0)
+            for k in range(-rho, rho + 1)]
 
 
 def _rounding_bound(nu: int, count: int) -> float:
@@ -611,8 +609,8 @@ def _rounding_bound(nu: int, count: int) -> float:
     The butterflies round each complex sum to within u = 2^-53 of its
     modulus, nu times per input, so they err by at most gamma_nu * sum |v_x|
     (gamma_nu = nu u / (1 - nu u)); the inputs err by at most EPS_IN each;
-    the modulus, and the cross-check's 2^(-rho/2) sqrt(Q), by a few ulps of
-    values below 2 * count.
+    the modulus, and the cross-check's sqrt(Q), by a few ulps of values
+    below 2 * count.
     """
     u = 2.0**-53
     gamma = nu * u / (1 - nu * u)
@@ -623,45 +621,39 @@ def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float
     """max |fwht(codes, table=table)|, bit for bit, mostly without that
     complex transform.
 
-    mu^ = 2^(-rho/2) W with W the exact transform of g * mask (see
-    _gaussian_phases), so one int64 transform gives Q = |W|^2 for every
-    character.  Only characters whose exact modulus lies within 2 delta of
-    the exact maximum (delta from _rounding_bound) can hold the float
-    maximum; their float values come from _cone_values, and the maximum
-    from _max_abs as before.  The float maximum must lie within delta of
-    2^(-rho/2) sqrt(max Q), else AssertionError.  When W does not pack
-    (2^ceil(rho/2) * count >= _PACK_LIMIT) or more than _MAX_CANDIDATES
-    characters are near the maximum, the full transform is taken.
+    |mu^| = |U| with U the exact transform of u * mask (see _unit_phases),
+    so one int64 transform gives Q = |U|^2 = |mu^|^2 for every character.
+    Only characters whose exact modulus lies within 2 delta of the exact
+    maximum (delta from _rounding_bound) can hold the float maximum; their
+    float values come from _cone_values, and their maximum from _max_abs.
+    The float maximum must lie within delta of sqrt(max Q), else
+    AssertionError.  The full transform is taken only when more than
+    _MAX_CANDIDATES characters are near the maximum.
     """
-    n = codes.shape[0]
-    delta = _rounding_bound(n.bit_length() - 1, count)
-    q_max = ys = None
-    if count << (rho + 1) // 2 < _PACK_LIMIT:
-        q_max, ys = _near_maxima(codes, rho, math.ldexp(2 * delta, (rho + 1) // 2))
-    if ys is None:
-        sup = _max_abs(fwht(codes, table=table))
-    else:
-        sup = _max_abs(_cone_values(codes, table, ys))
-    if q_max is not None and abs(sup - 2 ** (-rho / 2) * math.sqrt(q_max)) > delta:
+    delta = _rounding_bound(codes.shape[0].bit_length() - 1, count)
+    q_max, ys = _near_maxima(codes, rho, 2 * delta)
+    sup = _max_abs(fwht(codes, table=table) if ys is None else _cone_values(codes, table, ys))
+    if abs(sup - math.sqrt(q_max)) > delta:
         raise AssertionError("float and exact sup |mu^| disagree beyond rounding")
     return sup
 
 
 def _near_maxima(codes: np.ndarray, rho: int, slack: float) -> tuple[int, Optional[list[int]]]:
-    """max Q and the y with sqrt(Q(y)) >= sqrt(max Q) - slack, for Q = |W|^2
-    and W the exact transform of g * mask; None for the y's when there are
+    """max Q and the y with sqrt(Q(y)) >= sqrt(max Q) - slack, for Q = |U|^2
+    and U the exact transform of u * mask; None for the y's when there are
     more than _MAX_CANDIDATES of them.
 
-    W = A + iB is read in pieces (see _exact_pieces) of the int64 transform
-    of the table Re g + 2^31 Im g, indexed by the witness's codes (0 where
-    the mask is unset).  |A| and |B| stay below _PACK_LIMIT = 2^30, so each
-    chunk unpacks by bit operations and is overwritten in place by Q = A^2 +
-    B^2 < 2^61.  Only the _MAX_CANDIDATES + 1 largest (Q, y) pairs seen are
-    kept: the y's above the threshold are all among them when there are at
-    most _MAX_CANDIDATES, and fill them when there are more.
+    U = A + iB is read in pieces (see _exact_pieces) of the int64 transform
+    of the table Re u + 2^31 Im u, indexed by the witness's codes (0 where
+    the mask is unset).  |A| and |B| are at most |Lambda| <= 2^NU_CAP <
+    2^30, so each chunk unpacks by bit operations and is overwritten in
+    place by Q = A^2 + B^2 <= 2^(2 NU_CAP).  Only the _MAX_CANDIDATES + 1
+    largest (Q, y) pairs seen are kept: the y's above the threshold are all
+    among them when there are at most _MAX_CANDIDATES, and fill them when
+    there are more.
     """
-    g = _gaussian_phases(rho)
-    packed = np.array([0] * len(g) + [re + (im << 31) for re, im in g], dtype=np.int64)
+    u = _unit_phases(rho)
+    packed = np.array([0] * len(u) + [re + (im << 31) for re, im in u], dtype=np.int64)
     keep = _MAX_CANDIDATES + 1
     top: list[tuple[int, int]] = []
     low = np.empty(min(codes.shape[0], _CHUNK), np.int64)

@@ -273,12 +273,9 @@ def test_parseval_assertion_exits_3(monkeypatch, capsys):
 def test_witness_cross_check_exits_3(monkeypatch, capsys):
     import sidonlab.spectral
 
-    exact = sidonlab.spectral._gaussian_phases
-
-    def doubled(rho):  # an exact spectrum twice too large
-        return [(2 * re, 2 * im) for re, im in exact(rho)]
-
-    monkeypatch.setattr(sidonlab.spectral, "_gaussian_phases", doubled)
+    # an exact spectrum twice too large
+    doubled = tuple((2 * re, 2 * im) for re, im in sidonlab.spectral._UNITS)
+    monkeypatch.setattr(sidonlab.spectral, "_UNITS", doubled)
     assert main(["analyticity-demo", "--nu", "14", "--ell", "401", "--rho", "2",
                  "--out", "/dev/null"]) == 3
     assert "AssertionError: float and exact sup |mu^| disagree" in capsys.readouterr().err
@@ -415,6 +412,25 @@ def test_mesh_report_bad_input_exits_2_before_counting(tmp_path, change, message
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"sidonlab: {message}")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("w", ["doublelog:inf", "doublelog:nan", "power:inf", "power:nan",
+                               "step:1=inf", "step:1=nan"])
+def test_mesh_report_non_finite_growth_exits_2(tmp_path, capsys, w):
+    # unchecked, "doublelog:inf" passes every k_w_k mesh and "doublelog:nan" reads w = 1
+    inp = tmp_path / "m.json"
+    inp.write_text(json.dumps({**_OVER_CAP_MESH_REPORT, "bound": {"kind": "k_w_k", "w": w}}))
+    assert main(["mesh-report", "--input", str(inp), "--cap", "10", "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError: malformed mesh-report input" in err and "finite" in err
+
+
+@pytest.mark.parametrize("w", ["doublelog:inf", "power:nan"])
+def test_non_finite_growth_flag_is_an_argparse_error(w, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["theorem3", "--w", w])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", [[1, 1.5], [1, "x"], [[1, None]]])
@@ -644,6 +660,12 @@ def test_a_missing_file_or_directory_exits_2(where, tmp_path, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("sidonlab: FileNotFoundError: ")
     assert captured.out == ""
+
+
+def test_theorem3_at_the_block_cap_runs():
+    # p_6 has 68 bits: its coordinates are drawn beyond int64
+    proc = _run_cli("theorem3", "--blocks", "6", "--out", os.devnull)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path):

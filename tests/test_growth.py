@@ -54,6 +54,16 @@ def test_validate_rejects_bad_functions():
         DoubleLog(0)
 
 
+@pytest.mark.parametrize("text", [
+    "doublelog:inf", "doublelog:nan", "doublelog:-inf", "power:inf", "power:nan",
+    "step:1=inf", "step:1=nan", "step:inf=2", "step:nan=2", "step:1=1,10=inf",
+])
+def test_non_finite_parameters_are_refused(text):
+    # NaN passes every "<= 0" and "< 1" test, and inf gives an infinite bound
+    with pytest.raises(ValueError, match="finite"):
+        parse_growth(text)
+
+
 def test_parse_growth_roundtrip():
     for text in ("doublelog:2500", "power:0.5", "step:1=1,10=2,100=7"):
         w = parse_growth(text)

@@ -35,6 +35,9 @@ _CERT = LemmaCertificate(
     checked_subset_size=2, exhaustive=True, mode="bernoulli", use_eighth=False,
     seed=0, trial_found=0,
 )
+# a sample of (Z/2Z)^4 with its spectrum summary (sigma^(1) = sup = 5)
+_FLAT = spectral.FlatSample(nu=4, ell=401, alpha=0.3, mask=np.arange(16) < 5, sigma1=5.0,
+                            sup_offpeak=5.0, retries_used=1, lambda_param=20.0)
 # 9 members by the keyed route: 1 and 2 are not super-increasing at height 1
 _MESH = Mesh((ip(1), ip(2)), Box(1))
 
@@ -57,6 +60,8 @@ LIMITS = [
     (mesh, "ENUM_CAP", 8, lambda: mesh_members(_MESH)),
     (growth, "LEAST_X_DIGIT_CAP", 5, lambda: Power(0.5).least_x(1000.0)),
     (verify, "N_MAX_DEFAULT", 2, lambda: verify_qi_exhaustive([ip(1), ip(2), ip(4)])),
+    # a FlatSample carries its spectrum summary, so no sigma_hat call checks the cap
+    (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT, rho=0)),
 ]
 
 

@@ -129,6 +129,40 @@ def test_lemma_search_large_prime_direct_mode():
     assert cert.verify()
 
 
+def test_lemma_search_beyond_int64():
+    from sidonlab.core import next_prime
+
+    p = next_prime(2**64)
+    cert = lemma_search(SelectionConfig(p=p, nu=16, ell=1), use_eighth=True)
+    assert cert.mode == "direct"
+    coords = [c for v in cert.Lambda for c in v.coords]
+    assert all(0 <= c < p for c in coords)
+    assert any(c >= 2**63 for c in coords)  # not capped at int64
+
+
+def test_wide_uniform_redraws_above_the_largest_multiple():
+    import numpy as np
+
+    from sidonlab.core import next_prime
+    from sidonlab.selection import _wide_uniform
+
+    class Words:  # a bit generator that yields the given 64-bit words
+        def __init__(self, words):
+            self.words = list(words)
+
+        def random_raw(self, size):
+            out, self.words = self.words[:size], self.words[size:]
+            return np.array(out, dtype=np.uint64)
+
+    class Rng:
+        def __init__(self, words):
+            self.bit_generator = Words(words)
+
+    p = next_prime(2**64)
+    top = 2**64 - 1  # (top, top) is 2^128 - 1, above the largest multiple of p
+    assert _wide_uniform(Rng([top, top, 0, 5, 1, 0]), p, 2) == [5, 2**64 % p]
+
+
 def test_lemma_search_eighth_mode():
     cfg = SelectionConfig(p=37, nu=17, ell=2, seed=0)
     cert = lemma_search(cfg, use_eighth=True)

@@ -611,10 +611,6 @@ def test_sup_mu_fallbacks_agree(monkeypatch):
     with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
         m.setattr(sp, "_cone_values", unused)
         assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
-    with monkeypatch.context() as m:  # the exact transform does not pack
-        m.setattr(sp, "_PACK_LIMIT", 1)
-        m.setattr(sp, "_near_maxima", unused)
-        assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
     # an empty mask ties all 2^nu characters at 0
     codes, table, rho = _mu_inputs(nu, [1, 2], np.zeros(2**nu, dtype=bool))
     assert sp._sup_mu(codes, table, rho, 0) == 0.0
@@ -623,17 +619,20 @@ def test_sup_mu_fallbacks_agree(monkeypatch):
 def test_phase_tables_within_eps_in():
     import mpmath
 
-    from sidonlab.spectral import EPS_IN, NU_CAP, _gaussian_phases, _phases
+    from sidonlab.spectral import EPS_IN, NU_CAP, _phases, _unit_phases
 
     with mpmath.workprec(200):
         for rho in range(NU_CAP + 1):
             v = _phases(rho)
             assert (v * True).tobytes() == v.tobytes()  # the witness's masked values
-            for k, vk, (re, im) in zip(range(-rho, rho + 1), v, _gaussian_phases(rho)):
+            for k, vk, (re, im) in zip(range(-rho, rho + 1), v, _unit_phases(rho)):
                 exact = mpmath.expjpi(mpmath.mpf(k) / 4)
                 assert abs(mpmath.mpc(vk.real, vk.imag) - exact) <= EPS_IN
                 if (rho - k) % 2 == 0:
-                    assert abs(mpmath.mpc(re, im) - 2 ** (mpmath.mpf(rho) / 2) * exact) < 1e-50
+                    # (1 + i)^rho u_k = 2^(rho/2) e^(i pi k/4), so |U| = |mu^|
+                    lhs = mpmath.mpc(1, 1) ** rho * mpmath.mpc(re, im)
+                    assert abs(lhs - 2 ** (mpmath.mpf(rho) / 2) * exact) < 1e-50
+                    assert re * re + im * im == 1
                 else:
                     assert (re, im) == (0, 0)
 
@@ -641,10 +640,45 @@ def test_phase_tables_within_eps_in():
 def test_witness_rejects_a_wrong_exact_transform(small_flat, monkeypatch):
     import sidonlab.spectral as sp
 
-    exact = sp._gaussian_phases
-    monkeypatch.setattr(sp, "_gaussian_phases", lambda rho: [(2 * a, 2 * b) for a, b in exact(rho)])
+    monkeypatch.setattr(sp, "_UNITS", tuple((2 * a, 2 * b) for a, b in sp._UNITS))
     with pytest.raises(AssertionError, match="exact sup"):
         analyticity_witness(small_flat, rho=2)
+
+
+@pytest.fixture(scope="module")
+def large_rho_flat():
+    # |Lambda| 2^ceil(rho/2) >= 2^30: the spectrum of 2^(rho/2) mu would
+    # not pack into int64, the unit-valued spectrum does
+    sample = sample_flat_lambda(nu=21, ell=40000, seed=0)
+    assert int(sample.mask.sum()) << 10 >= 1 << 30
+    return sample
+
+
+def test_witness_peak_memory_at_large_rho(large_rho_flat):
+    # the bound of test_witness_peak_memory: at rho = 20 too, mu's complex
+    # transform (16 * 2^nu bytes) is never built
+    import tracemalloc
+
+    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
+
+    n = large_rho_flat.mask.shape[0]
+    tracemalloc.start()
+    try:
+        analyticity_witness(large_rho_flat, rho=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    slack = 3 * np.getbufsize() * 16 + 64 * 1024
+    assert peak <= pieces + n + tiles + chunks + slack
+
+
+def test_witness_cross_check_runs_at_large_rho(large_rho_flat, monkeypatch):
+    import sidonlab.spectral as sp
+
+    monkeypatch.setattr(sp, "_UNITS", tuple((2 * a, 2 * b) for a, b in sp._UNITS))
+    with pytest.raises(AssertionError, match="exact sup"):
+        analyticity_witness(large_rho_flat, rho=20)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +688,8 @@ def test_witness_rejects_a_wrong_exact_transform(small_flat, monkeypatch):
 
 def _packed_parts(nu):
     """Re and Im parts of a packed table entry, up to the largest modulus
-    whose transform stays below _PACK_LIMIT."""
-    from sidonlab.spectral import _PACK_LIMIT
-
-    bound = (_PACK_LIMIT - 1) >> nu
+    whose transform stays below 2^30, where Re + 2^31 Im unpacks."""
+    bound = ((1 << 30) - 1) >> nu
     return st.one_of(st.sampled_from([bound, -bound, bound - 1, 1 - bound, 0]),
                      st.integers(-bound, bound))
 
@@ -707,12 +739,12 @@ def test_spectrum_summary_equals_sigma_hat(nu, pieces, monkeypatch):
 
 def _full_scan(codes, rho, slack):
     """_near_maxima's answer from the whole exact transform: Re and Im of
-    g * mask transformed separately, every Q kept."""
-    from sidonlab.spectral import _MAX_CANDIDATES, _gaussian_phases
+    u * mask transformed separately, every Q kept."""
+    from sidonlab.spectral import _MAX_CANDIDATES, _unit_phases
 
-    g = _gaussian_phases(rho)
-    re = fwht(np.array([0] * len(g) + [a for a, _ in g])[codes]).astype(object)
-    im = fwht(np.array([0] * len(g) + [b for _, b in g])[codes]).astype(object)
+    u = _unit_phases(rho)
+    re = fwht(np.array([0] * len(u) + [a for a, _ in u])[codes]).astype(object)
+    im = fwht(np.array([0] * len(u) + [b for _, b in u])[codes]).astype(object)
     q = re * re + im * im
     q_max = int(q.max())
     t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
@@ -740,7 +772,7 @@ def test_near_maxima_match_a_full_scan(nu, pieces, monkeypatch):
     for rho in [r for r in (3, 4) if r <= nu]:
         codes, _, _ = _mu_inputs(nu, [1 << b for b in range(rho)], np.ones(2**nu, bool))
         q_max, ys = _near_maxima(codes, rho, 0.0)
-        assert q_max == 4**nu and (len(ys) == 8 if rho == 3 else ys is None)
+        assert q_max == 4**nu >> rho and (len(ys) == 8 if rho == 3 else ys is None)
         assert (q_max, ys) == _full_scan(codes, rho, 0.0)
     for rho in range(nu + 1):
         codes, _, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), rng.random(2**nu) < 0.5)
