@@ -13,8 +13,10 @@ characters alone get fwht's float values (see ``_sup_mu``); mu's full
 complex transform is its oracle, and is taken only when more than
 ``_MAX_CANDIDATES`` characters are near the maximum.
 The flatness test and the witness read their exact int64 transforms in
-``_PIECES`` contiguous output pieces (see ``_exact_pieces``), so neither
-holds a transform of 2^nu entries.
+``_PIECES`` contiguous output pieces (see ``_exact_pieces``), each built
+and transformed in place in one buffer of 2^nu / ``_PIECES`` int64s, so
+neither holds a transform of 2^nu entries, nor a piece's input beside its
+output.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ _MAX_CANDIDATES = 8
 _CHUNK = 1 << 16
 
 # _exact_pieces builds an exact transform as this many output pieces (a
-# power of two), so it holds two int64 arrays of 2^nu / _PIECES entries.
+# power of two) in one int64 array of 2^nu / _PIECES entries.
 _PIECES = 4
 
 
@@ -83,7 +85,7 @@ def _target_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def fwht(values, table=None) -> np.ndarray:
+def fwht(values, table=None, out=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform.
 
     out[y] = sum_x in[x] * (-1)^popcount(x & y); applying it twice returns
@@ -92,6 +94,14 @@ def fwht(values, table=None) -> np.ndarray:
     transform is that of ``table[values]``, without building that array:
     the first pass gathers each tile from the table.  The result has the
     same bytes as ``fwht(table[values])``.
+
+    The result is written into ``out`` when one is given, and ``out`` is
+    returned: a one-dimensional, C-contiguous, writeable array of length n
+    and of the result's dtype (int64, float64 or complex128), else
+    ValueError.  Without a table it may be ``values`` itself, which is then
+    transformed in place with the same result bytes; it may share no other
+    memory with ``values``.  With a table it may share none with the codes
+    or the table: the first pass widens each tile's codes in the output.
 
     The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
     pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
@@ -107,8 +117,10 @@ def fwht(values, table=None) -> np.ndarray:
     Every butterfly half is then one contiguous run, and each tile stays in
     cache for all the stages of its pass.  The first pass reads the
     argument and writes the output; every later pass works in place on the
-    output through the tiles.  So the argument is never written, and beyond
-    the output the transform allocates two tiles.
+    output through the tiles.  A tile is written back to the index range it
+    was read from, so the first pass may run in place too.  Without ``out``
+    the argument is never written, and beyond the output the transform
+    allocates two tiles; with ``out`` it allocates only the tiles.
 
     Every output element is made by the same additions and subtractions of
     the same operands, stage by stage in the same order, as the plain
@@ -139,9 +151,12 @@ def fwht(values, table=None) -> np.ndarray:
     source = a if table is None else table
     dtype = _target_dtype(source)
     work = _tile_dtype(source, n, dtype)
+    if out is None:
+        out = np.empty(n, dtype)
+    else:
+        _check_out(out, n, dtype, a, table)
     if table is not None:
         table = table.astype(work, copy=False)
-    out = np.empty(n, dtype)
     tile = min(n, 1 << _TILE_BITS)
     bufs = (np.empty(tile, work), np.empty(tile, work))
     step = max(1, _TILE_BITS // 2)
@@ -150,6 +165,18 @@ def fwht(values, table=None) -> np.ndarray:
         _pass(src, out, lo, min(lo + step, nu), bufs, table)
         src, table = out, None
     return out
+
+
+def _check_out(out, n: int, dtype: np.dtype, a: np.ndarray, table) -> None:
+    """ValueError unless fwht may write its result into out (see fwht)."""
+    if not (isinstance(out, np.ndarray) and out.shape == (n,) and out.dtype == dtype
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable contiguous {dtype} array of length {n}")
+    if table is not None:
+        if np.shares_memory(out, a) or np.shares_memory(out, table):
+            raise ValueError("out may not share memory with the codes or the table")
+    elif np.shares_memory(out, a) and (out.ctypes.data, out.strides) != (a.ctypes.data, a.strides):
+        raise ValueError("out may share memory with values only by being values")
 
 
 def _tile_dtype(values: np.ndarray, n: int, dtype: np.dtype) -> np.dtype:
@@ -242,7 +269,12 @@ class SpectralTable:
 
 
 def _as_mask_array(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int]) -> np.ndarray:
+    """A bool array as it is, else a fresh mask of length 2^nu with the
+    given masks set; ValueError unless the mask is 1-D of length 2^nu."""
     if isinstance(lam, np.ndarray) and lam.dtype == bool:
+        n = lam.shape[0] if lam.ndim == 1 else 0
+        if n == 0 or n & (n - 1):
+            raise ValueError(f"a mask of shape {lam.shape} is not of length 2^nu")
         return lam
     masks = list(lam)
     if nu is None:
@@ -305,9 +337,10 @@ def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
     The exact spectrum is read in pieces (see _exact_pieces): every value
     is an integer of modulus at most 2^nu, so its float is the float64
     transform's value, and its maximum and square sum are exact in any
-    order.  Beyond the mask this holds two int64 arrays of 2^nu / _PIECES
+    order.  Beyond the mask this holds one int64 array of 2^nu / _PIECES
     entries and a few tile-sized chunks.
     """
+    mask = _as_mask_array(mask, None)
     _check_nu_cap(mask.shape[0].bit_length() - 1)
     at_one, sup = None, 0
     # no enumerate: its cached tuple would keep the last piece alive
@@ -318,7 +351,7 @@ def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
         for part in _abs_chunks(piece, np.int64):
             sup = max(sup, int(part.max()))
             lhs += _square_sum(part)
-        del piece  # before the next piece is built
+        piece = part = None  # the piece and its abs chunk, before the next is built
     _check_parseval(lhs, mask)
     return float(at_one), float(sup)
 
@@ -330,12 +363,13 @@ def _exact_pieces(codes: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
     With x_i the i-th block of m entries of table[codes], out[j m + y] is
     sum_i (-1)^popcount(i & j) fwht(x_i)[y], so piece j is the length-m
     fwht of sum_i (-1)^popcount(i & j) x_i.  That input is built _CHUNK
-    entries at a time into one buffer of m int64s, reused by every piece.
-    So the transform holds one m-entry input and one m-entry output at a
-    time, as long as the caller releases each piece, and every view of it,
-    before it asks for the next.  Every value is an exact integer (int64
-    sums wrap, so only the transform's own values must fit), so the pieces
-    have the bytes of fwht(table[codes]).  The codes must index the table.
+    entries at a time into one buffer of m int64s, transformed there in
+    place and yielded: every piece is that same buffer, so a piece is valid
+    only until the next one is requested, and the transform holds one
+    m-entry array and fwht's two tiles.  Every value is an exact integer
+    (int64 sums wrap, so only the transform's own values must fit), so the
+    pieces have the bytes of fwht(table[codes]).  The codes must index the
+    table.
     """
     n = codes.shape[0]
     count = min(_PIECES, n)
@@ -350,7 +384,7 @@ def _exact_pieces(codes: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
             for i in range(1, count):
                 op = np.subtract if (i & j).bit_count() % 2 else np.add
                 op(part, table.take(blocks[i, k:k + _CHUNK], mode="clip"), out=part)
-        yield fwht(buf)
+        yield fwht(buf, out=buf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +394,10 @@ class FlatSample:
     Of the spectrum sigma_hat(mask) it keeps only the two numbers that the
     flatness test and the witness read: sigma1, the value at the trivial
     character, and sup_offpeak, the largest modulus off it.  They are read
-    from the exact spectrum in pieces (see _spectrum_summary), so no
-    spectrum of 2^nu entries is ever held; sigma_hat(mask) builds one with
-    the same two values bit for bit.
+    from the exact spectrum in pieces (see _spectrum_summary), one buffer
+    of 2^nu / _PIECES int64s at a time, so no spectrum of 2^nu entries is
+    ever held; sigma_hat(mask) builds one with the same two values bit for
+    bit.
     """
 
     nu: int
@@ -518,8 +553,8 @@ def analyticity_witness(
     sup |mu^| is fwht's float maximum bit for bit, found by _sup_mu from
     the exact int64 transform of the unit-valued spectrum u * mask (|mu^|
     = |U|, see _unit_phases), read in pieces too, at every rho.  So beyond
-    the mask the peak holds the int8 codes, two int64 arrays of 2^nu /
-    _PIECES entries, fwht's two tiles and a few fixed-size chunks: about 5
+    the mask the peak holds the int8 codes, one int64 array of 2^nu /
+    _PIECES entries, fwht's two tiles and a few fixed-size chunks: about 3
     * 2^nu bytes.  Only when more than _MAX_CANDIDATES characters are near
     the maximum does _sup_mu take mu's full complex transform.  nu above
     NU_CAP is refused (ResourceCapError): the cap keeps f in int8 and
@@ -554,12 +589,14 @@ def analyticity_witness(
     # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
     # mask is set) from the table of v's values times False, then times
     # True: the complex products np.multiply(v, mask) makes, signed zeros
-    # included.  The codes overwrite f in its int8 array (4 rho + 1 < 128).
+    # included.  The codes overwrite f in its int8 array (4 rho + 1 < 128);
+    # the mask folds in as 0/1 int8s times 2 rho + 1, whose temporary is
+    # freed before the pieces are built.
     v = _phases(rho)
     table = np.concatenate((v * False, v * True))
     codes = _character_sum(nu, y_masks)
     codes += rho
-    np.add(codes, 2 * rho + 1, out=codes, where=mask)
+    codes += mask.view(np.int8) * np.int8(2 * rho + 1)
     sup_mu = _sup_mu(codes, table, rho, int(np.count_nonzero(mask)))
 
     ratio = 20.0 / math.sqrt(ell)

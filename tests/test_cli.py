@@ -262,8 +262,10 @@ def test_parseval_assertion_exits_3(monkeypatch, capsys):
 
     import sidonlab.spectral
 
-    def broken_fwht(values, table=None):  # a constant spectrum breaks Parseval
-        return np.ones(len(values), dtype=np.int64)
+    def broken_fwht(values, table=None, out=None):  # a constant spectrum breaks Parseval
+        out = np.empty(len(values), dtype=np.int64) if out is None else out
+        out[...] = 1
+        return out
 
     monkeypatch.setattr(sidonlab.spectral, "fwht", broken_fwht)
     assert main(["analyticity-demo", "--nu", "14", "--ell", "401", "--out", "/dev/null"]) == 3

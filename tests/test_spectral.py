@@ -144,6 +144,9 @@ def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatc
     out = fwht(codes, table=table)
     assert out.dtype == np.dtype(kind)
     assert out.tobytes() == fwht(table[codes]).tobytes()
+    given_out = np.full(2**nu, 3, out.dtype)
+    assert fwht(codes, table=table, out=given_out) is given_out
+    assert given_out.tobytes() == out.tobytes()
     assert codes.tobytes() == saved[0].tobytes() and table.tobytes() == saved[1].tobytes()
 
 
@@ -183,21 +186,85 @@ def _check_fwht_leaves_its_argument(nu, dtype):
 
 
 def test_fwht_allocates_the_output_and_two_tiles():
+    # in place (out=values) the output is not allocated either
     import tracemalloc
 
     from sidonlab.spectral import _TILE_BITS
 
-    a = np.ones(2**18, dtype=np.complex128)
-    tile_bytes = (1 << _TILE_BITS) * a.itemsize
-    tracemalloc.start()
+    for in_place in (False, True):
+        a = np.ones(2**18, dtype=np.complex128)
+        tile_bytes = (1 << _TILE_BITS) * a.itemsize
+        tracemalloc.start()
+        try:
+            out = fwht(a, out=a if in_place else None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out[0] == 2**18 and not out[1:].any()
+        # slack: the buffers numpy's ufunc loop takes for three strided operands
+        slack = 3 * np.getbufsize() * a.itemsize + 64 * 1024
+        assert peak <= (0 if in_place else out.nbytes) + 2 * tile_bytes + slack
+
+
+# out= is the argument itself where the dtypes allow it (bool has no
+# in-place transform), else a separate array; the tile sizes run one to two
+# bits a pass, three bits a pass and the default.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 3, 16]),
+    st.integers(0, 12),
+    st.sampled_from([np.bool_, np.int64, np.float64, np.complex128]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fwht_into_out_equals_a_fresh_transform_property(tile_bits, nu, dtype, seed):
+    import sidonlab.spectral
+
+    rng = np.random.default_rng(seed)
+    if dtype is np.bool_:
+        x = rng.random(2**nu) < 0.5
+    elif dtype is np.int64:
+        x = rng.integers(-(2**40), 2**40, 2**nu)
+    else:
+        x = rng.standard_normal(2**nu) * 10.0 ** rng.integers(-8, 9, 2**nu)
+        if dtype is np.complex128:
+            x = x + 1j * rng.standard_normal(2**nu)
+    saved = sidonlab.spectral._TILE_BITS
+    sidonlab.spectral._TILE_BITS = tile_bits
     try:
-        out = fwht(a)
-        _, peak = tracemalloc.get_traced_memory()
+        want = fwht(x)
+        y = x.copy()
+        out = y if dtype is not np.bool_ else np.full(2**nu, 7, np.int64)
+        got = fwht(y, out=out)
     finally:
-        tracemalloc.stop()
-    # slack: the buffers numpy's ufunc loop takes for three strided operands
-    slack = 3 * np.getbufsize() * a.itemsize + 64 * 1024
-    assert peak <= out.nbytes + 2 * tile_bytes + slack
+        sidonlab.spectral._TILE_BITS = saved
+    assert got is out
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_fwht_rejects_a_bad_out():
+    x = np.arange(8)
+    read_only = np.empty(8, np.int64)
+    read_only.flags.writeable = False
+    bad = [np.empty(8, np.float64), np.empty(8, np.int32), np.empty(4, np.int64),
+           np.empty(16, np.int64), np.empty(16, np.int64)[::2], np.empty((2, 4), np.int64),
+           read_only, [0] * 8]
+    for out in bad:
+        with pytest.raises(ValueError, match="out must be"):
+            fwht(x, out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        fwht(np.ones(8, bool), out=np.ones(8, bool))  # bool is not the result dtype
+    big = np.arange(16)
+    with pytest.raises(ValueError, match="only by being values"):
+        fwht(big[4:12], out=big[:8])  # overlapping, but not the argument itself
+    # with a table the output may share memory with neither codes nor table
+    buf = np.zeros(16, np.int64)
+    with pytest.raises(ValueError, match="codes or the table"):
+        fwht(buf[:8], table=np.arange(3), out=buf[:8])
+    with pytest.raises(ValueError, match="codes or the table"):
+        fwht(buf[:8], table=np.arange(3), out=buf[4:12])
+    table = np.arange(8, dtype=np.int64)
+    with pytest.raises(ValueError, match="codes or the table"):
+        fwht(np.zeros(8, np.int8), table=table, out=table)
 
 
 def _sha256(data: bytes) -> str:
@@ -241,8 +308,8 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
 
 def test_witness_peak_memory():
     # above the sample, the witness holds at most the codes, the exact
-    # spectrum's two pieces (see _exact_pieces: an input and an output of
-    # n / _PIECES int64s), fwht's two int64 tiles, the scan's chunks and the
+    # spectrum's one piece (see _exact_pieces: n / _PIECES int64s,
+    # transformed in place), fwht's two int64 tiles, the scan's chunks and the
     # ufunc buffers of the butterflies: neither mu's complex transform, a
     # whole int64 transform nor v = exp(i pi/4 f) times the mask is ever
     # built.  The cones' chunks (about 33 * _CHUNK bytes) come after the
@@ -259,15 +326,15 @@ def test_witness_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= pieces + n + tiles + chunks + slack
+    assert peak <= piece + n + tiles + chunks + slack
 
 
 def test_flat_sample_and_witness_peak_memory(small_flat):
     # the CLI's path: the sample stays alive through the witness.  The peak
-    # may hold the mask, the int8 codes, the exact spectrum's two pieces,
+    # may hold the mask, the int8 codes, the exact spectrum's one piece,
     # fwht's two int64 tiles and the scan's chunks; neither sigma's
     # spectrum, mu's complex transform, a whole int64 transform nor f's
     # transform may join them.  (small_flat is drawn before tracing starts,
@@ -284,18 +351,19 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= pieces + n + n + tiles + chunks + slack
+    assert peak <= piece + n + n + tiles + chunks + slack
 
 
 def test_flat_sample_peak_memory(small_flat):
-    # sigma's spectrum is read in two pieces of n / _PIECES int64s (see
-    # _spectrum_summary) and the uniforms are drawn a chunk at a time, so
-    # beside the mask the sample holds only those pieces and two
-    # tile-sized chunks (fwht's two int32 tiles, or the absolute values and
-    # a temporary of the square sum).
+    # sigma's spectrum is read in pieces of n / _PIECES int64s, each
+    # transformed in place in one buffer (see _spectrum_summary), and the
+    # uniforms are drawn a chunk at a time, so beside the mask the sample
+    # holds only that piece and two tile-sized chunks (fwht's two int32
+    # tiles, or the absolute values and a temporary of the square sum; the
+    # absolute values are released with their piece).
     import tracemalloc
 
     from sidonlab.spectral import _PIECES, _TILE_BITS
@@ -307,10 +375,10 @@ def test_flat_sample_peak_memory(small_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pieces, chunk = 2 * 8 * (n // _PIECES), 8 << _TILE_BITS
+    piece, chunk = 8 * (n // _PIECES), 8 << _TILE_BITS
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= pieces + n + 2 * chunk + slack
+    assert peak <= piece + n + 2 * chunk + slack
 
 
 def test_witness_report_pin_at_nu22(seed0_nu22):
@@ -343,6 +411,16 @@ def test_sigma_hat_counts_and_parseval():
     assert table.at_one == 3
     full = sigma_hat(np.ones(16, dtype=bool))
     assert full.at_one == 16 and full.sup_offpeak() == 0
+
+
+@pytest.mark.parametrize("length", [3, 5, 6, 12])
+def test_a_mask_of_no_power_of_two_length_is_refused(length):
+    from sidonlab.spectral import _spectrum_summary
+
+    mask = np.ones(length, dtype=bool)
+    for call in (sigma_hat, _spectrum_summary, lambda m: analyticity_witness(m, ell=500)):
+        with pytest.raises(ValueError, match=rf"shape \({length},\) is not of length 2\^nu"):
+            call(mask)
 
 
 def test_spectral_table_takes_its_off_peak_supremum_in_tile_chunks():
@@ -668,9 +746,9 @@ def test_witness_peak_memory_at_large_rho(large_rho_flat):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pieces, tiles, chunks = 2 * 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= pieces + n + tiles + chunks + slack
+    assert peak <= piece + n + tiles + chunks + slack
 
 
 def test_witness_cross_check_runs_at_large_rho(large_rho_flat, monkeypatch):
@@ -714,8 +792,8 @@ def test_exact_pieces_equal_the_transform_property(pieces, chunk, case, seed):
     codes = np.random.default_rng(seed).integers(0, len(table), 2**nu).astype(np.int8)
     saved = sp._PIECES, sp._CHUNK
     sp._PIECES, sp._CHUNK = pieces, chunk
-    try:
-        got = list(sp._exact_pieces(codes, table))
+    try:  # a piece is valid only until the next one is requested
+        got = [piece.copy() for piece in sp._exact_pieces(codes, table)]
     finally:
         sp._PIECES, sp._CHUNK = saved
     assert len(got) == min(pieces, 2**nu)
