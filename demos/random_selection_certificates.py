@@ -13,9 +13,8 @@ from sidonlab import (
     estimate_tied_probability,
     k_ell,
     lemma_search,
-    sample_lambda,
-    sample_sub_lambda,
 )
+from sidonlab.selection import trial_statistics
 
 cfg = SelectionConfig(p=2, nu=16, ell=4, seed=0, trials=400)
 print(f"p = {cfg.p}, nu = {cfg.nu}, ell = {cfg.ell}")
@@ -23,17 +22,18 @@ print(f"alpha = 2*ell*nu/p^nu = {cfg.alpha:.3e}  (expected size {cfg.space_size 
 print(f"beta  = 1/(4*p*ell)   = {cfg.beta:.4f}")
 print()
 
-sizes = [len(sample_lambda(cfg, t)) for t in range(cfg.trials)]
+# one draw per trial gives |Lambda| and whether its thinned set is dependent
+stats = [trial_statistics(cfg, t) for t in range(cfg.trials)]
+sizes = [size for size, _ in stats]
 lo, hi = cfg.ell * cfg.nu, 3 * cfg.ell * cfg.nu
 freq = sum(1 for s in sizes if lo <= s <= hi) / cfg.trials
 print(f"mean |Lambda| over {cfg.trials} trials: {sum(sizes)/len(sizes):.1f}")
 print(f"P({lo} <= |Lambda| <= {hi}) empirically {freq:.4f}, "
       f"analytic bound {1 - 2 * math.exp(-cfg.ell * cfg.nu / 16):.4f}")
 
-lam = sample_lambda(cfg, 0)
-sub = sample_sub_lambda(lam, cfg, 0)
-print(f"one draw: |Lambda| = {len(lam)}, thinned |lambda| = {len(sub)} "
-      f"(mean {len(lam) * cfg.beta:.1f})")
+size, tied = stats[0]
+print(f"one draw: |Lambda| = {size}, thinned set of mean size {size * cfg.beta:.1f} "
+      f"is {'dependent' if tied else 'free'}")
 print()
 
 estimate, bound = estimate_tied_probability(cfg)

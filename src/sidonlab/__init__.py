@@ -56,7 +56,6 @@ from .selection import (
     k_ell,
     lemma_search,
     sample_lambda,
-    sample_sub_lambda,
 )
 from .growth import DoubleLog, GrowthFunction, Power, StepTable, parse_growth
 from .blocks import (
@@ -75,13 +74,11 @@ from .spread import (
 )
 from .spectral import (
     FlatSample,
-    SpectralTable,
     WitnessReport,
     analyticity_witness,
     fwht,
     naive_wht,
     sample_flat_lambda,
-    sigma_hat,
 )
 from .tails import (
     SubGaussianSpec,

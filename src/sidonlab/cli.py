@@ -627,7 +627,7 @@ def _run_theorem3(params, seed, pool):
 def _run_analyticity(params, seed, pool):
     import numpy as np
 
-    from .spectral import FlatnessFailure, analyticity_witness, sample_flat_lambda, sigma_hat
+    from .spectral import FlatnessFailure, analyticity_witness, fwht, sample_flat_lambda
 
     nu, ell, budget = params["nu"], params["ell"], params["max-retries"]
     if params["rho"] > nu:
@@ -650,7 +650,7 @@ def _run_analyticity(params, seed, pool):
     if params["csv"]:
         import csv as _csv
 
-        mags = np.abs(sigma_hat(sample.mask).values)  # the sample keeps no spectrum
+        mags = np.abs(fwht(sample.mask.astype(np.float64)))  # the sample keeps no spectrum
         top = np.argsort(mags)[::-1][: params["top"]]
         with open(params["csv"], "w", newline="") as fh:
             writer = _csv.writer(fh)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,33 +24,23 @@ from .rng import stream
 __all__ = [
     "SelectionConfig",
     "LemmaCertificate",
-    "SelectionError",
     "SearchFailure",
     "k_ell",
     "sample_lambda_rows",
     "sample_lambda",
-    "sample_sub_lambda",
     "trial_statistics",
     "tied_bound",
-    "tied_probability_check",
     "estimate_tied_probability",
     "lemma_search",
-    "exact_dependence_probability",
-    "enumerate_dependence_probability",
 ]
 
 # Desk limits; the caps and the budget of subsets are read at each call.
 SAMPLING_CAP = 2**26  # points of the space that pointwise sampling visits
 SUBSET_BUDGET = 2 * 10**6  # subsets the search or a re-verification checks
 RETRY_BUDGET = 10**4  # draws the certified search makes
-ORACLE_SUBSET_CAP = 10**6  # subsets the enumeration oracle visits
 LEMMA_NU_MIN = 16  # least nu of the certified search
 TIED_MIN_TRIALS = 100  # least trials of the tied-probability check
 _CHUNK = 1 << 20
-
-
-class SelectionError(RuntimeError):
-    """A probability bound check failed beyond the statistical slack."""
 
 
 class SearchFailure(RuntimeError):
@@ -136,25 +125,11 @@ def _thin_mask(n: int, cfg: SelectionConfig, trial: int, beta: float) -> np.ndar
     return rng.random(n) < beta
 
 
-def sample_sub_lambda(
-    Lambda: set[FpVector],
-    cfg: SelectionConfig,
-    trial: int = 0,
-    beta: Optional[float] = None,
-) -> set[FpVector]:
-    """Keep each element of Lambda independently with probability beta."""
-    if beta is None:
-        beta = cfg.beta
-    ordered = sorted(Lambda, key=lambda v: v.coords)
-    keep = _thin_mask(len(ordered), cfg, trial, beta)
-    return {v for v, k in zip(ordered, keep) if k}
-
-
 def trial_statistics(cfg: SelectionConfig, trial: int) -> tuple[int, bool]:
     """|Lambda| and whether its thinned set is dependent, from one draw.
 
-    Gives the same answers as ``sample_lambda`` followed by
-    ``sample_sub_lambda``; only the thinned points become ``FpVector``s.
+    Stage two keeps each of Lambda's coordinate-sorted points with
+    probability beta; only the thinned points become ``FpVector``s.
     """
     rows = sample_lambda_rows(cfg, trial)
     thinned = rows[_thin_mask(len(rows), cfg, trial, cfg.beta)]
@@ -175,28 +150,11 @@ def tied_bound(cfg: SelectionConfig) -> tuple[float, float]:
     return bound, 3 * math.sqrt(bound * (1 - bound) / cfg.trials)
 
 
-def tied_probability_check(cfg: SelectionConfig, tied: int) -> TiedEstimate:
-    """Compare ``tied`` dependent thinned sets in cfg.trials trials with p^(-nu/2).
-
-    Raises SelectionError if the frequency exceeds the bound by more than
-    the allowance of ``tied_bound``.
-    """
-    if cfg.trials < TIED_MIN_TRIALS:
-        raise ValueError(f"need trials >= {TIED_MIN_TRIALS}")
-    estimate = tied / cfg.trials
-    bound, allowance = tied_bound(cfg)
-    if estimate > bound + allowance:
-        raise SelectionError(f"tied frequency {estimate} exceeds {bound} + 3 sigma ({allowance})")
-    return TiedEstimate(estimate, bound)
-
-
 def estimate_tied_probability(cfg: SelectionConfig) -> TiedEstimate:
-    """Monte-Carlo frequency of a linearly dependent thinned set.
-
-    See ``tied_probability_check`` for the comparison with p^(-nu/2).
-    """
+    """Monte-Carlo frequency of a linearly dependent thinned set over
+    cfg.trials draws, beside the bound p^(-nu/2) of ``tied_bound``."""
     tied = sum(trial_statistics(cfg, t)[1] for t in range(cfg.trials))
-    return tied_probability_check(cfg, tied)
+    return TiedEstimate(tied / cfg.trials, tied_bound(cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,41 +314,3 @@ def lemma_search(
         f"no certifiable set within {max_retries} retries for "
         f"(p={cfg.p}, nu={cfg.nu}, ell={cfg.ell})"
     )
-
-
-# ---------------------------------------------------------------------------
-# exact small-case dependence probabilities
-# ---------------------------------------------------------------------------
-
-
-def exact_dependence_probability(p: int, nu: int, k: int) -> Fraction:
-    """P(k uniform random distinct points of F_p^nu are dependent), exact.
-
-    Product form: the (j+1)-st point breaks freeness with probability
-    (p^j - j) / (p^nu - j) given the first j were free.
-    """
-    size = p**nu
-    if k > size:
-        raise ValueError("cannot draw more distinct points than the space has")
-    free = Fraction(1)
-    for j in range(k):
-        free *= Fraction(size - p**j, size - j)
-    return 1 - free
-
-
-def enumerate_dependence_probability(p: int, nu: int, k: int) -> Fraction:
-    """Brute-force enumeration over all k-subsets (small spaces only)."""
-    size = p**nu
-    if math.comb(size, k) > ORACLE_SUBSET_CAP:
-        raise ResourceCapError(
-            f"C({size},{k}) subsets exceed the oracle's cap {ORACLE_SUBSET_CAP}"
-        )
-    rows = _digits(np.arange(size), p, nu).tolist()
-    points = [FpVector(p, tuple(row)) for row in rows]
-    total = 0
-    dependent = 0
-    for subset in itertools.combinations(points, k):
-        total += 1
-        if fp_rank(subset) != k:
-            dependent += 1
-    return Fraction(dependent, total)

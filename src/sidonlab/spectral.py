@@ -34,20 +34,16 @@ from .rng import stream
 __all__ = [
     "fwht",
     "naive_wht",
-    "SpectralTable",
-    "sigma_hat",
     "FlatSample",
     "FlatnessFailure",
     "sample_flat_lambda",
     "WitnessReport",
     "analyticity_witness",
     "masks_independent",
-    "a_norm_upper_bound",
 ]
 
 # Desk limits; the caps are read at each call.
 NU_CAP = 26  # largest nu whose full spectrum is transformed
-A_NORM_NU_CAP = 8  # largest nu of the subgradient cross-check
 FLAT_RETRY_BUDGET = 20  # draws sample_flat_lambda makes by default
 FLAT_ELL_LIMIT = 400  # sample_flat_lambda needs ell above this
 
@@ -85,23 +81,18 @@ def _target_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def fwht(values, table=None, out=None) -> np.ndarray:
+def fwht(values, out=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform.
 
     out[y] = sum_x in[x] * (-1)^popcount(x & y); applying it twice returns
-    2^nu times the input.  Integer inputs stay exact (int64).  With a
-    one-dimensional ``table``, ``values`` are integer codes into it and the
-    transform is that of ``table[values]``, without building that array:
-    the first pass gathers each tile from the table.  The result has the
-    same bytes as ``fwht(table[values])``.
+    2^nu times the input.  Integer inputs stay exact (int64).
 
     The result is written into ``out`` when one is given, and ``out`` is
     returned: a one-dimensional, C-contiguous, writeable array of length n
     and of the result's dtype (int64, float64 or complex128), else
-    ValueError.  Without a table it may be ``values`` itself, which is then
-    transformed in place with the same result bytes; it may share no other
-    memory with ``values``.  With a table it may share none with the codes
-    or the table: the first pass widens each tile's codes in the output.
+    ValueError.  It may be ``values`` itself, which is then transformed in
+    place with the same result bytes; it may share no other memory with
+    ``values``.
 
     The transform is the radix-2 butterfly (a, b) -> (a + b, a - b) on the
     pairs (x, x + h) with x & h == 0, one stage per h = 1, 2, 4, ..., 2^(nu-1)
@@ -133,7 +124,7 @@ def fwht(values, table=None, out=None) -> np.ndarray:
     is a sum of 2^s input values with signs, so |value| <= 2^s * max|x| <= n
     * max|x|: no partial sum leaves int32, each sum is exact, and the int64
     output is bit-identical to the int64 loop.  The rule reads only the
-    input (with a table, the table's values).
+    input.
     """
     a = np.asarray(values)
     if a.ndim != 1:
@@ -141,41 +132,29 @@ def fwht(values, table=None, out=None) -> np.ndarray:
     n = a.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    if table is not None:
-        table = np.asarray(table)
-        if table.ndim != 1 or a.dtype.kind not in "iu":
-            raise ValueError("a table needs a one-dimensional table and integer codes")
-        if int(a.min()) < 0 or int(a.max()) >= table.shape[0]:
-            raise ValueError("a code lies outside the table")
     nu = n.bit_length() - 1
-    source = a if table is None else table
-    dtype = _target_dtype(source)
-    work = _tile_dtype(source, n, dtype)
+    dtype = _target_dtype(a)
+    work = _tile_dtype(a, n, dtype)
     if out is None:
         out = np.empty(n, dtype)
     else:
-        _check_out(out, n, dtype, a, table)
-    if table is not None:
-        table = table.astype(work, copy=False)
+        _check_out(out, n, dtype, a)
     tile = min(n, 1 << _TILE_BITS)
     bufs = (np.empty(tile, work), np.empty(tile, work))
     step = max(1, _TILE_BITS // 2)
     src = a
     for lo in range(0, max(nu, 1), step):  # at nu = 0, one pass of no stages copies
-        _pass(src, out, lo, min(lo + step, nu), bufs, table)
-        src, table = out, None
+        _pass(src, out, lo, min(lo + step, nu), bufs)
+        src = out
     return out
 
 
-def _check_out(out, n: int, dtype: np.dtype, a: np.ndarray, table) -> None:
+def _check_out(out, n: int, dtype: np.dtype, a: np.ndarray) -> None:
     """ValueError unless fwht may write its result into out (see fwht)."""
     if not (isinstance(out, np.ndarray) and out.shape == (n,) and out.dtype == dtype
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable contiguous {dtype} array of length {n}")
-    if table is not None:
-        if np.shares_memory(out, a) or np.shares_memory(out, table):
-            raise ValueError("out may not share memory with the codes or the table")
-    elif np.shares_memory(out, a) and (out.ctypes.data, out.strides) != (a.ctypes.data, a.strides):
+    if np.shares_memory(out, a) and (out.ctypes.data, out.strides) != (a.ctypes.data, a.strides):
         raise ValueError("out may share memory with values only by being values")
 
 
@@ -196,16 +175,10 @@ def _butterfly(src: np.ndarray, dst: np.ndarray, width: int) -> None:
     np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
 
 
-def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs, table=None) -> None:
+def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs) -> None:
     """The stages of index bits [lo, hi), from src into dst (which may be
     src), one tile of len(bufs[0]) elements at a time through the two
-    buffers in bufs.
-
-    With a table (first pass only, lo = 0), src holds codes and a tile is
-    loaded as table[codes].  np.take would widen each tile's codes to intp
-    in a temporary of its own; they are widened instead into the block of
-    dst that the tile is written back to, which is contiguous when lo = 0
-    and has at least 8 bytes an element, and is not read before then."""
+    buffers in bufs."""
     m, cols = 1 << (hi - lo), 1 << lo
     w = min(cols, bufs[0].shape[0] // m)  # columns per tile
     b = bufs[0].shape[0] // (m * w)  # rows of the slowest axis per tile
@@ -215,13 +188,7 @@ def _pass(src: np.ndarray, dst: np.ndarray, lo: int, hi: int, bufs, table=None) 
     for r in range(0, s.shape[0], b):
         for c in range(0, cols, w):
             x, y = tiles
-            block = s[r:r + b, :, c:c + w].transpose(1, 0, 2)
-            if table is None:
-                np.copyto(x, block, casting="unsafe")
-            else:
-                codes = d[r:r + b].reshape(-1).view(np.intp)[:x.size].reshape(x.shape)
-                np.copyto(codes, block, casting="unsafe")
-                np.take(table, codes, out=x, mode="clip")  # codes checked by fwht
+            np.copyto(x, s[r:r + b, :, c:c + w].transpose(1, 0, 2), casting="unsafe")
             h = 1
             while h < m:
                 _butterfly(x, y, h * b * w)
@@ -242,30 +209,6 @@ def naive_wht(values) -> np.ndarray:
             s += a[x] if (x & y).bit_count() % 2 == 0 else -a[x]
         out[y] = s
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralTable:
-    """A full spectrum, indexed by the nu-bit character mask."""
-
-    nu: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (2**self.nu,):
-            raise ValueError("spectrum length must be 2^nu")
-        self.values.flags.writeable = False
-        sup = _max_abs(self.values[1:]) if self.nu else 0.0
-        object.__setattr__(self, "_sup_offpeak", sup)
-
-    @property
-    def at_one(self) -> float:
-        """The value at the trivial character (mask 0)."""
-        return float(abs(self.values[0]))
-
-    def sup_offpeak(self) -> float:
-        """max |value| over the nontrivial characters, taken once."""
-        return self._sup_offpeak
 
 
 def _as_mask_array(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int]) -> np.ndarray:
@@ -292,28 +235,6 @@ def _check_nu_cap(nu: int) -> None:
         raise ResourceCapError(f"nu = {nu} exceeds the cap {NU_CAP}")
 
 
-def sigma_hat(lam: Union[np.ndarray, Iterable[int]], nu: Optional[int] = None) -> SpectralTable:
-    """Transform of the counting measure of a subset of (Z/2Z)^nu.
-
-    The value at mask 0 equals |Lambda|.  Verifies the Parseval identity
-    sum_y s(y)^2 = 2^nu * |Lambda|, its left side summed exactly, to 1e-9
-    relative before returning.  The integer transform is then converted in
-    place, chunk by chunk: every value is an integer of magnitude at most
-    2^nu, so it equals the float64 transform of the 0/1 mask bit for bit.
-    """
-    mask = _as_mask_array(lam, nu)
-    n = mask.shape[0]
-    nu = n.bit_length() - 1
-    _check_nu_cap(nu)
-    values = fwht(mask)  # from int32 tiles, so every square is below 2^62
-    table, lhs, step = values.view(np.float64), 0, 1 << _TILE_BITS
-    for i, part in zip(range(0, n, step), _abs_chunks(values, np.int64)):
-        lhs += _square_sum(part)
-        table[i:i + step] = values[i:i + step]
-    _check_parseval(lhs, mask)
-    return SpectralTable(nu, table)
-
-
 def _square_sum(part: np.ndarray) -> int:
     """sum part^2 exactly, for int64 values of modulus at most 2^26 (the
     spectrum of a mask, nu <= NU_CAP); part is overwritten by its squares.
@@ -332,7 +253,8 @@ def _check_parseval(lhs: int, mask: np.ndarray) -> None:
 
 def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
     """sigma^(0) and max |sigma^| over the nontrivial characters, bit for
-    bit as sigma_hat(mask) gives them, after its Parseval check.
+    bit as the float64 transform of the mask gives them, after a check of
+    the Parseval identity sum_y sigma^(y)^2 = 2^nu |Lambda|.
 
     The exact spectrum is read in pieces (see _exact_pieces): every value
     is an integer of modulus at most 2^nu, so its float is the float64
@@ -391,13 +313,12 @@ def _exact_pieces(codes: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
 class FlatSample:
     """A Bernoulli selection whose nontrivial spectrum is flat.
 
-    Of the spectrum sigma_hat(mask) it keeps only the two numbers that the
+    Of the spectrum fwht(mask) it keeps only the two numbers that the
     flatness test and the witness read: sigma1, the value at the trivial
     character, and sup_offpeak, the largest modulus off it.  They are read
     from the exact spectrum in pieces (see _spectrum_summary), one buffer
     of 2^nu / _PIECES int64s at a time, so no spectrum of 2^nu entries is
-    ever held; sigma_hat(mask) builds one with the same two values bit for
-    bit.
+    ever held.
     """
 
     nu: int
@@ -556,9 +477,10 @@ def analyticity_witness(
     the mask the peak holds the int8 codes, one int64 array of 2^nu /
     _PIECES entries, fwht's two tiles and a few fixed-size chunks: about 3
     * 2^nu bytes.  Only when more than _MAX_CANDIDATES characters are near
-    the maximum does _sup_mu take mu's full complex transform.  nu above
-    NU_CAP is refused (ResourceCapError): the cap keeps f in int8 and
-    the exact transform packable.
+    the maximum does _sup_mu take mu's full complex transform, in place in
+    one array of 16 * 2^nu bytes.  nu above NU_CAP is refused
+    (ResourceCapError): the cap keeps f in int8 and the exact transform
+    packable.
     """
     if isinstance(lam, FlatSample):
         ell = lam.ell if ell is None else ell
@@ -655,8 +577,8 @@ def _rounding_bound(nu: int, count: int) -> float:
 
 
 def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float:
-    """max |fwht(codes, table=table)|, bit for bit, mostly without that
-    complex transform.
+    """max |fwht(table[codes])|, bit for bit, mostly without that complex
+    transform.
 
     |mu^| = |U| with U the exact transform of u * mask (see _unit_phases),
     so one int64 transform gives Q = |U|^2 = |mu^|^2 for every character.
@@ -665,11 +587,16 @@ def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float
     float values come from _cone_values, and their maximum from _max_abs.
     The float maximum must lie within delta of sqrt(max Q), else
     AssertionError.  The full transform is taken only when more than
-    _MAX_CANDIDATES characters are near the maximum.
+    _MAX_CANDIDATES characters are near the maximum: of table[codes] from
+    _gather, transformed in place.
     """
     delta = _rounding_bound(codes.shape[0].bit_length() - 1, count)
     q_max, ys = _near_maxima(codes, rho, 2 * delta)
-    sup = _max_abs(fwht(codes, table=table) if ys is None else _cone_values(codes, table, ys))
+    if ys is None:
+        x = _gather(codes, table)
+        sup = _max_abs(fwht(x, out=x))
+    else:
+        sup = _max_abs(_cone_values(codes, table, ys))
     if abs(sup - math.sqrt(q_max)) > delta:
         raise AssertionError("float and exact sup |mu^| disagree beyond rounding")
     return sup
@@ -722,7 +649,7 @@ def _near_maxima(codes: np.ndarray, rho: int, slack: float) -> tuple[int, Option
 
 
 def _cone_values(codes: np.ndarray, table: np.ndarray, ys: Sequence[int]) -> np.ndarray:
-    """fwht(codes, table=table)[y] for each y in ys, bit for bit.
+    """fwht(table[codes])[y] for each y in ys, bit for bit.
 
     The stage of bit b pairs (x, x + 2^b) into a + b at x and a - b at
     x + 2^b, so out[y] needs after that stage only the entries that agree
@@ -752,6 +679,16 @@ def _halve(x: np.ndarray, y: int, bits: int) -> np.ndarray:
     return x
 
 
+def _gather(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table[codes] in one array of the table's dtype, gathered _CHUNK codes
+    at a time: np.take widens its indices to intp, which for all the codes
+    at once would be a temporary of 8 bytes a code."""
+    x = np.empty(codes.shape[0], table.dtype)
+    for i in range(0, codes.shape[0], _CHUNK):
+        np.take(table, codes[i:i + _CHUNK], out=x[i:i + _CHUNK])
+    return x
+
+
 def _abs_chunks(a: np.ndarray, dtype) -> Iterator[np.ndarray]:
     """|a| one tile-sized chunk at a time, each written into the same
     buffer of dtype, instead of into an array-sized temporary."""
@@ -765,29 +702,3 @@ def _max_abs(a: np.ndarray) -> float:
     """max |a| in float64 (a maximum is exact in any order)."""
     return float(max(part.max() for part in _abs_chunks(a, np.float64)))
 
-
-def a_norm_upper_bound(v: np.ndarray, mask: np.ndarray) -> float:
-    """Upper estimate of the restriction norm by subgradient descent.
-
-    Minimizes the mean absolute spectrum over extensions of v|Lambda in 400
-    steps of size 0.5/sqrt(t); every iterate is feasible, so the best
-    objective seen is a valid upper bound on the restriction norm.  Small nu
-    only (up to A_NORM_NU_CAP); used as a cross-check against the duality
-    lower bound.
-    """
-    n = v.shape[0]
-    if n > 2**A_NORM_NU_CAP:
-        raise ResourceCapError(
-            f"cross-check route is limited to nu <= {A_NORM_NU_CAP}"
-        )
-    g = v.astype(np.complex128, copy=True)
-    best = float(np.abs(fwht(g)).sum()) / n
-    for t in range(1, 401):
-        spec = fwht(g)
-        mag = np.abs(spec)
-        phase = np.where(mag > 1e-15, spec / np.maximum(mag, 1e-300), 0)
-        grad = fwht(phase) / n
-        g = g - (0.5 / math.sqrt(t)) * grad
-        g[mask] = v[mask]
-        best = min(best, float(np.abs(fwht(g)).sum()) / n)
-    return best

@@ -45,6 +45,7 @@ __all__ = [
     "v_p_size",
     "five_ten_bound",
     "pick_independent_subset",
+    "theorem3_mesh_reports",
 ]
 
 J_CAP = 6  # p_7 would leave the deterministic primality range

@@ -134,6 +134,27 @@ def test_mesh_reports_all_pass():
     assert all(r.bound >= r.k for r in reports)  # w >= 1
 
 
+def test_default_prefix_has_a_mesh_past_its_bound():
+    # theorem2's defaults (p = 3, 6 blocks, --nu-cap 24, doublelog:1, seed
+    # 0): in block ell = 5, whose nu is capped, points 49, 55, 159, 198 and
+    # 248 satisfy l49 + 2 l55 + l159 + l198 + l248 = 0 in F_3^24.  So the
+    # mesh on (l49, l55, l159, l198) with Box(1) meets the union in 5
+    # points, against k w(k) = 4; the default report passes only because
+    # its 500 meshes are sampled and miss this one.
+    from sidonlab.growth import parse_growth
+    from sidonlab.mesh import BoundSpec, Box, Mesh, check_mesh_condition, mesh_count
+
+    w = parse_growth("doublelog:1")
+    bc = build_theorem2_prefix(p=3, w=w, L=6, seed=0, nu_cap=24)
+    pts = bc.block_points(5)
+    union = bc.union_points()
+    mesh = Mesh(tuple(pts[i] for i in (49, 55, 159, 198)), Box(1))
+    assert mesh_count(union, mesh) == mesh_count(union, mesh, method="enumerate") == 5
+    assert mesh.k * w(mesh.k) == 4
+    (report,) = check_mesh_condition(union, [mesh], BoundSpec("k_w_k", w=w))
+    assert (report.count, report.bound, report.passed) == (5, 4, False)
+
+
 def test_export(tmp_path):
     import json
 

@@ -262,7 +262,7 @@ def test_parseval_assertion_exits_3(monkeypatch, capsys):
 
     import sidonlab.spectral
 
-    def broken_fwht(values, table=None, out=None):  # a constant spectrum breaks Parseval
+    def broken_fwht(values, out=None):  # a constant spectrum breaks Parseval
         out = np.empty(len(values), dtype=np.int64) if out is None else out
         out[...] = 1
         return out
@@ -480,14 +480,14 @@ def test_analyticity_csv_lists_the_top_spectrum_magnitudes(tmp_path):
 
     import numpy as np
 
-    from sidonlab.spectral import sample_flat_lambda, sigma_hat
+    from sidonlab.spectral import fwht, sample_flat_lambda
 
     path = tmp_path / "top.csv"
     argv = ["analyticity-demo", "--nu", "14", "--ell", "401", "--csv", str(path)]
     assert main([*argv, "--out", os.devnull]) == 0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    mags = np.abs(sigma_hat(sample_flat_lambda(14, 401, seed=0).mask).values)
+    mags = np.abs(fwht(sample_flat_lambda(14, 401, seed=0).mask.astype(np.float64)))
     top = np.argsort(mags)[::-1][:32]  # --top defaults to 32
     assert rows == [["mask", "magnitude"]] + [[str(int(y)), str(float(mags[y]))] for y in top]
 

@@ -306,3 +306,24 @@ def test_the_key_format_has_one_home():
                     if isinstance(node, ast.Attribute) and node.attr == "object_"], name
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value == "O"], name
+
+
+def test_the_public_surface_is_consistent():
+    """Every name in a module's __all__ exists, and every name the package
+    imports from one of its modules is in that module's __all__, so a
+    deleted function cannot leave a stale export behind."""
+    import importlib
+
+    src = Path(sidonlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"sidonlab.{path.stem}" if path.stem != "__init__"
+                                         else "sidonlab")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], (path.name, missing)
+    tree = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        exported = importlib.import_module(f"sidonlab.{node.module}").__all__
+        unlisted = [alias.name for alias in node.names if alias.name not in exported]
+        assert unlisted == [], (node.module, unlisted)

@@ -6,21 +6,16 @@ import pytest
 
 from sidonlab import growth, mesh, selection, spectral, verify
 from sidonlab.core import FpVector, LatticePoint, ResourceCapError
-from sidonlab.growth import Power
+from sidonlab.growth import DoubleLog, Power
 from sidonlab.mesh import Box, Mesh, mesh_count, mesh_members
 from sidonlab.selection import (
     LemmaCertificate,
     SelectionConfig,
-    enumerate_dependence_probability,
     lemma_search,
     sample_lambda_rows,
+    trial_statistics,
 )
-from sidonlab.spectral import (
-    a_norm_upper_bound,
-    analyticity_witness,
-    sample_flat_lambda,
-    sigma_hat,
-)
+from sidonlab.spectral import _spectrum_summary, analyticity_witness, sample_flat_lambda
 from sidonlab.spread import v_p_size, well_spread_check
 from sidonlab.verify import verify_qi_exhaustive
 
@@ -47,20 +42,21 @@ LIMITS = [
     # p^nu is beyond the sampling cap, so the search draws directly; m = 3
     (selection, "SUBSET_BUDGET", 1, lambda: lemma_search(SelectionConfig(101, 16, 1))),
     (selection, "SUBSET_BUDGET", 0, _CERT.verify),
-    (selection, "ORACLE_SUBSET_CAP", 5, lambda: enumerate_dependence_probability(2, 2, 2)),
-    (spectral, "NU_CAP", 3, lambda: sigma_hat(np.arange(16) < 3)),
+    # select's statistics draw through the same sampler
+    (selection, "SAMPLING_CAP", 15, lambda: trial_statistics(SelectionConfig(2, 4, 1), 0)),
+    (spectral, "NU_CAP", 3, lambda: _spectrum_summary(np.arange(16) < 3)),
     (spectral, "NU_CAP", 13, lambda: sample_flat_lambda(14, 401)),
-    # the witness transforms a raw mask through sigma_hat
+    # the witness transforms a raw mask through _spectrum_summary
     (spectral, "NU_CAP", 3, lambda: analyticity_witness(np.arange(16) < 5, ell=401, rho=0)),
-    (spectral, "A_NORM_NU_CAP", 2,
-     lambda: a_norm_upper_bound(np.ones(8, complex), np.arange(8) < 8)),
+    # DoubleLog checks the cap on its own: exp(e^2 - 1) has about 2.8 digits
+    (growth, "LEAST_X_DIGIT_CAP", 2, lambda: DoubleLog(1.0).least_x(2.0)),
     (mesh, "ENUM_CAP", 8, lambda: well_spread_check([1, 3], 3)),
     (mesh, "ENUM_CAP", 8, lambda: v_p_size([1, 3], 3)),
     (mesh, "ENUM_CAP", 8, lambda: mesh_count([ip(3)], _MESH)),
     (mesh, "ENUM_CAP", 8, lambda: mesh_members(_MESH)),
     (growth, "LEAST_X_DIGIT_CAP", 5, lambda: Power(0.5).least_x(1000.0)),
     (verify, "N_MAX_DEFAULT", 2, lambda: verify_qi_exhaustive([ip(1), ip(2), ip(4)])),
-    # a FlatSample carries its spectrum summary, so no sigma_hat call checks the cap
+    # a FlatSample carries its spectrum summary, so no _spectrum_summary call checks the cap
     (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT, rho=0)),
 ]
 

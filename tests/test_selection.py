@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -10,16 +9,13 @@ from sidonlab.selection import (
     LemmaCertificate,
     SearchFailure,
     SelectionConfig,
-    SelectionError,
-    enumerate_dependence_probability,
+    _thin_mask,
     estimate_tied_probability,
-    exact_dependence_probability,
     k_ell,
     lemma_search,
     sample_lambda,
     sample_lambda_rows,
-    sample_sub_lambda,
-    tied_probability_check,
+    tied_bound,
     trial_statistics,
 )
 
@@ -60,21 +56,29 @@ def test_sample_lambda_cap():
         sample_lambda(cfg)
 
 
+def _thinned(cfg, trial, beta=None):
+    """Stage two's points, as trial_statistics draws them: Lambda's sorted
+    rows kept by _thin_mask (at cfg.beta unless beta is given)."""
+    rows = sample_lambda_rows(cfg, trial)
+    keep = _thin_mask(len(rows), cfg, trial, cfg.beta if beta is None else beta)
+    return [tuple(row) for row in rows[keep].tolist()]
+
+
 def test_sub_lambda_thinning():
     cfg = SelectionConfig(p=2, nu=16, ell=4, seed=1)
-    lam = sample_lambda(cfg, 0)
-    sub = sample_sub_lambda(lam, cfg, 0)
-    assert sub <= lam
-    assert sample_sub_lambda(lam, cfg, 0) == sub
-    assert sample_sub_lambda(lam, cfg, 0, beta=0.0) == set()
-    assert sample_sub_lambda(lam, cfg, 0, beta=1.0) == lam
+    lam = sorted(v.coords for v in sample_lambda(cfg, 0))
+    sub = _thinned(cfg, 0)
+    assert set(sub) <= set(lam) and sub == sorted(sub)
+    assert _thinned(cfg, 0) == sub
+    assert _thinned(cfg, 0, beta=0.0) == []
+    assert _thinned(cfg, 0, beta=1.0) == lam
 
 
 def test_sub_lambda_mean_matches_beta():
     cfg = SelectionConfig(p=2, nu=12, ell=2, seed=3)
-    lam = sample_lambda(cfg, 0)
-    total = sum(len(sample_sub_lambda(lam, cfg, t)) for t in range(400))
-    expected = 400 * len(lam) * cfg.beta
+    size = len(sample_lambda_rows(cfg, 0))
+    total = sum(int(_thin_mask(size, cfg, t, cfg.beta).sum()) for t in range(400))
+    expected = 400 * size * cfg.beta
     assert abs(total - expected) < 5 * math.sqrt(expected)
 
 
@@ -205,37 +209,12 @@ def test_tampered_certificate_fails_reverify():
 
 
 # ---------------------------------------------------------------------------
-# dependence probability for k uniform distinct points
-# ---------------------------------------------------------------------------
-
-
-def test_dependence_formula_matches_enumeration():
-    for p, nu, k in [(2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 2, 2), (3, 2, 3)]:
-        assert exact_dependence_probability(p, nu, k) == enumerate_dependence_probability(
-            p, nu, k
-        )
-
-
-def test_dependence_probability_below_conditional_bound():
-    # P(dependent | k points) < p^(k - nu), checked exactly at p=2, nu=8
-    for k in (1, 2, 3, 4):
-        exact = exact_dependence_probability(2, 8, k)
-        assert exact < Fraction(2**k, 2**8)
-
-
-def test_dependence_probability_edge_cases():
-    assert exact_dependence_probability(2, 4, 0) == 0
-    # a single draw is dependent only when it is the zero vector
-    assert exact_dependence_probability(2, 4, 1) == Fraction(1, 16)
-
-
-# ---------------------------------------------------------------------------
 # the index-array sampler
 # ---------------------------------------------------------------------------
 
-# SHA-256 of the sorted coordinates of sample_lambda and sample_sub_lambda
-# (at beta and at 1/2) for seeds (0, 1, 7) and trials (0, 1, 5), recorded
-# from the point-by-point sampler that decoded one index at a time.
+# SHA-256 of the sorted coordinates of sample_lambda and of its thinned
+# sets (at beta and at 1/2) for seeds (0, 1, 7) and trials (0, 1, 5),
+# recorded from the point-by-point sampler that decoded one index at a time.
 _SAMPLER_PINS = {
     (2, 16, 4): "fc00d476e30949b738bb2d67f03aec0f46fe5ec39556c89c6c9747879b2da9ab",
     (3, 9, 2): "93bb08f5fd121ec16909d6a3157da5eefd449d779fc6a16a403ffcb077169079",
@@ -249,11 +228,9 @@ def test_samplers_reproduce_pinned_sets(p, nu, ell):
     for seed in (0, 1, 7):
         cfg = SelectionConfig(p=p, nu=nu, ell=ell, seed=seed)
         for trial in (0, 1, 5):
-            lam = sample_lambda(cfg, trial)
-            sub = sample_sub_lambda(lam, cfg, trial)
-            half = sample_sub_lambda(lam, cfg, trial, beta=0.5)
-            for s in (lam, sub, half):
-                digest.update(repr(sorted(v.coords for v in s)).encode())
+            lam = [tuple(row) for row in sample_lambda_rows(cfg, trial).tolist()]
+            for s in (lam, _thinned(cfg, trial), _thinned(cfg, trial, beta=0.5)):
+                digest.update(repr(s).encode())
     assert digest.hexdigest() == _SAMPLER_PINS[(p, nu, ell)]
 
 
@@ -265,10 +242,9 @@ def test_rows_and_trial_statistics_match_the_set_api(p, nu, ell):
             rows = sample_lambda_rows(cfg, trial)
             lam = sample_lambda(cfg, trial)
             assert [tuple(r) for r in rows.tolist()] == sorted(v.coords for v in lam)
-            sub = sample_sub_lambda(lam, cfg, trial)
             size, tied = trial_statistics(cfg, trial)
             assert size == len(lam)
-            assert tied == (not is_free(sorted(sub, key=lambda v: v.coords)))
+            assert tied == (not is_free([FpVector(p, c) for c in _thinned(cfg, trial)]))
 
 
 def test_trial_statistics_finds_dependent_thinned_sets():
@@ -277,24 +253,20 @@ def test_trial_statistics_finds_dependent_thinned_sets():
     flags = [trial_statistics(cfg, t)[1] for t in range(100)]
     assert any(flags) and not all(flags)
     for t in range(100):
-        sub = sample_sub_lambda(sample_lambda(cfg, t), cfg, t)
-        assert flags[t] == (not is_free(sorted(sub, key=lambda v: v.coords)))
+        assert flags[t] == (not is_free([FpVector(cfg.p, c) for c in _thinned(cfg, t)]))
 
 
 def test_tied_probability_check_shares_the_3_sigma_rule():
+    # the estimate reports the frequency of select's tied-probability check
+    # and the bound of tied_bound, whose allowance is the check's 3 sigma
+    # (test_cli::test_select_failed_tied_check_reports_the_measured_frequency
+    # runs the check on both sides of it)
     cfg = SelectionConfig(p=2, nu=16, ell=1, seed=2, trials=1000)
-    assert tied_probability_check(cfg, 0) == (0.0, 2 ** (-8))
-    bound = 2 ** (-8)
-    limit = bound + 3 * math.sqrt(bound * (1 - bound) / cfg.trials)
-    tied = math.floor(limit * cfg.trials)
-    assert tied_probability_check(cfg, tied).estimate == tied / cfg.trials
-    with pytest.raises(SelectionError):
-        tied_probability_check(cfg, tied + 1)
-    with pytest.raises(ValueError):
-        tied_probability_check(SelectionConfig(p=2, nu=16, ell=1, trials=99), 0)
-    assert estimate_tied_probability(cfg) == tied_probability_check(
-        cfg, sum(trial_statistics(cfg, t)[1] for t in range(cfg.trials))
-    )
+    bound, allowance = tied_bound(cfg)
+    assert bound == 2 ** (-8)
+    assert allowance == 3 * math.sqrt(bound * (1 - bound) / cfg.trials)
+    tied = sum(trial_statistics(cfg, t)[1] for t in range(cfg.trials))
+    assert estimate_tied_probability(cfg) == (tied / cfg.trials, bound)
 
 
 def test_select_report_independent_of_threads():

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from sidonlab.spectral import (
     FlatnessFailure,
     _character_sum,
-    a_norm_upper_bound,
     analyticity_witness,
     default_rho,
     fwht,
     masks_independent,
     naive_wht,
     sample_flat_lambda,
-    sigma_hat,
 )
 
 
@@ -131,7 +129,12 @@ def test_fwht_tile_dtype_bound_property(tile_bits, nu, offset, log_bound, y0, si
 @pytest.mark.parametrize("block_bits", [1, 3, 16])
 @pytest.mark.parametrize("nu", [0, 1, 5, 9])
 def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatch):
+    # _sup_mu's full transform of codes into a table: table[codes] gathered
+    # a few codes at a time into one array, then transformed in place
+    from sidonlab.spectral import _gather
+
     monkeypatch.setattr("sidonlab.spectral._TILE_BITS", block_bits)
+    monkeypatch.setattr("sidonlab.spectral._CHUNK", 4)
     rng = np.random.default_rng(nu + block_bits)
     if kind == "int64":
         table = rng.integers(-(2**40), 2**40, 9)
@@ -141,23 +144,23 @@ def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatc
             table = table + 1j * table[::-1]
     codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
     saved = codes.copy(), table.copy()
-    out = fwht(codes, table=table)
-    assert out.dtype == np.dtype(kind)
-    assert out.tobytes() == fwht(table[codes]).tobytes()
-    given_out = np.full(2**nu, 3, out.dtype)
-    assert fwht(codes, table=table, out=given_out) is given_out
-    assert given_out.tobytes() == out.tobytes()
+    x = _gather(codes, table)
+    assert x.dtype == np.dtype(kind) and x.tobytes() == table[codes].tobytes()
+    assert fwht(x, out=x) is x
+    assert x.tobytes() == fwht(table[codes]).tobytes()
     assert codes.tobytes() == saved[0].tobytes() and table.tobytes() == saved[1].tobytes()
 
 
 def test_fwht_table_rejects_bad_codes():
+    # the gather keeps np.take's mode="raise": a code past the table or a
+    # float code is refused, not clipped or cast
+    from sidonlab.spectral import _gather
+
     table = np.arange(3.0)
-    with pytest.raises(ValueError):
-        fwht(np.array([0, 3], dtype=np.int8), table=table)
-    with pytest.raises(ValueError):
-        fwht(np.array([0, -1], dtype=np.int8), table=table)
-    with pytest.raises(ValueError):
-        fwht(np.array([0.0, 1.0]), table=table)
+    with pytest.raises(IndexError):
+        _gather(np.array([0, 3], dtype=np.int8), table)
+    with pytest.raises(TypeError):
+        _gather(np.array([0.0, 1.0]), table)
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
@@ -256,15 +259,6 @@ def test_fwht_rejects_a_bad_out():
     big = np.arange(16)
     with pytest.raises(ValueError, match="only by being values"):
         fwht(big[4:12], out=big[:8])  # overlapping, but not the argument itself
-    # with a table the output may share memory with neither codes nor table
-    buf = np.zeros(16, np.int64)
-    with pytest.raises(ValueError, match="codes or the table"):
-        fwht(buf[:8], table=np.arange(3), out=buf[:8])
-    with pytest.raises(ValueError, match="codes or the table"):
-        fwht(buf[:8], table=np.arange(3), out=buf[4:12])
-    table = np.arange(8, dtype=np.int64)
-    with pytest.raises(ValueError, match="codes or the table"):
-        fwht(np.zeros(8, np.int8), table=table, out=table)
 
 
 def _sha256(data: bytes) -> str:
@@ -298,12 +292,15 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
         assert out.dtype == dtype
         assert _sha256(out.tobytes()) == digest
     # the witness's route to the same complex transform: codes into a table
-    # of v's values times False, then times True
+    # of v's values times False, then times True, gathered and transformed
+    # in place
+    from sidonlab.spectral import _gather
+
     table = np.exp(1j * (math.pi / 4) * np.arange(-3, 4))
     codes = f + 3
     np.add(codes, 7, out=codes, where=seed0_nu22.mask)
-    out = fwht(codes, table=np.concatenate((table * False, table * True)))
-    assert _sha256(out.tobytes()) == pins[1][2]
+    x = _gather(codes, np.concatenate((table * False, table * True)))
+    assert _sha256(fwht(x, out=x).tobytes()) == pins[1][2]
 
 
 def test_witness_peak_memory():
@@ -407,10 +404,13 @@ def test_convolution_identity():
 
 
 def test_sigma_hat_counts_and_parseval():
-    table = sigma_hat({0b01, 0b10, 0b11}, nu=3)
-    assert table.at_one == 3
-    full = sigma_hat(np.ones(16, dtype=bool))
-    assert full.at_one == 16 and full.sup_offpeak() == 0
+    from sidonlab.spectral import _spectrum_summary
+
+    mask = np.zeros(8, dtype=bool)
+    mask[[0b01, 0b10, 0b11]] = True
+    assert _spectrum_summary(mask)[0] == 3
+    assert int((fwht(mask) ** 2).sum()) == 8 * 3
+    assert _spectrum_summary(np.ones(16, dtype=bool)) == (16.0, 0.0)
 
 
 @pytest.mark.parametrize("length", [3, 5, 6, 12])
@@ -418,26 +418,25 @@ def test_a_mask_of_no_power_of_two_length_is_refused(length):
     from sidonlab.spectral import _spectrum_summary
 
     mask = np.ones(length, dtype=bool)
-    for call in (sigma_hat, _spectrum_summary, lambda m: analyticity_witness(m, ell=500)):
+    for call in (_spectrum_summary, lambda m: analyticity_witness(m, ell=500)):
         with pytest.raises(ValueError, match=rf"shape \({length},\) is not of length 2\^nu"):
             call(mask)
 
 
-def test_spectral_table_takes_its_off_peak_supremum_in_tile_chunks():
+def test_max_abs_takes_tile_chunks():
     import tracemalloc
 
-    from sidonlab.spectral import _TILE_BITS, SpectralTable
+    from sidonlab.spectral import _TILE_BITS, _max_abs
 
-    values = np.random.default_rng(0).standard_normal(2**18)
-    values[0] = 1e9  # the trivial character is left out
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(2**18) + 1j * rng.standard_normal(2**18)
     tracemalloc.start()
     try:
-        table = SpectralTable(18, values)
-        sup = table.sup_offpeak()
+        sup = _max_abs(values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sup == np.abs(values[1:]).max()
+    assert sup == np.abs(values).max()
     # one tile-sized buffer, not a spectrum-sized np.abs temporary
     assert peak <= (8 << _TILE_BITS) + 64 * 1024 < values.nbytes
 
@@ -450,8 +449,9 @@ def test_sigma_hat_coset_support():
     for m in h_masks:
         members |= {x ^ m for x in members}
     coset = {x ^ 0b1000 for x in members}
-    table = sigma_hat(coset, nu=nu)
-    mags = np.abs(table.values)
+    mask = np.zeros(2**nu, dtype=bool)
+    mask[sorted(coset)] = True
+    mags = np.abs(fwht(mask.astype(np.float64)))
     annihilator = [
         y for y in range(2**nu) if all((y & x).bit_count() % 2 == 0 for x in members)
     ]
@@ -528,8 +528,6 @@ def test_masks_outside_the_group_are_refused(masks):
     # a negative mask must not wrap around to 2^nu - 1
     bad = next(m for m in masks if not 0 <= m < 8)
     with pytest.raises(ValueError, match=rf"mask {bad} lies outside \[0, 2\^3\)"):
-        sigma_hat(masks, nu=3)
-    with pytest.raises(ValueError, match=rf"mask {bad} "):
         analyticity_witness(masks, ell=401, rho=0, nu=3)
 
 
@@ -589,21 +587,6 @@ def test_v_spectrum_is_flat_on_subgroup():
     assert np.abs(vh).sum() == pytest.approx(2 ** (rho / 2))
 
 
-def test_duality_bound_below_subgradient_upper():
-    nu = 6
-    n = 2**nu
-    rng = np.random.default_rng(5)
-    mask = rng.random(n) < 0.3
-    mask[0] = True
-    rep = analyticity_witness(mask, ell=401, rho=1)
-    from sidonlab.spectral import _character_sum
-
-    f = _character_sum(nu, [1]).astype(np.int64)
-    v = np.exp(1j * (math.pi / 4) * f)
-    upper = a_norm_upper_bound(v, mask)
-    assert rep.lower_bound <= upper + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # sup |mu^| from the exact transform and the cones of its near-maxima
 # ---------------------------------------------------------------------------
@@ -639,7 +622,7 @@ def test_cone_values_equal_the_transform(nu, tile_bits, monkeypatch):
     table = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-300, 7.0, -0.5])
     table = table + 1j * table[::-1]
     codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
-    full = fwht(codes, table=table)
+    full = fwht(table[codes])
     assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
 
 
@@ -652,7 +635,7 @@ def test_cone_values_across_chunks(nu, chunk_bits, monkeypatch):
     monkeypatch.setattr("sidonlab.spectral._CHUNK", 1 << chunk_bits)
     rng = np.random.default_rng(nu)
     codes, table, _ = _mu_inputs(nu, _independent_masks(nu, nu // 2, rng), rng.random(2**nu) < 0.5)
-    full = fwht(codes, table=table)
+    full = fwht(table[codes])
     assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
 
 
@@ -669,29 +652,57 @@ def test_sup_mu_equals_the_full_transform_property(nu_rho, density, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random(2**nu) < density
     codes, table, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), mask)
-    want = _max_abs(fwht(codes, table=table))
+    want = _max_abs(fwht(table[codes]))
     assert _sup_mu(codes, table, rho, int(mask.sum())).hex() == want.hex()
 
 
 def test_sup_mu_fallbacks_agree(monkeypatch):
     import sidonlab.spectral as sp
 
-    nu = 10
-    full = np.ones(2**nu, dtype=bool)
-    codes, table, rho = _mu_inputs(nu, [1, 2, 4, 8], full)
-    want = sp._max_abs(fwht(codes, table=table))
-    # a full mask: |mu^| = 2^(nu - rho/2) on the 16 characters of the subgroup
-    assert want == 2.0 ** (nu - rho / 2)
-
     def unused(*args):
         raise RuntimeError("this route should not run")
 
-    with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
-        m.setattr(sp, "_cone_values", unused)
-        assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
+    for nu in (4, 6, 8, 10):
+        full = np.ones(2**nu, dtype=bool)
+        codes, table, rho = _mu_inputs(nu, [1, 2, 4, 8], full)
+        want = sp._max_abs(fwht(table[codes]))
+        # a full mask: |mu^| = 2^(nu - rho/2) on the 16 characters of the subgroup
+        assert want == 2.0 ** (nu - rho / 2)
+        if nu <= 8:  # the quadratic oracle
+            assert want == pytest.approx(np.abs(naive_wht(table[codes])).max(), rel=1e-12)
+        with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
+            m.setattr(sp, "_cone_values", unused)
+            assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
     # an empty mask ties all 2^nu characters at 0
     codes, table, rho = _mu_inputs(nu, [1, 2], np.zeros(2**nu, dtype=bool))
     assert sp._sup_mu(codes, table, rho, 0) == 0.0
+
+
+# (nu, rho, density, seed) of a random mask
+_CEILING_CASES = [(6, 1, 0.3, 5), (5, 0, 0.5, 1), (6, 3, 0.3, 2), (7, 2, 0.3, 3), (8, 4, 0.3, 4)]
+
+
+@pytest.mark.parametrize("nu, rho, density, seed", _CEILING_CASES)
+def test_duality_bound_at_most_the_norm_ceiling(nu, rho, density, seed, monkeypatch):
+    # By duality the witness's bound |Lambda| / sup |mu^| is at most the
+    # restriction norm, which is at most sum |v^| = 2^(rho/2).  On integers:
+    # |Lambda|^2 <= 2^rho Q_max with Q_max = max |mu^|^2 read exactly.
+    import sidonlab.spectral as sp
+
+    mask = np.random.default_rng(seed).random(2**nu) < density
+    mask[0] = True
+    codes, _, _ = _mu_inputs(nu, [1 << b for b in range(rho)], mask)
+    q_max, _ = sp._near_maxima(codes, rho, 0.0)
+    count = int(mask.sum())
+    assert count**2 <= 2**rho * q_max
+    ceiling = 2 ** (rho / 2) * (1 + 2**-40)
+    assert analyticity_witness(mask, ell=401, rho=rho).lower_bound <= ceiling
+    # the float form catches a sup |mu^| that is too small: halved, the
+    # bound is at least twice the exact one, which reaches past half the
+    # ceiling on these masks
+    sup_mu = sp._sup_mu
+    monkeypatch.setattr(sp, "_sup_mu", lambda *args: sup_mu(*args) / 2)
+    assert not analyticity_witness(mask, ell=401, rho=rho).lower_bound <= ceiling
 
 
 def test_phase_tables_within_eps_in():
@@ -810,9 +821,9 @@ def test_spectrum_summary_equals_sigma_hat(nu, pieces, monkeypatch):
     monkeypatch.setattr("sidonlab.spectral._TILE_BITS", 3)  # several abs chunks a piece
     rng = np.random.default_rng(nu + 10 * pieces)
     for mask in (np.zeros(2**nu, bool), np.ones(2**nu, bool), rng.random(2**nu) < 0.3):
-        table = sigma_hat(mask)
-        got = _spectrum_summary(mask)
-        assert [x.hex() for x in got] == [table.at_one.hex(), table.sup_offpeak().hex()]
+        mags = np.abs(fwht(mask.astype(np.float64)))  # analyticity-demo --csv's spectrum
+        want = [float(mags[0]), float(mags[1:].max()) if nu else 0.0]
+        assert [x.hex() for x in _spectrum_summary(mask)] == [x.hex() for x in want]
 
 
 def _full_scan(codes, rho, slack):
