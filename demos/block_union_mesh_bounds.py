@@ -24,7 +24,9 @@ print("The ratios exceed ell and keep growing with ell, while any set whose")
 print("mesh counts admit a bounded subgroup ratio would have to stop growing.")
 print()
 
-reports = theorem2_mesh_reports(bc, count=300, seed=0)
+reports = theorem2_mesh_reports(
+    bc, count=300, seed=0, k_choices=(1, 2, 3, 4, 5, 6), heights=(1, 2)
+)
 violations = [r for r in reports if not r.passed]
 worst = min(r.bound - r.count for r in reports)
 print(f"sampled meshes: {len(reports)}, violations of count <= k*w(k): {len(violations)}")

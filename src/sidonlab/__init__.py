@@ -61,7 +61,6 @@ from .growth import DoubleLog, GrowthFunction, Power, StepTable, parse_growth
 from .blocks import (
     BlockConstruction,
     build_theorem2_prefix,
-    choose_nu,
     pisier_ratio,
     theorem2_mesh_reports,
 )

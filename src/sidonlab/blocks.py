@@ -7,7 +7,8 @@ times its rank (``pisier_ratio``), while sampled meshes stay below k*w(k).
 
 The block size nu_ell is the least nu >= 16 with
 3*ell/K_ell <= w(K_ell * nu); slowly growing w makes that astronomically
-large, so a desk cap is applied and recorded per block.
+large, so it is sought only up to a desk cap, and a binding cap is recorded
+per block.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ConfigError, FpVector
-from .growth import GrowthFunction, least_nu
+from .growth import GrowthFunction
 from .mesh import BoundSpec, MeshReport, check_mesh_condition, random_meshes
 from .selection import LEMMA_NU_MIN, LemmaCertificate, SelectionConfig, k_ell, lemma_search
 
 __all__ = [
     "Block",
     "BlockConstruction",
-    "choose_nu",
     "choose_nu_capped",
     "build_theorem2_prefix",
     "pisier_ratio",
@@ -34,27 +34,26 @@ __all__ = [
 NU_CAP_DEFAULT = 24
 
 
-def choose_nu(ell: int, p: int, w: GrowthFunction) -> int:
-    """Least nu >= 16 (lemma mode) with 3*ell/K_ell <= w(K_ell * nu).
-
-    Such nu always exists since w tends to infinity; the answer is found by
-    closed-form inversion, never by linear scan.
-    """
-    K = k_ell(p, ell)
-    return least_nu(w, K, 3 * ell / K, LEMMA_NU_MIN)
-
-
 def choose_nu_capped(ell: int, p: int, w: GrowthFunction, cap: int) -> tuple[int, bool]:
-    """choose_nu truncated at a desk cap; the flag records a binding cap.
+    """Least nu in [16, cap] (lemma mode) with 3*ell/K_ell <= w(K_ell * nu),
+    and False; (cap, True) when no nu in that range qualifies, the flag
+    recording a binding desk cap.
 
-    When even the cap fails the target inequality the full answer is not
-    materialized (it may have too many digits to hold).
+    w is nondecreasing, so the qualifying nu form a final segment of
+    [16, cap]; bisection finds where it starts.
     """
     K = k_ell(p, ell)
-    if w(K * cap) < 3 * ell / K:
+    target = 3 * ell / K
+    if cap < LEMMA_NU_MIN or w(K * cap) < target:
         return cap, True
-    nu = choose_nu(ell, p, w)
-    return (cap, True) if nu > cap else (nu, False)
+    lo, hi = LEMMA_NU_MIN, cap  # hi qualifies throughout
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if w(K * mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, False
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,10 @@ def pisier_ratio(construction: BlockConstruction, ell: int):
 
 def theorem2_mesh_reports(
     construction: BlockConstruction,
-    count: int = 500,
-    seed: int = 0,
-    k_choices: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    heights: Sequence[int] = (1, 2),
-    parallelism=None,
+    count: int,
+    seed: int,
+    k_choices: Sequence[int],
+    heights: Sequence[int],
 ) -> list[MeshReport]:
     """Sampled k-meshes against the bound k*w(k) for the construction's w;
     zero failures expected.
@@ -198,4 +196,4 @@ def theorem2_mesh_reports(
         pool, random_vec, count=count, seed=seed, k_choices=k_choices, heights=heights
     )
     bound = BoundSpec("k_w_k", w=construction.w)
-    return check_mesh_condition(union, meshes, bound, parallelism=parallelism)
+    return check_mesh_condition(union, meshes, bound)

@@ -72,7 +72,7 @@ class Opt:
 
 _COMMON = [
     Opt("seed", int, 0, "master RNG seed (echoed in the report)", 0),
-    Opt("threads", int, 0, "worker threads; 0 means SIDONLAB_THREADS or 1", 0),
+    Opt("threads", int, 0, "select's worker threads; 0 means SIDONLAB_THREADS or 1", 0),
     Opt("out", str, "", "path for the JSON report (default: stdout)"),
 ]
 
@@ -466,7 +466,7 @@ def _run_mesh_report(params, seed, pool):
         raise
     except (TypeError, ValueError) as exc:  # a JSON value of the wrong type or range
         raise ConfigError(f"malformed mesh-report input: {exc}") from exc
-    reports = check_mesh_condition(lam, meshes, bound, cap=params["cap"], parallelism=pool)
+    reports = check_mesh_condition(lam, meshes, bound, cap=params["cap"])
     checks = [
         Check(f"mesh[{i}] k={r.k}", float(r.count), "<=" if r.direction == "upper" else ">=",
               r.bound)
@@ -558,7 +558,6 @@ def _run_theorem2(params, seed, pool):
         seed=seed,
         k_choices=tuple(range(1, params["k-max"] + 1)),
         heights=tuple(range(1, params["h-max"] + 1)),
-        parallelism=pool,
     )
     checks.append(_violations(reports))
     if params["export"]:
@@ -608,9 +607,7 @@ def _run_theorem3(params, seed, pool):
                 got = v_p_size(pick_independent_subset(b, size), p_small)
                 checks.append(Check(f"spread-identity j={b.j} p={p_small} size={size}",
                                     float(got), "==", float(p_small**size)))
-    reports = theorem3_mesh_reports(
-        system, count=params["mesh-count"], seed=seed, parallelism=pool
-    )
+    reports = theorem3_mesh_reports(system, count=params["mesh-count"], seed=seed)
     checks.append(_violations(reports))
     if params["export"]:
         system.to_json(params["export"])

@@ -2,52 +2,28 @@
 
 A valid weight function satisfies w(x) >= 1, is nondecreasing, and tends to
 infinity.  Three built-ins: a double logarithm with a scale factor, a power,
-and a user step table.  Each family knows how to invert itself exactly
-(``least_x``), which lets the block-size chooser return astronomically large
-answers by closed form instead of scanning.
+and a user step table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from .core import ResourceCapError
-
-if TYPE_CHECKING:  # imported where used, so CLI start-up does not pay for it
-    import mpmath
 
 __all__ = [
     "GrowthFunction",
     "DoubleLog",
     "Power",
     "StepTable",
-    "GrowthRangeError",
     "parse_growth",
     "validate_growth",
-    "least_nu",
 ]
-
-# Inversion refuses to materialize integers with more digits than this.
-LEAST_X_DIGIT_CAP = 100_000
-
-
-class GrowthRangeError(ResourceCapError):
-    """The inverted argument has too many digits to materialize."""
 
 
 class GrowthFunction:
-    """Base class; subclasses implement the formula and its inverse."""
+    """Base class; subclasses implement the formula and its description."""
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
-
-    def eval_mp(self, x) -> mpmath.mpf:
-        raise NotImplementedError
-
-    def least_x(self, target: float):
-        """Least real x >= 1 with w(x) >= target (mpmath value)."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -67,27 +43,6 @@ class DoubleLog(GrowthFunction):
     def __call__(self, x: float) -> float:
         return max(1.0, self.c * math.log1p(math.log1p(x)))
 
-    def eval_mp(self, x) -> mpmath.mpf:
-        import mpmath
-
-        one = mpmath.mpf(1)
-        return max(one, self.c * mpmath.log(1 + mpmath.log(1 + mpmath.mpf(x))))
-
-    def least_x(self, target: float):
-        import mpmath
-
-        if target <= 1:
-            return mpmath.mpf(1)
-        inner = target / self.c
-        digits = (math.exp(inner) - 1) / math.log(10) if inner < 30 else float("inf")
-        if inner >= 30 or digits > LEAST_X_DIGIT_CAP:
-            raise GrowthRangeError(
-                f"inverting {self.describe()} at {target} needs ~exp(exp({inner:.3g})) "
-                "which exceeds the digit cap"
-            )
-        with mpmath.workdps(int(digits) + 40):
-            return mpmath.exp(mpmath.exp(mpmath.mpf(target) / self.c) - 1) - 1
-
     def describe(self) -> str:
         return f"doublelog:{self.c:g}"
 
@@ -104,24 +59,6 @@ class Power(GrowthFunction):
 
     def __call__(self, x: float) -> float:
         return max(1.0, x**self.eps)
-
-    def eval_mp(self, x) -> mpmath.mpf:
-        import mpmath
-
-        return max(mpmath.mpf(1), mpmath.mpf(x) ** self.eps)
-
-    def least_x(self, target: float):
-        import mpmath
-
-        if target <= 1:
-            return mpmath.mpf(1)
-        digits = math.log10(target) / self.eps
-        if digits > LEAST_X_DIGIT_CAP:
-            raise GrowthRangeError(
-                f"inverting {self.describe()} at {target} exceeds the digit cap"
-            )
-        with mpmath.workdps(int(digits) + 40):
-            return mpmath.mpf(target) ** (1.0 / self.eps)
 
     def describe(self) -> str:
         return f"power:{self.eps:g}"
@@ -160,23 +97,6 @@ class StepTable(GrowthFunction):
                 break
         return value
 
-    def eval_mp(self, x) -> mpmath.mpf:
-        import mpmath
-
-        return mpmath.mpf(self(float(x)))
-
-    def least_x(self, target: float):
-        import mpmath
-
-        if target <= self.steps[0][1]:
-            return mpmath.mpf(1)
-        for threshold, v in self.steps:
-            if v >= target:
-                return mpmath.mpf(threshold)
-        raise GrowthRangeError(
-            f"step table tops out at {self.steps[-1][1]} < target {target}"
-        )
-
     def describe(self) -> str:
         return "step:" + ",".join(f"{x:g}={v:g}" for x, v in self.steps)
 
@@ -209,29 +129,3 @@ def validate_growth(w: GrowthFunction) -> None:
     if values[-1] <= values[0]:
         raise ValueError("w shows no growth up to 1e+12")
 
-
-def least_nu(w: GrowthFunction, K: float, target: float, nu_min: int = 16) -> int:
-    """Least integer nu >= nu_min with w(K * nu) >= target.
-
-    Uses the family's closed-form inverse and then refines by exact
-    evaluation, so the answer is the true minimal integer even when it has
-    hundreds of digits.
-    """
-    import mpmath
-
-    if K <= 0:
-        raise ValueError("K must be positive")
-    if w(K * nu_min) >= target:
-        return nu_min
-    x_star = w.least_x(target)
-    # Resolve at the magnitude of the answer: consecutive integers there
-    # change w by roughly 1/nu, far below double precision.
-    dps = max(50, int(mpmath.mag(abs(x_star) + 1) * 0.30103) + 40)
-    with mpmath.workdps(dps):
-        kk = mpmath.mpf(K)
-        nu = max(int(mpmath.ceil(mpmath.mpf(x_star) / kk)), nu_min)
-        while nu > nu_min and w.eval_mp(kk * (nu - 1)) >= target:
-            nu -= 1
-        while w.eval_mp(kk * nu) < target:
-            nu += 1
-    return nu

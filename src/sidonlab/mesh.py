@@ -520,7 +520,6 @@ def check_mesh_condition(
     meshes: Sequence[Mesh],
     bound: BoundSpec,
     cap: Optional[int] = None,
-    parallelism=None,
 ) -> list[MeshReport]:
     """One report per mesh; pass means count <= bound (or >= for lower bounds)."""
     lam = _Lambda(lam)
@@ -539,8 +538,6 @@ def check_mesh_condition(
             passed=passed,
         )
 
-    if parallelism is not None:
-        return list(parallelism.map(one, meshes))
     return [one(m) for m in meshes]
 
 
@@ -549,8 +546,8 @@ def random_meshes(
     random_element: Callable,
     count: int,
     seed: int,
-    k_choices: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    heights: Sequence[int] = (1, 2, 3),
+    k_choices: Sequence[int],
+    heights: Sequence[int],
 ) -> list[Mesh]:
     """Seeded random height-h box meshes for condition sampling.
 

@@ -1,8 +1,9 @@
-"""A small worker-pool context handed to modules by the harness.
+"""A small worker-pool context handed to each subcommand by the CLI.
 
-Operations that are embarrassingly parallel (mesh reports, Monte Carlo
-trials) accept one of these; results keep input order so floating-point
-reductions stay deterministic regardless of thread count.
+Only ``select``'s Monte Carlo trials run on it: mesh reports ran slower on
+two threads than on one, so they count on the calling thread.  Results keep
+input order so floating-point reductions stay deterministic regardless of
+thread count.
 """
 
 from __future__ import annotations

@@ -339,9 +339,8 @@ def pick_independent_subset(block: SpreadBlock, size: int) -> list[int]:
 
 def theorem3_mesh_reports(
     system: SpreadSystem,
-    count: int = 500,
-    seed: int = 0,
-    parallelism=None,
+    count: int,
+    seed: int,
 ) -> list[MeshReport]:
     """Sampled height-h meshes on the system's (h, k) grid against the bound
     k*w(kh) for the system's w."""
@@ -363,4 +362,4 @@ def theorem3_mesh_reports(
         heights=system.grid_h,
     )
     bound = BoundSpec("k_w_kh", w=system.w)
-    return check_mesh_condition(lam, meshes, bound, parallelism=parallelism)
+    return check_mesh_condition(lam, meshes, bound)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidonlab.blocks import (
     build_theorem2_prefix,
-    choose_nu,
     choose_nu_capped,
     pisier_ratio,
     theorem2_mesh_reports,
@@ -14,16 +15,24 @@ from sidonlab.growth import DoubleLog, Power, StepTable
 from sidonlab.selection import k_ell
 
 
+def _scan_nu(ell, p, w, cap):
+    """The least nu in [16, cap] with w(K_ell nu) >= 3 ell / K_ell, by a
+    plain scan, or None."""
+    K = k_ell(p, ell)
+    return next((nu for nu in range(16, cap + 1) if w(K * nu) >= 3 * ell / K), None)
+
+
 def test_choose_nu_minimum_dominates():
     # a huge constant weight is already above the threshold at nu = 16
     w = StepTable(((1, 10**6),))
-    assert choose_nu(2, 2, w) == 16
     assert choose_nu_capped(2, 2, w, cap=24) == (16, False)
 
 
 def test_choose_nu_monotone_in_ell():
     w = StepTable(((1, 10), (50, 200), (5000, 4000), (10**9, 10**9)))
-    values = [choose_nu(ell, 2, w) for ell in (2, 3, 4, 6)]
+    answers = [choose_nu_capped(ell, 2, w, cap=10**12) for ell in (2, 3, 4, 6)]
+    assert not any(capped for _, capped in answers)
+    values = [nu for nu, _ in answers]
     assert values == sorted(values)
 
 
@@ -39,23 +48,18 @@ def test_choose_nu_capped_binding():
 def test_choose_nu_exact_at_threshold():
     w = StepTable(((1, 1), (7, 1000)))
     K = k_ell(2, 2)  # 0.0625
-    nu = choose_nu(2, 2, w)
+    nu, capped = choose_nu_capped(2, 2, w, cap=10**6)
+    assert not capped
     assert w(K * nu) >= 3 * 2 / K
     assert w(K * (nu - 1)) < 3 * 2 / K
 
 
-def _bisection_nu(ell, p, w, cap):
-    """The float bisection over [16, cap] that choose_nu_capped once ran."""
-    K = k_ell(p, ell)
-    target = 3 * ell / K
-    lo, hi = 16, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if w(K * mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+# the answers of the exact closed-form inversion that once backed the
+# bisection, keyed by (p, ell, cap)
+_INVERSION_NU = {
+    (2, 2, 200): 112, (3, 4, 5000): 423, (3, 2, 10**5): 55775,
+    (5, 3, 10**8): 35232681, (3, 2, 1000): 223, (7, 5, 10**4): 122,
+}
 
 
 @pytest.mark.parametrize("w, p, ell, cap", [
@@ -69,12 +73,57 @@ def _bisection_nu(ell, p, w, cap):
 def test_choose_nu_capped_below_the_cap_equals_the_old_bisection(w, p, ell, cap):
     nu, capped = choose_nu_capped(ell, p, w, cap)
     assert 16 < nu <= cap and not capped  # the case lies strictly inside (16, cap]
-    assert nu == _bisection_nu(ell, p, w, cap) == choose_nu(ell, p, w)
+    assert nu == _INVERSION_NU[p, ell, cap]
+    if nu <= 10**5:  # the scan of the (5, 3) case would take 3.5e7 steps
+        assert nu == _scan_nu(ell, p, w, cap)
 
 
 def test_choose_nu_capped_binds_when_the_answer_exceeds_a_cap_below_16():
-    w = StepTable(((1, 10**6),))  # met everywhere, so choose_nu answers 16
+    w = StepTable(((1, 10**6),))  # met everywhere, so the least nu >= 16 is 16
     assert choose_nu_capped(2, 2, w, cap=10) == (10, True)
+
+
+@st.composite
+def _weights(draw):
+    """A DoubleLog, a Power or an increasing StepTable, with parameters on
+    a log scale around those that meet the targets 3 ell / K_ell (45 to
+    576 here) at K_ell nu between 0.7 and 10^11."""
+    def log_uniform(lo, hi):
+        return 10 ** draw(st.floats(lo, hi))
+
+    kind = draw(st.sampled_from(["doublelog", "power", "step"]))
+    if kind == "doublelog":
+        return DoubleLog(log_uniform(1.3, 3.2))
+    if kind == "power":
+        return Power(log_uniform(-1, 0.5))
+    n = draw(st.integers(1, 5))
+    thresholds = sorted(log_uniform(-0.5, 6) for _ in range(n))
+    values = sorted(log_uniform(0, 3) for _ in range(n))
+    return StepTable(tuple(zip(thresholds, values)))
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights(), _PRIMES, st.integers(2, 8), st.integers(10, 2000))
+def test_choose_nu_capped_equals_a_scan(w, p, ell, cap):
+    nu = _scan_nu(ell, p, w, cap)
+    assert choose_nu_capped(ell, p, w, cap) == ((cap, True) if nu is None else (nu, False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights(), _PRIMES, st.integers(2, 8), st.integers(1, 10**12))
+def test_choose_nu_capped_is_least_or_capped(w, p, ell, cap):
+    K = k_ell(p, ell)
+    target = 3 * ell / K
+    nu, capped = choose_nu_capped(ell, p, w, cap)
+    assert capped == (cap < 16 or w(K * cap) < target)
+    if capped:
+        assert nu == cap
+    else:
+        assert 16 <= nu <= cap and w(K * nu) >= target
+        assert nu == 16 or w(K * (nu - 1)) < target
 
 
 def test_build_single_block_window():
@@ -127,7 +176,8 @@ def test_embedding_dimensions():
 def test_mesh_reports_all_pass():
     w = DoubleLog(1.0)
     bc = build_theorem2_prefix(p=3, w=w, L=4, seed=0)
-    reports = theorem2_mesh_reports(bc, count=120, seed=0)
+    reports = theorem2_mesh_reports(bc, count=120, seed=0, k_choices=(1, 2, 3, 4, 5, 6),
+                                    heights=(1, 2))
     assert len(reports) == 120
     assert all(r.passed for r in reports)
     assert all(r.bound == r.k * w(r.k) for r in reports)  # the construction's w

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -331,6 +332,27 @@ def test_cli_start_does_not_import_mpmath():
     proc = _run_cli(code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_needs_only_numpy_and_scipy():
+    # mpmath unimportable: under this w blocks 2 and 3 have nu = 19 and 21,
+    # inside the cap 24, so the run goes through choose_nu_capped's bisection
+    code = (
+        "import os, sys; sys.modules['mpmath'] = None; from sidonlab.cli import main; "
+        "sys.exit(main(['theorem2', '--w', 'step:1=1,1.6=1000000', '--blocks', '3', "
+        "'--out', os.devnull]))"
+    )
+    proc = _run_cli(code=code)
+    assert proc.returncode == 0, proc.stderr
+    # and no module of the package imports beyond the standard library, numpy and scipy
+    imported = set()
+    for path in Path(sidonlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "scipy"} == set()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")

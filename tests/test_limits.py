@@ -4,14 +4,14 @@ call past it raises core.ResourceCapError (a MemoryError)."""
 import numpy as np
 import pytest
 
-from sidonlab import growth, mesh, selection, spectral, verify
+from sidonlab import mesh, selection, spectral, verify
 from sidonlab.core import FpVector, LatticePoint, ResourceCapError
-from sidonlab.growth import DoubleLog, Power
-from sidonlab.mesh import Box, Mesh, mesh_count, mesh_members
+from sidonlab.mesh import BoundSpec, Box, Mesh, check_mesh_condition, mesh_count, mesh_members
 from sidonlab.selection import (
     LemmaCertificate,
     SelectionConfig,
     lemma_search,
+    sample_lambda,
     sample_lambda_rows,
     trial_statistics,
 )
@@ -60,13 +60,15 @@ LIMITS = [
     (spectral, "NU_CAP", 13, lambda: sample_flat_lambda(14, 401)),
     # a sample built from a raw mask through _spectrum_summary
     (spectral, "NU_CAP", 3, _witness_of_a_raw_mask),
-    # DoubleLog checks the cap on its own: exp(e^2 - 1) has about 2.8 digits
-    (growth, "LEAST_X_DIGIT_CAP", 2, lambda: DoubleLog(1.0).least_x(2.0)),
+    # the theorem2 and theorem3 mesh reports give no cap, so ENUM_CAP applies
+    (mesh, "ENUM_CAP", 8,
+     lambda: check_mesh_condition([ip(3)], [_MESH], BoundSpec("sidon_log", C=1.0))),
     (mesh, "ENUM_CAP", 8, lambda: well_spread_check([1, 3], 3)),
     (mesh, "ENUM_CAP", 8, lambda: v_p_size([1, 3], 3)),
     (mesh, "ENUM_CAP", 8, lambda: mesh_count([ip(3)], _MESH)),
     (mesh, "ENUM_CAP", 8, lambda: mesh_members(_MESH)),
-    (growth, "LEAST_X_DIGIT_CAP", 5, lambda: Power(0.5).least_x(1000.0)),
+    # the pointwise search draws its sets through sample_lambda
+    (selection, "SAMPLING_CAP", 15, lambda: sample_lambda(SelectionConfig(2, 4, 1))),
     (verify, "N_MAX_DEFAULT", 2, lambda: verify_qi_exhaustive([ip(1), ip(2), ip(4)])),
     # a FlatSample carries its spectrum summary, so no _spectrum_summary call checks the cap
     (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT, rho=0)),
@@ -85,9 +87,8 @@ def test_every_limit_raises_a_resource_cap_error(monkeypatch, module, name, belo
 
 
 def test_resource_cap_errors_are_memory_errors():
-    from sidonlab.growth import GrowthRangeError
     from sidonlab.mesh import MeshResourceError
     from sidonlab.verify import QiResourceError
 
-    for error in (ResourceCapError, MeshResourceError, QiResourceError, GrowthRangeError):
+    for error in (ResourceCapError, MeshResourceError, QiResourceError):
         assert issubclass(error, MemoryError)

@@ -182,10 +182,11 @@ def test_random_meshes_deterministic():
     def rand_el(rng):
         return ip(int(rng.integers(1, 100)))
 
-    a = random_meshes(pool, rand_el, count=20, seed=3)
-    b = random_meshes(pool, rand_el, count=20, seed=3)
+    kw = dict(count=20, k_choices=(1, 2, 3, 4, 5, 6), heights=(1, 2, 3))
+    a = random_meshes(pool, rand_el, seed=3, **kw)
+    b = random_meshes(pool, rand_el, seed=3, **kw)
     assert a == b
-    c = random_meshes(pool, rand_el, count=20, seed=4)
+    c = random_meshes(pool, rand_el, seed=4, **kw)
     assert a != c
 
 
