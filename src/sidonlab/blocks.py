@@ -14,6 +14,7 @@ per block.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +43,8 @@ def choose_nu_capped(ell: int, p: int, w: GrowthFunction, cap: int) -> tuple[int
     w is nondecreasing, so the qualifying nu form a final segment of
     [16, cap]; bisection finds where it starts.
     """
+    if cap > sys.float_info.max:  # w is evaluated at the float K * cap
+        raise ConfigError(f"the nu cap {cap} exceeds the largest float")
     K = k_ell(p, ell)
     target = 3 * ell / K
     if cap < LEMMA_NU_MIN or w(K * cap) < target:

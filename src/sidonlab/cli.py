@@ -72,7 +72,7 @@ class Opt:
 
 _COMMON = [
     Opt("seed", int, 0, "master RNG seed (echoed in the report)", 0),
-    Opt("threads", int, 0, "select's worker threads; 0 means SIDONLAB_THREADS or 1", 0),
+    Opt("threads", int, 1, "worker threads for select's trials", 1),
     Opt("out", str, "", "path for the JSON report (default: stdout)"),
 ]
 
@@ -138,7 +138,7 @@ class ExperimentConfig:
     subcommand: str
     params: dict
     seed: int
-    threads: int  # 0 means the default, which Parallelism resolves
+    threads: int
     out: str
     provenance: dict
 

@@ -2,8 +2,9 @@
 
 Everything here is an immutable value object with exact integer arithmetic
 (Python ints, so coordinates may grow without bound), plus rank computation
-over prime fields by Gaussian elimination.  It also fixes the one row key
-of every exact join (``row_keys``, ``add_keys``).
+over prime fields by Gaussian elimination.  Every exact join keys rows by
+one int64 key (``row_keys``, ``add_keys``) and confirms key hits on exact
+digit rows (``exact_rows``) joined by one sort (``first_matches``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "KEY_MOD",
     "row_keys",
     "add_keys",
+    "exact_rows",
+    "first_matches",
     "ConfigError",
     "ResourceCapError",
 ]
@@ -318,3 +321,50 @@ def add_keys(a, b) -> np.ndarray:
     total = a + b  # below 2^62
     np.subtract(total, KEY_MOD, out=total, where=total >= KEY_MOD)
     return total
+
+
+def exact_rows(coeffs, terms) -> np.ndarray:
+    """The sums sum_i C[r, i] * terms[i] for the rows r of int64 coefficients
+    C, as canonical int64 digit rows; terms are integers or points
+    (equal-length tuples of integers) of any size.  Terms past C's last
+    column come back as rows of their own after the sums (C is read as
+    [[C, 0], [0, I]]), so a join against plain values takes one call.
+
+    Each coordinate is written in L digits of 32 bits, L the least with
+    |x| < 2^(32 L - 1) for every coordinate x of every term: all digits but
+    the top one in [0, 2^32), the top one signed.  So rows are equal exactly
+    when the sums are, and all 0 exactly when the sum is 0.  L depends on
+    the terms alone, so calls with the same terms write one format.  No
+    int64 overflows while W = sum_i max|C[:, i]| <= 2^30 (else ValueError):
+    term digits lie in [-2^31, 2^32), a sum's digit is at most W 2^32 <=
+    2^62 in size, and a carry at most 2^30 + 1.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    points = [(t,) if isinstance(t, int) else tuple(t) for t in terms]
+    if sum(np.abs(coeffs).max(axis=0, initial=0).tolist()) > 2**30:
+        raise ValueError("coefficient rows with sum_i max|C[:, i]| > 2^30")
+    count = max(abs(x) for point in points for x in point).bit_length() // 32 + 1
+    raw = b"".join(x.to_bytes(4 * count, "little", signed=True) for point in points for x in point)
+    digits = np.frombuffer(raw, dtype="<u4").astype(np.int64).reshape(len(points), -1, count)
+    digits[:, :, -1] -= digits[:, :, -1] >> 31 << 32  # the top digit is signed
+    n, width = coeffs.shape[1], digits[0].size
+    sums = (coeffs @ digits[:n].reshape(n, width)).reshape(len(coeffs), *digits.shape[1:])
+    while (carry := sums[:, :, :-1] >> 32).any():  # carries ripple up, each pass moving them on
+        sums[:, :, :-1] &= 0xFFFFFFFF
+        sums[:, :, 1:] += carry
+    return np.concatenate([sums, digits[n:]]).reshape(len(coeffs) + len(points) - n, width)
+
+
+def first_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """For each right row, the least index of an equal left row, else -1: one
+    stable ``np.lexsort`` on the columns not alike in every row puts equal rows
+    together, left ones first in index order; each run's first row answers."""
+    rows = np.concatenate([left, right])
+    rows = rows[:, (rows != rows[:1]).any(axis=0) | (np.arange(rows.shape[1]) == 0)]
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))[:len(rows)]
+    first = order[starts][np.cumsum(starts) - 1]  # the first row of each position's run
+    out = np.empty(len(rows), dtype=np.int64)
+    out[order] = np.where(first < len(left), first, -1)
+    return out[len(left):]

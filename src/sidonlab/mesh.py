@@ -14,13 +14,12 @@ Counting routes (all exact):
   scanning only the integers of Lambda within reach of the mesh;
 * a keyed route for every other integer basis: the members' ``core.row_keys``
   keys come from broadcast ``add_keys`` of the terms' keys and are joined to
-  Lambda's keys; each match is confirmed by the member's exact sum in Python
-  ints, so a key collision is never counted.  ``count_distinct_sums`` uses
-  the same keys and computes exact sums only for rows that share a key;
+  Lambda's keys, and the matches are confirmed on ``core.exact_rows``, as
+  are the rows of ``count_distinct_sums`` that share a key;
 * a vectorized route for F_p vector bases: the coefficient domain is
   reduced mod p first (a height-h box becomes min(2h+1, p)^k residue rows),
   the members are one matrix product mod p, and they are joined on their
-  row keys to Lambda's rows, keyed once per (p, nu), rows compared exactly.
+  row keys to Lambda's rows, keyed once per (p, nu), and compared as rows.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import KEY_MOD, ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys, row_keys
+from .core import KEY_MOD, ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys
+from .core import exact_rows, first_matches, row_keys
 
 __all__ = [
     "Box",
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 ENUM_CAP = 10**7  # desk limit on enumerated members; read when a call has no cap
-_CONFIRM_CHUNK = 2**14  # shared rows whose exact sums count_distinct_sums builds at once
+_CONFIRM_CHUNK = 2**14  # shared rows whose exact rows count_distinct_sums writes at once
 
 
 class MeshResourceError(ResourceCapError):
@@ -257,7 +257,7 @@ def _sumset_keys(basis: Sequence[int], domain: Domain) -> np.ndarray:
         h = domain.height
         acc = np.zeros(1, dtype=np.int64)
         for b in basis:
-            terms = row_keys([(n * b,) for n in range(-h, h + 1)])
+            terms = row_keys([(n * (b % KEY_MOD),) for n in range(-h, h + 1)])  # key(n b), small
             acc = add_keys(acc[:, None], terms[None, :]).ravel()
         return acc
     acc = np.zeros(len(domain.coeffs), dtype=np.int64)
@@ -266,85 +266,69 @@ def _sumset_keys(basis: Sequence[int], domain: Domain) -> np.ndarray:
     return acc
 
 
-def _exact_sums(basis: Sequence[int], domain: Domain, rows: np.ndarray) -> list[int]:
-    """The exact sums, as Python ints, of the domain rows at the given indices."""
+def _coefficient_rows(domain: Domain, k: int, indices: np.ndarray) -> np.ndarray:
+    """The domain's coefficient rows at the given indices (domain order), as int64."""
     if isinstance(domain, Box):
-        h = domain.height
-        sums = [0] * len(rows)
-        for b in reversed(basis):  # C order: the last coefficient varies fastest
-            rows, digit = np.divmod(rows, 2 * h + 1)
-            sums = [s + (d - h) * b for s, d in zip(sums, digit.tolist())]
-        return sums
-    coeffs = [domain.coeffs[i] for i in rows.tolist()]
-    return [sum(n * b for n, b in zip(row, basis)) for row in coeffs]
+        return np.stack(np.unravel_index(indices, (2 * domain.height + 1,) * k), 1) - domain.height
+    return np.array([domain.coeffs[i] for i in indices.tolist()], dtype=np.int64).reshape(-1, k)
 
 
 def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
     """|{sum_j n_j * basis[j] : n in domain}| for integers of any size.
 
-    Rows whose keys differ have different sums; exact sums are computed only
-    for rows that share a key with another row, _CONFIRM_CHUNK rows at a
-    time into one set of divmod(sum, KEY_MOD) pairs (the sums themselves
-    would share a hash wherever they share a key; see _count_keyed).  The
-    keys, sorted in place, and their sort order (8 bytes a row each) are
-    the only large arrays held.
+    Rows whose keys differ have different sums.  Rows that share a key are
+    written by ``core.exact_rows`` in key order, _CONFIRM_CHUNK at a time;
+    ``core.first_matches`` keeps those no earlier row equals, carrying on the
+    distinct rows of the key a chunk ends in.  The sorted keys and their
+    order (8 bytes a row each) are the only large arrays held.
     """
     basis = [operator.index(b) for b in basis]
     keys = _sumset_keys(basis, domain)
     order = np.argsort(keys)
     keys.sort()  # in place: the same values as keys[order]
-    shared = np.zeros(len(keys), dtype=bool)
-    same = keys[1:] == keys[:-1]
-    shared[1:] |= same
-    shared[:-1] |= same
-    del keys, same  # the confirmation below needs only order and shared
-    sums: set[tuple[int, int]] = set()
+    starts = np.concatenate(([True], keys[1:] != keys[:-1]))  # the first row of each key
+    del keys  # the confirmation below needs only order and starts
+    shared = ~(starts & np.append(starts[1:], True))
+    distinct = len(order) - int(shared.sum())
+    carry = exact_rows(np.zeros((0, len(basis)), dtype=np.int64), basis)
     for start in range(0, len(order), _CONFIRM_CHUNK):
-        rows = order[start : start + _CONFIRM_CHUNK][shared[start : start + _CONFIRM_CHUNK]]
-        sums.update(divmod(s, KEY_MOD) for s in _exact_sums(basis, domain, rows))
-    return len(order) - int(shared.sum()) + len(sums)
+        take = slice(start, start + _CONFIRM_CHUNK)
+        coeffs = _coefficient_rows(domain, len(basis), order[take][shared[take]])
+        rows = np.concatenate([carry, exact_rows(coeffs, basis)])
+        key = np.cumsum(np.concatenate([np.zeros(len(carry), bool), starts[take][shared[take]]]))
+        fresh = first_matches(rows, rows[len(carry):]) == np.arange(len(carry), len(rows))
+        distinct += int(fresh.sum())
+        carry = rows[np.concatenate([np.ones(len(carry), bool), fresh]) & (key == key[-1:])]
+    return distinct
 
 
 def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an integer basis by a key join, hits confirmed.
-
-    A member can equal a point of Lambda only if their keys match; each
-    matched member's exact sum is then looked up in Lambda's sorted ints by
-    bisection, so a key collision is rejected, never counted.  (Not a set:
-    Python hashes an int by its residue mod 2^61 - 1 = KEY_MOD, so exact
-    values that share a key share a hash too, and a set of them degrades to
-    a scan.)
-    """
+    """|Lambda ∩ M| for an integer basis: members whose key Lambda has and the ints of
+    Lambda sharing a key with one, in one ``core.exact_rows`` call, joined exactly."""
     check_enum_cap(mesh.domain_size(), cap)
-    if not lam.ints:
-        return 0
     basis = [b.as_int() for b in mesh.basis]
     keys = _sumset_keys(basis, mesh.domain)
-    hits = np.flatnonzero(np.isin(keys, lam.int_keys))
-    ints, found = lam.ints, set()
-    for s in _exact_sums(basis, mesh.domain, hits):
-        i = bisect_left(ints, s)
-        if i < len(ints) and ints[i] == s:
-            found.add(i)
-    return len(found)
+    hits = np.flatnonzero(np.isin(keys, lam.int_keys, kind="sort"))  # faster than hashing here
+    if not len(hits):
+        return 0
+    near = np.flatnonzero(first_matches(keys[hits, None], lam.int_keys[:, None]) >= 0)
+    rows = exact_rows(_coefficient_rows(mesh.domain, mesh.k, hits),
+                      basis + [lam.ints[i] for i in near.tolist()])
+    return int((first_matches(rows[: len(hits)], rows[len(hits) :]) >= 0).sum())
 
 
 def _is_fp_basis(mesh: Mesh) -> bool:
-    if not all(isinstance(b, FpVector) for b in mesh.basis):
-        return False
-    p = mesh.basis[0].p
-    nu = mesh.basis[0].nu
-    return all(b.p == p and b.nu == nu for b in mesh.basis)
+    first = mesh.basis[0]
+    return all(isinstance(b, FpVector) and (b.p, b.nu) == (first.p, first.nu) for b in mesh.basis)
 
 
 class _Lambda:
     """Lambda deduplicated and keyed once for every counting route.
 
-    Its integers (plain ints and points of Z) are kept as a sorted list,
-    deduplicated by sorting rather than hashing (see _count_keyed), and
-    their row keys; its other points as a deduplicated list; its F_p
-    points, per (p, nu), as a row array sorted by row key, with the sorted
-    keys.
+    Its integers (plain ints and points of Z) as a sorted list, deduplicated
+    by sorting (a set of ints sharing a residue mod KEY_MOD hashes to a
+    scan), and their row keys; its other points as a deduplicated list; its
+    F_p points, per (p, nu), as a row array sorted by row key, with the keys.
     """
 
     def __init__(self, lam: Iterable):
@@ -385,8 +369,9 @@ def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
 
 
 def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an F_p basis by a row-key join: a member whose key is
-    in Lambda's sorted keys counts only where the rows are equal."""
+    """|Lambda ∩ M| for an F_p basis by a row-key join: each (member, point
+    of Lambda) pair with equal keys is compared as whole rows, all pairs in
+    one array comparison, and a point counts where its rows are equal."""
     check_enum_cap(mesh.domain_size(), cap)
     p = mesh.basis[0].p
     fp = lam.fp.get((p, mesh.basis[0].nu))
@@ -396,10 +381,11 @@ def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
     basis = np.array([b.coords for b in mesh.basis], dtype=np.int64)
     members = _residue_coeffs(mesh, p) @ basis % p
     keys = row_keys(members)
-    lo, hi = np.searchsorted(lam_keys, keys), np.searchsorted(lam_keys, keys, side="right")
-    found = {j for i in np.flatnonzero(lo < hi).tolist() for j in range(lo[i], hi[i])
-             if np.array_equal(lam_rows[j], members[i])}
-    return len(found)
+    lo = np.searchsorted(lam_keys, keys)
+    count = np.searchsorted(lam_keys, keys, side="right") - lo
+    points = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    equal = (lam_rows[points] == np.repeat(members, count, axis=0)).all(axis=1)
+    return len(np.unique(points[equal]))
 
 
 def mesh_count(
@@ -414,9 +400,10 @@ def mesh_count(
     MeshResourceError unless the digit route applies.
 
     method: "auto" picks the digit route for super-increasing integer
-    bases, the keyed route for other integer bases, a vectorized route for
-    F_p bases, and set enumeration otherwise; "enumerate" forces plain
-    enumeration (the oracle route).  Integers of Lambda count once per
+    bases, the keyed route for other integer bases (coefficients with
+    sum_j max|n_j| <= 2^30), a vectorized route for F_p bases, and set
+    enumeration otherwise; "enumerate" forces plain enumeration (the oracle
+    route).  Integers of Lambda count once per
     value, whether given as ints or as points of Z.
     """
     lam = lam if isinstance(lam, _Lambda) else _Lambda(lam)
@@ -431,13 +418,11 @@ def mesh_count(
     triples = _digit_bounds(mesh)
     if triples is not None:
         return _count_by_digits(lam.ints, mesh, triples)
-    if _is_int_basis(mesh):
+    if _is_int_basis(mesh) and sum(mesh.coefficient_bounds()) <= 2**30:  # exact_rows' bound
         return _count_keyed(lam, mesh, cap)
-    if _is_fp_basis(mesh):
-        p, k = mesh.basis[0].p, mesh.k
-        # int64 matmul accumulates k*(p-1)^2; huge primes take the slow path
-        if k * (p - 1) ** 2 < 2**62:
-            return _count_fp_vectorized(lam, mesh, cap)
+    # the F_p route's int64 matmul accumulates k (p-1)^2; huge primes enumerate
+    if _is_fp_basis(mesh) and mesh.k * (mesh.basis[0].p - 1) ** 2 < 2**62:
+        return _count_fp_vectorized(lam, mesh, cap)
     return mesh_count(lam, mesh, cap, method="enumerate")
 
 

@@ -8,27 +8,19 @@ thread count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["Parallelism", "default_threads"]
-
-ENV_VAR = "SIDONLAB_THREADS"
-
-
-def default_threads() -> int:
-    value = os.environ.get(ENV_VAR, "").strip()
-    if value.isascii() and value.isdigit() and int(value) > 0:  # '²'.isdigit() is True
-        return int(value)
-    return 1
+__all__ = ["Parallelism"]
 
 
 class Parallelism:
-    """Order-preserving map over a fixed-size thread pool."""
+    """Order-preserving map over a fixed-size thread pool of `threads` >= 1."""
 
-    def __init__(self, threads: int | None = None):
-        self.threads = threads if threads and threads > 0 else default_threads()
+    def __init__(self, threads: int):
+        if threads < 1:
+            raise ValueError(f"need threads >= 1, got {threads}")
+        self.threads = threads
 
     def map(self, fn: Callable, items: Iterable) -> Iterator:
         items = list(items)

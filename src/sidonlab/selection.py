@@ -69,6 +69,10 @@ class SelectionConfig:
             raise ConfigError(f"p = {self.p} is not prime")
         if self.nu < 1 or self.ell < 1:
             raise ConfigError("need nu >= 1 and ell >= 1")
+        # before p**nu: with or without use_eighth, the search checks m-subsets (budget: m >= 3)
+        m = math.floor(min(k_ell(self.p, self.ell), 0.125) * self.nu)
+        if m >= 3:
+            _check_subset_budget(self.ell * self.nu, m)
         if 2 * self.ell * self.nu >= self.p**self.nu:
             raise ConfigError("alpha = 2*ell*nu/p^nu must be < 1")
 
@@ -199,7 +203,8 @@ class LemmaCertificate:
 
 
 def _check_subset_budget(n: int, m: int) -> None:
-    if math.comb(n, m) > SUBSET_BUDGET:
+    # C(n, j) <= C(n, m) for j <= min(m, n - m), so a huge C(n, m) is never computed
+    if math.comb(n, min(m, n - m, 3)) > SUBSET_BUDGET or math.comb(n, m) > SUBSET_BUDGET:
         raise ResourceCapError(
             f"C({n},{m}) subset checks exceed the budget {SUBSET_BUDGET}"
         )

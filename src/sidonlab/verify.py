@@ -6,7 +6,7 @@ A set is quasi-independent when no nontrivial coefficient vector over
 * ``verify_qi_exhaustive`` -- meet-in-the-middle over the 3^N sign vectors
   (the Horowitz-Sahni split), exact, with an explicit witness on failure.
   Signed sums are joined on the int64 row keys of :mod:`sidonlab.core`, and
-  every key match is confirmed by the exact signed sum of the points;
+  every key match is confirmed on the exact rows of the signed sums;
 * ``verify_qi_structural`` -- the fast inductive check for matrices produced
   by the doubling recursion in :mod:`sidonlab.construction`.
 
@@ -16,16 +16,16 @@ as a second, independent oracle for small N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import KEY_MOD, LatticePoint, ResourceCapError, SignVector, add_keys, row_keys
-from .core import signed_combination
+from .core import KEY_MOD, LatticePoint, ResourceCapError, SignVector, add_keys, exact_rows
+from .core import first_matches, row_keys, signed_combination
 
 __all__ = [
     "DependencyWitness",
@@ -38,7 +38,7 @@ __all__ = [
 N_MAX_DEFAULT = 24  # desk limit: a left half-table of at most 3^12 entries
 
 _SIGNS = (0, 1, -1)  # base-3 digit d of a sign index stands for _SIGNS[d]
-_SIGN_CHUNK = 2**10  # sign indices whose sign vectors are built at once
+_SIGN_CHUNK = 2**12  # sign indices whose sign vectors are built at once
 
 
 class QiResourceError(ResourceCapError):
@@ -82,42 +82,12 @@ def _sign_vector(index: int, length: int) -> tuple[int, ...]:
     return tuple(_SIGNS[index // 3**k % 3] for k in range(length - 1, -1, -1))
 
 
-def _witness(signs: tuple[int, ...], n: int) -> DependencyWitness:
-    """The witness of n signs that starts with the given ones, zero-padded."""
-    return DependencyWitness(SignVector(signs + (0,) * (n - len(signs))))
-
-
-def _sums_of(rows: list[tuple[int, ...]]) -> Callable[[np.ndarray, int], np.ndarray]:
-    """sums(signs, start): for each row of signs, the exact signed sum of
-    rows start, start + 1, ... as one row of int64 digits, equal exactly
-    when the sums are equal, and all 0 exactly when the sum is 0.
-
-    No coordinate of such a sum exceeds sum_i max|row i|.  Below 2^63 the
-    digits are the coordinates, one int64 product a chunk of sign rows.
-    Otherwise each coordinate is written in L digits of B bits, the top one
-    signed, with n 2^B < 2^62 so that the digits' signed sums stay in
-    int64; the product's digits are then carried until all but the top one
-    lie in [0, 2^B), which writes each sum one way.
-    """
-    n, dim = len(rows), len(rows[0])
-    if sum(max(map(abs, row), default=0) for row in rows) < 2**63:
-        width, count = 0, 1
-    else:
-        width = 62 - n.bit_length()
-        count = max(abs(x) for row in rows for x in row).bit_length() // width + 1
-    mask = (1 << width) - 1
-    digits = np.array([[x >> (width * k) & mask if k < count - 1 else x >> (width * k)
-                        for x in row for k in range(count)] for row in rows], dtype=np.int64)
-    digits = digits.reshape(n, dim * count)
-
-    def sums(signs: np.ndarray, start: int) -> np.ndarray:
-        out = (signs @ digits[start:start + signs.shape[1]]).reshape(len(signs), dim, count)
-        for k in range(count - 1):
-            out[:, :, k + 1] += out[:, :, k] >> width
-            out[:, :, k] &= mask
-        return out.reshape(len(signs), dim * count)
-
-    return sums
+def _exact_sums(indices: np.ndarray, length: int, start: int, sign: int, rows: list) -> np.ndarray:
+    """``core.exact_rows`` of sign times the signed sums of rows[start:start +
+    length] by base-3 indices, over all rows so every call writes one format."""
+    pad = ((0, 0), (start, len(rows) - start - length))
+    return np.concatenate([exact_rows(np.zeros((0, len(rows)), np.int64), rows)] + [
+        exact_rows(np.pad(sign * signs, pad), rows) for _, signs in _sign_rows(indices, length)])
 
 
 def verify_qi_exhaustive(
@@ -127,16 +97,16 @@ def verify_qi_exhaustive(
     """Exhaustive quasi-independence test by meet-in-the-middle.
 
     Signed sums are taken of the points' ``core.row_keys`` keys, which are
-    linear, so a vanishing combination has key sum 0; each key sum of 0 is
-    confirmed on the exact rows, whose signed sums are taken for a chunk of
-    sign vectors at a time as one int64 product (see _sums_of).  The left
-    half's 3^(N//2) sums are built element by element (sum, sum + key,
-    sum - key), so position i holds the prefix of base-3 index i, and
-    after each step the first exactly
-    vanishing prefix in index order is returned.  The right half's sums, in
-    ``itertools.product((0, 1, -1))`` order, are joined against the sorted
-    left sums: the first nonzero right vector with an exact match gives the
-    witness, with the smallest left index among its exact matches.
+    linear, so a vanishing combination has key sum 0; each key match is
+    confirmed on ``core.exact_rows`` of the signed sums.  The left half's
+    3^(N//2) sums are built element by element (sum, sum + key, sum - key),
+    so position i holds the prefix of base-3 index i, and after each step
+    the first exactly vanishing prefix in index order is returned.  The
+    right half's sums, in ``itertools.product((0, 1, -1))`` order, are
+    joined by ``core.first_matches`` against the left sums that share their
+    key, the first _SIGN_CHUNK of them alone for an early exit: the first
+    nonzero right vector with an exact match gives the witness, with the
+    smallest left index among its matches.
 
     Returns (True, None) when quasi-independent, else (False, witness).
     Raises QiResourceError when len(elements) > n_max (N_MAX_DEFAULT when
@@ -146,59 +116,49 @@ def verify_qi_exhaustive(
     n = len(elements)
     n_max = N_MAX_DEFAULT if n_max is None else n_max
     if n > n_max:
-        raise QiResourceError(
-            f"{n} elements exceed the cap of {n_max} (3^{n} sign vectors)"
-        )
+        raise QiResourceError(f"{n} elements exceed the cap of {n_max} (3^{n} sign vectors)")
     if n == 0:
         return True, None
     for el in elements:
         if not isinstance(el, LatticePoint):
             raise TypeError(f"verify_qi_exhaustive takes LatticePoints, got {type(el).__name__}")
-    dim = max(el.dim for el in elements)
+    dim = max(1, max(el.dim for el in elements))  # the zero point keeps one coordinate
     rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
     keys = row_keys(rows)
     n_left = n // 2
-    sums = _sums_of(rows)
 
     left = np.zeros(1, dtype=np.int64)
     for step, key in enumerate(keys[:n_left]):
         left = _extend(left, key)
         zero = np.flatnonzero(left == 0)
-        # a prefix ending in sign 0 is the prefix before it, confirmed a step
-        # earlier (index 0, the all-zero prefix, among them)
-        for chunk, signs in _sign_rows(zero[zero % 3 != 0], step + 1):
-            vanish = np.flatnonzero(~sums(signs, 0).any(axis=1))
-            if len(vanish):
-                return False, _witness(_sign_vector(int(chunk[vanish[0]]), step + 1), n)
+        zero = zero[zero % 3 != 0]  # a prefix ending in sign 0 was confirmed a step earlier
+        vanish = np.flatnonzero(~_exact_sums(zero, step + 1, 0, 1, rows).any(axis=1))
+        if len(vanish):
+            signs = _sign_vector(int(zero[vanish[0]]), step + 1) + (0,) * (n - step - 1)
+            return False, DependencyWitness(SignVector(signs))
 
-    right = np.zeros(1, dtype=np.int64)
-    for key in keys[n_left:]:
-        right = _extend(right, key)
-    ranked = np.sort(left)
-    need = (KEY_MOD - right) % KEY_MOD
-    pos = np.minimum(np.searchsorted(ranked, need), len(ranked) - 1)
-    hit = ranked[pos] == need
-    hit[0] = False  # the all-zero right vector
-    # Per hit key, the (digits of the exact sum, index) pairs of the left sums
-    # with that key, sorted, so a right vector costs one bisection however
-    # many left sums share its key.  Not a dict: Python hashes an int by its residue mod
-    # 2^61 - 1 = KEY_MOD, so sums that share a key can share a hash too (all
-    # do for points c * KEY_MOD), and a dict of them degrades to a scan.
-    exact: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for chunk, signs in _sign_rows(np.flatnonzero(hit), n - n_left):
-        for j, target in zip(chunk.tolist(), map(tuple, sums(-signs, n_left).tolist())):
-            key = int(need[j])
-            if key not in exact:
-                exact[key] = sorted(
-                    (total, i)
-                    for found, left_signs in _sign_rows(np.flatnonzero(left == key), n_left)
-                    for i, total in zip(found.tolist(), map(tuple, sums(left_signs, 0).tolist()))
-                )
-            table = exact[key]
-            pos = bisect_left(table, (target,))  # the smallest index with this sum
-            if pos < len(table) and table[pos][0] == target:
-                left_signs = _sign_vector(table[pos][1], n_left)
-                return False, _witness(left_signs + _sign_vector(j, n - n_left), n)
+    order = np.argsort(left)
+    left = left[order]  # sorted; order maps back to sign indices
+    need = functools.reduce(_extend, -keys[n_left:] % KEY_MOD, np.zeros(1, dtype=np.int64))
+    by_need = np.argsort(need)  # need: the key sum of each right vector, negated
+    sorted_need = need[by_need]  # sorted needles walk left in order
+    pos = np.searchsorted(left, sorted_need)
+    hits = np.sort(by_need[left.take(pos, mode="clip") == sorted_need])[1:]  # not the zero vector
+    del by_need, sorted_need, pos  # 4 MiB at 3^11 left sums, not held while the chunks join
+    for chunk in filter(len, np.split(hits, [_SIGN_CHUNK])):  # the first hits, for an early exit
+        # the left sums whose key some hit of the chunk needs, in index order
+        wanted = np.array(sorted(set(need[chunk].tolist())))  # np.unique imports numpy.ma
+        lo = np.searchsorted(left, wanted)
+        count = np.searchsorted(left, wanted, side="right") - lo
+        found = np.sort(order[np.repeat(lo - np.cumsum(count) + count, count)
+                              + np.arange(count.sum())])
+        match = first_matches(_exact_sums(found, n_left, 0, 1, rows),
+                              _exact_sums(chunk, n - n_left, n_left, -1, rows))
+        first = np.flatnonzero(match >= 0)[:1]
+        if len(first):
+            signs = _sign_vector(int(found[match[first[0]]]), n_left)
+            signs += _sign_vector(int(chunk[first[0]]), n - n_left)
+            return False, DependencyWitness(SignVector(signs))
     return True, None
 
 

@@ -302,6 +302,25 @@ def _run_cli(*argv, code=None, env=None):
     return subprocess.run([*cmd, *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theorem2", "--nu-cap", str(10**400)], "exceeds the largest float"),
+    (["theorem2", "--nu-cap", str(10**30)], "subset checks exceed the budget 2000000"),
+    (["select", "--nu", str(10**12)], "subset checks exceed the budget 2000000"),
+    (["theorem2", "--nu-cap", "60"], "subset checks exceed the budget 2000000"),
+    (["select", "--nu", "200"], "subset checks exceed the budget 2000000"),
+], ids=["theorem2-cap-1e400", "theorem2-cap-1e30", "select-nu-1e12", "theorem2-cap-60",
+        "select-nu-200"])
+def test_an_unusable_nu_is_refused_before_any_work(argv, message):
+    # before this refusal, 1e400 exited 3 and the other huge values ran on
+    # in p**nu; the timeout turns such a hang into a failure
+    env = dict(os.environ, PYTHONPATH=str(Path(sidonlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sidonlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("sidonlab: ") and message in line
+
+
 def test_cli_start_does_not_import_scipy():
     code = (
         "import sys; from sidonlab.cli import parse_config; parse_config(['appendix-check']); "

@@ -15,6 +15,8 @@ from sidonlab.core import (
     LatticePoint,
     SignVector,
     add_keys,
+    exact_rows,
+    first_matches,
     fp_rank,
     is_free,
     is_prime,
@@ -285,6 +287,73 @@ def test_an_integer_keys_as_its_residue():
     assert row_keys([(x,) for x in xs]).tolist() == [x % KEY_MOD for x in xs]
     assert row_keys(np.array([[3], [-4]])).tolist() == [3, KEY_MOD - 4]
     assert row_keys([]).shape == (0,)
+
+
+# terms on both sides of each digit boundary: int64's ends, 2^64, 2^120 with
+# carries into the next digit, KEY_MOD multiples (whose keys all agree) and 0
+_EXACT_TERMS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.sampled_from([2**62 - 1, -(2**62 - 1), 2**63, -(2**63), 2**64, 2**120, -(2**120)]),
+    st.builds(lambda a, b, c: a * 2**120 + b * 2**62 + c, *[st.integers(-2, 2)] * 3),
+    st.builds(lambda c, e: c * KEY_MOD + e, st.integers(-3, 3), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[_EXACT_TERMS] * dim), min_size=1, max_size=5),
+    st.integers(0, 3),
+)), st.data())
+def test_exact_rows_equal_exactly_when_the_sums_do(case, data):
+    terms, h = case
+    n = len(terms)
+    width = data.draw(st.integers(0, n), label="coefficient columns")
+    coeffs = data.draw(st.lists(st.lists(st.integers(-h, h), min_size=width, max_size=width),
+                                min_size=1, max_size=12), label="coefficients")
+    rows = [tuple(r) for r in exact_rows(np.array(coeffs, dtype=np.int64).reshape(len(coeffs), width),
+                                         terms).tolist()]
+    # the sums, then the terms past the coefficient columns as rows of their own
+    sums = [tuple(sum(c * t[d] for c, t in zip(row, terms)) for d in range(len(terms[0])))
+            for row in coeffs] + terms[width:]
+    assert len(rows) == len(sums)
+    assert len(set(rows)) == len(set(sums)) == len(set(zip(rows, sums)))
+    assert [not any(r) for r in rows] == [not any(s) for s in sums]
+    # the same terms write one format, whatever the coefficients
+    again = exact_rows(np.array(coeffs[::-1], dtype=np.int64).reshape(len(coeffs), width), terms)
+    assert [tuple(r) for r in again.tolist()[:len(coeffs)]] == rows[:len(coeffs)][::-1]
+
+
+def test_exact_rows_refuse_coefficients_past_the_int64_bound():
+    assert exact_rows(np.array([[2**29, 2**29]]), [2**200, -1]).shape == (1, 7)
+    with pytest.raises(ValueError):
+        exact_rows(np.array([[2**29, 2**29 + 1]]), [1, 1])
+
+
+def _first_matches_oracle(left, right):
+    first = {}
+    for i, row in enumerate(map(tuple, left)):
+        first.setdefault(row, i)
+    return [first.get(row, -1) for row in map(tuple, right)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.tuples(*[
+    st.lists(st.lists(st.integers(-2, 2), min_size=width, max_size=width), max_size=15)] * 2
+)))
+def test_first_matches_gives_the_least_equal_left_index(sides):
+    width = max(len(r) for r in sides[0] + sides[1]) if sides[0] + sides[1] else 1
+    left, right = (np.array(side, dtype=np.int64).reshape(-1, width) for side in sides)
+    assert first_matches(left, right).tolist() == _first_matches_oracle(left, right)
+
+
+def test_first_matches_on_duplicates_misses_and_empty_sides():
+    left = np.array([[1, 2], [3, 4], [1, 2], [0, 0]])
+    right = np.array([[1, 2], [5, 5], [0, 0], [3, 4], [1, 2]])
+    assert first_matches(left, right).tolist() == [0, -1, 3, 1, 0]
+    assert first_matches(left[:0], right).tolist() == [-1] * 5
+    assert first_matches(left, right[:0]).tolist() == []
+    assert first_matches(np.array([[7]]), np.array([[8], [6]])).tolist() == [-1, -1]
 
 
 def test_the_key_format_has_one_home():

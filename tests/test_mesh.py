@@ -355,6 +355,15 @@ def test_keyed_route_rejects_residue_collisions(b):
     assert mesh_count(lam, explicit) == mesh_count(lam, explicit, method="enumerate") == 3
 
 
+def test_coefficients_past_the_exact_rows_bound_count_by_enumeration():
+    # sum_j max|n_j| = 2^30 is the last the keyed route takes (core.exact_rows'
+    # int64 bound); past it, and past int64 itself at 2^70, meshes are enumerated
+    for c in (2**29, 2**30, 2**70):
+        mesh = Mesh((ip(3), ip(5)), ExplicitList(((c, 1), (1, c), (-c, 0), (2, 2))))
+        lam = [ip(3 * c + 5), ip(3 + 5 * c), ip(-3 * c), ip(16), ip(17)]
+        assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate") == 4
+
+
 def test_ints_and_points_of_z_count_once_per_value():
     mesh = Mesh((ip(2), ip(3)), Box(1))
     lam = [ip(5), 5, LatticePoint(()), 0, 7]

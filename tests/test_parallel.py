@@ -1,6 +1,8 @@
 import json
 
-from sidonlab.parallel import ENV_VAR, Parallelism, default_threads
+import pytest
+
+from sidonlab.parallel import Parallelism
 
 
 def test_serial_and_threaded_maps_agree():
@@ -10,13 +12,11 @@ def test_serial_and_threaded_maps_agree():
     assert serial == threaded == [x * x for x in items]
 
 
-def test_env_var_fallback(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "3")
-    assert default_threads() == 3
-    assert Parallelism(None).threads == 3
-    for junk in ("junk", "²", "0", "-2", "+2", "2.0", "1_0"):  # '²'.isdigit() is True
-        monkeypatch.setenv(ENV_VAR, junk)
-        assert default_threads() == 1
+def test_pool_takes_a_positive_count():
+    assert Parallelism(3).threads == 3
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            Parallelism(bad)
 
 
 def test_threaded_cli_report_matches_serial():
@@ -31,19 +31,7 @@ def test_threaded_cli_report_matches_serial():
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
 
-def test_threads_zero_is_resolved_by_the_pool_alone(monkeypatch):
-    import sidonlab.cli
-    from sidonlab.cli import parse_config, run
+def test_threads_below_one_are_refused():
+    from sidonlab.cli import main
 
-    seen = []
-
-    def handler(params, seed, pool):
-        seen.append(pool.threads)
-        return [], {}
-
-    monkeypatch.setitem(sidonlab.cli._HANDLERS, "theorem1", handler)
-    monkeypatch.setenv(ENV_VAR, "2")
-    config = parse_config(["theorem1", "--threads", "0"])
-    assert config.threads == 0  # left for Parallelism to resolve
-    run(config)
-    assert seen == [2]
+    assert main(["theorem1", "--threads", "0"]) == 2

@@ -270,14 +270,16 @@ _EDGE_COORDS = st.one_of(
 @given(st.integers(1, 2).flatmap(
     lambda dim: st.lists(st.tuples(*[_EDGE_COORDS] * dim), min_size=1, max_size=6)))
 def test_exact_sum_digits_equal_exactly_when_the_sums_do(rows):
-    from sidonlab.verify import _sign_rows, _sums_of
+    from sidonlab.core import exact_rows
+    from sidonlab.verify import _sign_rows
 
     n = len(rows)
-    sums = _sums_of(rows)
     for start in sorted({0, n // 2}):
         length = n - start
         for _, signs in _sign_rows(np.arange(3**length), length):
-            digits = [tuple(row) for row in sums(signs, start).tolist()]
+            coeffs = np.zeros((len(signs), n), dtype=np.int64)
+            coeffs[:, start:] = signs
+            digits = [tuple(row) for row in exact_rows(coeffs, rows).tolist()]
             exact = [tuple(sum(int(s) * x for s, x in zip(row, col[start:])) for col in zip(*rows))
                      for row in signs]
             assert len(set(digits)) == len(set(exact)) == len(set(zip(digits, exact)))
@@ -314,6 +316,15 @@ def test_colliding_keys_match_naive_oracle():
         assert qi_fast == qi_slow == (n < 2)
         if not qi_fast:
             assert w_fast.validates(dependent) and w_slow.validates(dependent)
+
+
+def test_colliding_keys_dependent_witness_follows_the_search_order():
+    # every key is 0: 84 m = 3 m + 81 m joins a left point to a right one,
+    # and -28 m = -(m + 27 m) two left points to a right one
+    for extra in ([84], [-28], [84, -28], [-28, 84]):
+        pts = _keyless_points(7) + [lp(c * KEY_MOD) for c in extra]
+        qi, witness = verify_qi_exhaustive(pts)
+        assert not qi and witness.eps.signs == _search_order_witness(pts)
 
 
 def test_colliding_keys_cost_one_lookup_per_right_vector():
