@@ -30,7 +30,7 @@ from .blocks import NU_CAP_DEFAULT
 from .core import ConfigError, LatticePoint, is_prime
 from .growth import GrowthFunction, parse_growth, validate_growth
 from .mesh import ENUM_CAP
-from .parallel import Parallelism
+from .parallel import THREADS_MAX, Parallelism
 from .selection import LEMMA_NU_MIN, RETRY_BUDGET, TIED_MIN_TRIALS
 from .spectral import FLAT_ELL_LIMIT, FLAT_RETRY_BUDGET
 from .tails import MIN_TRIALS
@@ -68,11 +68,12 @@ class Opt:
     default: object
     help: str
     floor: Optional[int] = None  # the least value a run can use
+    ceiling: Optional[int] = None  # the most a run may ask for
 
 
 _COMMON = [
     Opt("seed", int, 0, "master RNG seed (echoed in the report)", 0),
-    Opt("threads", int, 1, "worker threads for select's trials", 1),
+    Opt("threads", int, 1, "worker threads for select's trials", 1, THREADS_MAX),
     Opt("out", str, "", "path for the JSON report (default: stdout)"),
 ]
 
@@ -243,7 +244,8 @@ def _read_config_file(path: str, allowed: dict[str, Opt]) -> dict:
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Parse flags (and an optional config file): flags win, unknown keys and
-    values below their flag's floor are refused, every key records its provenance."""
+    values outside their flag's floor and ceiling are refused, every key records
+    its provenance."""
     parser = argparse.ArgumentParser(
         prog="sidonlab",
         description="reproduction harness for the mesh / selection experiments",
@@ -273,6 +275,8 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
             params[name], provenance[name] = opt.default, "default"
         if opt.floor is not None and params[name] < opt.floor:
             raise ConfigError(f"--{name} must be >= {opt.floor}, got {params[name]}")
+        if opt.ceiling is not None and params[name] > opt.ceiling:
+            raise ConfigError(f"--{name} must be <= {opt.ceiling}, got {params[name]}")
 
     seed = params.pop("seed")
     threads = params.pop("threads")

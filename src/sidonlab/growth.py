@@ -2,7 +2,8 @@
 
 A valid weight function satisfies w(x) >= 1, is nondecreasing, and tends to
 infinity.  Three built-ins: a double logarithm with a scale factor, a power,
-and a user step table.
+and a user step table.  Each is defined at every float x >= 0, inf included:
+a value past the largest float is inf.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ class Power(GrowthFunction):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     def __call__(self, x: float) -> float:
-        return max(1.0, x**self.eps)
+        try:
+            return max(1.0, x**self.eps)
+        except OverflowError:  # x**eps past the largest float
+            return math.inf
 
     def describe(self) -> str:
         return f"power:{self.eps:g}"

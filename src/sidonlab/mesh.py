@@ -13,13 +13,13 @@ Counting routes (all exact):
   membership is decided by greedy digit extraction without enumeration,
   scanning only the integers of Lambda within reach of the mesh;
 * a keyed route for every other integer basis: the members' ``core.row_keys``
-  keys come from broadcast ``add_keys`` of the terms' keys and are joined to
-  Lambda's keys, and the matches are confirmed on ``core.exact_rows``, as
-  are the rows of ``count_distinct_sums`` that share a key;
-* a vectorized route for F_p vector bases: the coefficient domain is
-  reduced mod p first (a height-h box becomes min(2h+1, p)^k residue rows),
-  the members are one matrix product mod p, and they are joined on their
-  row keys to Lambda's rows, keyed once per (p, nu), and compared as rows.
+  keys are broadcast ``add_keys`` of the terms' keys;
+* a vectorized route for F_p vector bases: the domain is reduced mod p first
+  (a height-h box becomes min(2h+1, p)^k residue rows), the members are one
+  matrix product mod p.
+Both keep, by ``core.key_hits``, the members whose key Lambda (keyed and sorted
+once) has and the points of Lambda whose key such a member has, then confirm them
+by ``core.first_matches`` (on ``exact_rows`` for integers, as ``count_distinct_sums`` does).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import KEY_MOD, ConfigError, FpVector, LatticePoint, ResourceCapError, add_keys
-from .core import exact_rows, first_matches, row_keys
+from .core import exact_rows, first_matches, key_hits, row_keys
 
 __all__ = [
     "Box",
@@ -308,10 +308,10 @@ def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
     check_enum_cap(mesh.domain_size(), cap)
     basis = [b.as_int() for b in mesh.basis]
     keys = _sumset_keys(basis, mesh.domain)
-    hits = np.flatnonzero(np.isin(keys, lam.int_keys, kind="sort"))  # faster than hashing here
+    hits = np.flatnonzero(key_hits(lam.int_keys, keys))
     if not len(hits):
         return 0
-    near = np.flatnonzero(first_matches(keys[hits, None], lam.int_keys[:, None]) >= 0)
+    near = lam.int_order[key_hits(np.sort(keys[hits]), lam.int_keys)]
     rows = exact_rows(_coefficient_rows(mesh.domain, mesh.k, hits),
                       basis + [lam.ints[i] for i in near.tolist()])
     return int((first_matches(rows[: len(hits)], rows[len(hits) :]) >= 0).sum())
@@ -327,8 +327,8 @@ class _Lambda:
 
     Its integers (plain ints and points of Z) as a sorted list, deduplicated
     by sorting (a set of ints sharing a residue mod KEY_MOD hashes to a
-    scan), and their row keys; its other points as a deduplicated list; its
-    F_p points, per (p, nu), as a row array sorted by row key, with the keys.
+    scan), and their sorted row keys with the order that sorts them; its other
+    points as a deduplicated list; its F_p points, per (p, nu), sorted by key.
     """
 
     def __init__(self, lam: Iterable):
@@ -342,7 +342,9 @@ class _Lambda:
                 points.append(v)
         values.sort()
         self.ints = [x for i, x in enumerate(values) if i == 0 or x != values[i - 1]]
-        self.int_keys = row_keys([(x,) for x in self.ints])
+        keys = row_keys([(x,) for x in self.ints])
+        self.int_order = np.argsort(keys)
+        self.int_keys = keys[self.int_order]
         self.points = list(dict.fromkeys(points))  # |Lambda ∩ M| is a set intersection
         rows: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for v in self.points:
@@ -358,20 +360,19 @@ class _Lambda:
 
 
 def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
-    """The coefficient domain reduced mod p, without repeated rows."""
+    """The coefficient domain reduced mod p: a box's rows once each, an explicit
+    list's rows in list order (two may share their residues)."""
     if isinstance(mesh.domain, Box):
-        h = min(mesh.domain.height, p // 2)  # 2h+1 >= p consecutive ints hit every residue
-        residues = np.unique(np.arange(-h, h + 1) % p)
+        h = mesh.domain.height  # 2h+1 >= p consecutive ints hit every residue
+        residues = np.arange(p) if 2 * h + 1 >= p else np.arange(-h, h + 1) % p
         grids = np.meshgrid(*([residues] * mesh.k), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
-    rows = [[c % p for c in row] for row in mesh.domain.coeffs]
-    return np.unique(np.array(rows, dtype=np.int64), axis=0)
+    return np.array([[c % p for c in row] for row in mesh.domain.coeffs], dtype=np.int64)
 
 
 def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an F_p basis by a row-key join: each (member, point
-    of Lambda) pair with equal keys is compared as whole rows, all pairs in
-    one array comparison, and a point counts where its rows are equal."""
+    """|Lambda ∩ M| for an F_p basis: the members whose key Lambda has are
+    joined by ``core.first_matches`` to the rows of Lambda sharing a key with one."""
     check_enum_cap(mesh.domain_size(), cap)
     p = mesh.basis[0].p
     fp = lam.fp.get((p, mesh.basis[0].nu))
@@ -381,11 +382,9 @@ def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
     basis = np.array([b.coords for b in mesh.basis], dtype=np.int64)
     members = _residue_coeffs(mesh, p) @ basis % p
     keys = row_keys(members)
-    lo = np.searchsorted(lam_keys, keys)
-    count = np.searchsorted(lam_keys, keys, side="right") - lo
-    points = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    equal = (lam_rows[points] == np.repeat(members, count, axis=0)).all(axis=1)
-    return len(np.unique(points[equal]))
+    hit = key_hits(lam_keys, keys)
+    near = key_hits(np.sort(keys[hit]), lam_keys)
+    return int((first_matches(members[hit], lam_rows[near]) >= 0).sum())
 
 
 def mesh_count(

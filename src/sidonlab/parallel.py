@@ -11,7 +11,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["Parallelism"]
+__all__ = ["Parallelism", "THREADS_MAX"]
+
+# desk limit on worker threads: a pool may start one thread per queued task
+THREADS_MAX = 64
 
 
 class Parallelism:

@@ -5,8 +5,8 @@ A set is quasi-independent when no nontrivial coefficient vector over
 
 * ``verify_qi_exhaustive`` -- meet-in-the-middle over the 3^N sign vectors
   (the Horowitz-Sahni split), exact, with an explicit witness on failure.
-  Signed sums are joined on the int64 row keys of :mod:`sidonlab.core`, and
-  every key match is confirmed on the exact rows of the signed sums;
+  Signed sums are filtered by their int64 row keys with ``core.key_hits``, and
+  the hits are confirmed by ``core.first_matches`` on the exact signed sums;
 * ``verify_qi_structural`` -- the fast inductive check for matrices produced
   by the doubling recursion in :mod:`sidonlab.construction`.
 
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import KEY_MOD, LatticePoint, ResourceCapError, SignVector, add_keys, exact_rows
-from .core import first_matches, row_keys, signed_combination
+from .core import first_matches, key_hits, row_keys, signed_combination
 
 __all__ = [
     "DependencyWitness",
@@ -102,11 +102,11 @@ def verify_qi_exhaustive(
     3^(N//2) sums are built element by element (sum, sum + key, sum - key),
     so position i holds the prefix of base-3 index i, and after each step
     the first exactly vanishing prefix in index order is returned.  The
-    right half's sums, in ``itertools.product((0, 1, -1))`` order, are
-    joined by ``core.first_matches`` against the left sums that share their
-    key, the first _SIGN_CHUNK of them alone for an early exit: the first
-    nonzero right vector with an exact match gives the witness, with the
-    smallest left index among its matches.
+    right half's sums, in ``itertools.product((0, 1, -1))`` order, that
+    ``core.key_hits`` finds among the left keys are joined by ``first_matches``
+    to the left sums sharing their key, the first _SIGN_CHUNK of them alone
+    for an early exit: the first nonzero right vector with an exact match
+    gives the witness, with the smallest left index among its matches.
 
     Returns (True, None) when quasi-independent, else (False, witness).
     Raises QiResourceError when len(elements) > n_max (N_MAX_DEFAULT when
@@ -141,17 +141,11 @@ def verify_qi_exhaustive(
     left = left[order]  # sorted; order maps back to sign indices
     need = functools.reduce(_extend, -keys[n_left:] % KEY_MOD, np.zeros(1, dtype=np.int64))
     by_need = np.argsort(need)  # need: the key sum of each right vector, negated
-    sorted_need = need[by_need]  # sorted needles walk left in order
-    pos = np.searchsorted(left, sorted_need)
-    hits = np.sort(by_need[left.take(pos, mode="clip") == sorted_need])[1:]  # not the zero vector
-    del by_need, sorted_need, pos  # 4 MiB at 3^11 left sums, not held while the chunks join
+    hits = np.sort(by_need[key_hits(left, need[by_need])])[1:]  # not the zero vector
+    del by_need  # 4 MiB at 3^11 left sums, not held while the chunks join
     for chunk in filter(len, np.split(hits, [_SIGN_CHUNK])):  # the first hits, for an early exit
         # the left sums whose key some hit of the chunk needs, in index order
-        wanted = np.array(sorted(set(need[chunk].tolist())))  # np.unique imports numpy.ma
-        lo = np.searchsorted(left, wanted)
-        count = np.searchsorted(left, wanted, side="right") - lo
-        found = np.sort(order[np.repeat(lo - np.cumsum(count) + count, count)
-                              + np.arange(count.sum())])
+        found = np.sort(order[key_hits(np.sort(need[chunk]), left)])
         match = first_matches(_exact_sums(found, n_left, 0, 1, rows),
                               _exact_sums(chunk, n - n_left, n_left, -1, rows))
         first = np.flatnonzero(match >= 0)[:1]
@@ -230,7 +224,7 @@ def verify_qi_structural(m) -> bool:
         raise ValueError(
             f"level-{nu} matrix must be {2**nu} x {n_nu(nu)}, got {entries.shape}"
         )
-    if not np.isin(entries, (-1, 0, 1)).all():
+    if not ((entries == -1) | (entries == 0) | (entries == 1)).all():
         raise ValueError("entries must lie in {-1, 0, +1}")
 
     block = entries

@@ -321,6 +321,41 @@ def test_an_unusable_nu_is_refused_before_any_work(argv, message):
     assert line.startswith("sidonlab: ") and message in line
 
 
+def test_a_growth_function_past_the_largest_float_is_no_internal_error():
+    # w = x^2 is evaluated at the float K * cap, past 1e154: this exited 3
+    # with an OverflowError before growth functions returned inf there
+    proc = _run_cli("theorem2", "--w", "power:2", "--nu-cap", str(10**200), "--out", os.devnull)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_default_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.isin import numpy.ma, 10-40 ms a process; the key
+    # joins (mesh routes, QI search) go through core.key_hits instead
+    dep, qi, meshes = tmp_path / "dep.json", tmp_path / "qi.json", tmp_path / "m.json"
+    dep.write_text(json.dumps({"points": [[1, 0], [0, 1], [1, 1], [2, 5], [3, 3]]}))
+    qi.write_text(json.dumps({"points": [3**i for i in range(8)]}))
+    meshes.write_text(json.dumps({
+        "lambda": [1, 2, 3, 10, 2**70],
+        "meshes": [{"basis": [1, 2], "height": 1},  # keyed route
+                   {"basis": [1, 10], "coeffs": [[1, 0], [0, 1], [1, 1]]}],  # digit route
+        "bound": {"kind": "sidon_log", "C": 5.0},
+    }))
+    runs = [["theorem1"], ["theorem2"], ["theorem3"], ["select"],
+            ["verify-qi", "--input", str(dep)], ["verify-qi", "--input", str(qi)],
+            ["mesh-report", "--input", str(meshes)]]
+    code = (
+        "import sys; from sidonlab.cli import parse_config, run\n"
+        f"for argv in {runs!r}:\n"
+        "    run(parse_config(argv))\n"
+        "    print(argv[0], 'numpy.ma' in sys.modules)\n"
+    )
+    proc = _run_cli(code=code)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split()[0] for line in proc.stdout.splitlines() if line.endswith("True")]
+    assert len(proc.stdout.splitlines()) == len(runs) and imported == []
+
+
 def test_cli_start_does_not_import_scipy():
     code = (
         "import sys; from sidonlab.cli import parse_config; parse_config(['appendix-check']); "

@@ -20,6 +20,7 @@ from sidonlab.core import (
     fp_rank,
     is_free,
     is_prime,
+    key_hits,
     next_prime,
     row_keys,
     signed_combination,
@@ -356,9 +357,40 @@ def test_first_matches_on_duplicates_misses_and_empty_sides():
     assert first_matches(np.array([[7]]), np.array([[8], [6]])).tolist() == [-1, -1]
 
 
+# small keys, so sides share some, and the extreme keys 0 and KEY_MOD - 1
+join_keys = st.one_of(st.integers(0, 6), st.sampled_from((0, 1, KEY_MOD - 2, KEY_MOD - 1)),
+                      st.integers(0, KEY_MOD - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(join_keys, max_size=12), st.lists(join_keys, max_size=12))
+def test_key_hits_agrees_with_a_set_oracle(keys, needles):
+    sorted_keys = np.sort(np.array(keys, dtype=np.int64))
+    needles = np.array(needles, dtype=np.int64)  # unsorted, with repeats
+    assert key_hits(sorted_keys, needles).tolist() == [x in set(keys) for x in needles.tolist()]
+    swapped = key_hits(np.sort(needles), sorted_keys)
+    assert swapped.tolist() == [x in set(needles.tolist()) for x in sorted_keys.tolist()]
+
+
+def test_key_hits_on_empty_sides_and_needles_past_every_key():
+    keys = np.array([3, 5, 5, 9], dtype=np.int64)
+    none = np.zeros(0, dtype=np.int64)
+    # 0 and 2 land before every key, 10 and KEY_MOD - 1 past the last one (take's clip)
+    needles = np.array([0, 2, 3, 4, 5, 9, 10, KEY_MOD - 1, 5], dtype=np.int64)
+    assert key_hits(keys, needles).tolist() == [0, 0, 1, 0, 1, 1, 0, 0, 1]
+    assert key_hits(np.sort(needles), keys).tolist() == [1, 1, 1, 1]
+    assert key_hits(none, needles).tolist() == [False] * len(needles)
+    assert key_hits(keys, none).tolist() == []
+    assert key_hits(none, none).tolist() == []
+    edges = np.array([0, KEY_MOD - 1], dtype=np.int64)
+    assert key_hits(edges, np.array([KEY_MOD - 1, 1, 0])).tolist() == [1, 0, 1]
+
+
 def test_the_key_format_has_one_home():
-    """2^61 - 1 is written once, no join keys rows by a void view, and the
-    QI search and the mesh routes build no object arrays."""
+    """2^61 - 1 is written once, no join keys rows by a void view, the QI
+    search and the mesh routes build no object arrays, and they find key
+    matches by ``key_hits`` alone: no ``np.isin``, no ``np.unique`` (which
+    imports numpy.ma) and no ``np.repeat`` pair expansion."""
     src = Path(sidonlab.__file__).parent
     texts = {path.name: path.read_text(encoding="utf-8") for path in src.glob("*.py")}
     written = [name for name, text in texts.items()
@@ -375,6 +407,8 @@ def test_the_key_format_has_one_home():
                     if isinstance(node, ast.Attribute) and node.attr == "object_"], name
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value == "O"], name
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr in ("isin", "unique", "repeat")], name
 
 
 def test_the_public_surface_is_consistent():

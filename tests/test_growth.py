@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sidonlab.growth import DoubleLog, Power, StepTable, parse_growth, validate_growth
@@ -39,6 +41,16 @@ def test_parse_growth_roundtrip():
         assert parse_growth(w.describe())(123.0) == w(123.0)
     with pytest.raises(ValueError):
         parse_growth("exp:1")
+
+
+@pytest.mark.parametrize("w, at_1e308, at_inf", [
+    (DoubleLog(2500.0), 2500.0 * math.log1p(math.log1p(1e308)), math.inf),
+    (Power(0.5), 1e154, math.inf),
+    (Power(2.0), math.inf, math.inf),  # 1e308 ** 2 overflows a float
+    (StepTable(((1, 1), (1e300, 5))), 5.0, 5.0),
+], ids=["doublelog", "power-0.5", "power-2", "step"])
+def test_growth_functions_are_total_up_to_inf(w, at_1e308, at_inf):
+    assert (w(1e308), w(math.inf)) == (at_1e308, at_inf)
 
 
 def test_step_table_evaluation():

@@ -13,6 +13,7 @@ from sidonlab.mesh import (
     ExplicitList,
     Mesh,
     MeshResourceError,
+    _count_fp_vectorized,
     _count_keyed,
     _digit_bounds,
     _Lambda,
@@ -399,6 +400,43 @@ def test_colliding_keys_take_no_hash_scan():
     start = time.perf_counter()
     assert count_distinct_sums([m, 2 * m], Box(h)) == 6 * h + 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_routes_match_enumeration_when_every_key_is_zero(monkeypatch):
+    # every member and every point of Lambda shares the key 0, so each match
+    # is decided by the exact confirmation alone
+    import sidonlab.mesh
+
+    def zero_sums(basis, domain):
+        size = (2 * domain.height + 1) ** len(basis) if isinstance(domain, Box) else len(domain.coeffs)
+        return np.zeros(size, dtype=np.int64)
+
+    monkeypatch.setattr(sidonlab.mesh, "row_keys", lambda rows: np.zeros(len(rows), np.int64))
+    monkeypatch.setattr(sidonlab.mesh, "_sumset_keys", zero_sums)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        basis = [int(b) for b in rng.integers(-9, 10, k)]
+        rows = [tuple(int(c) for c in rng.integers(-3, 4, k)) for _ in range(6)]
+        for domain in (Box(int(rng.integers(0, 3))), ExplicitList(tuple(rows))):
+            mesh = Mesh(tuple(ip(b) for b in basis), domain)
+            members = sorted(_plain_sums(basis, domain))
+            lam = [ip(int(x)) for x in rng.choice(members, 3)]
+            lam += [ip(int(x)) for x in rng.integers(-40, 41, 8)]
+            assert _count_keyed(_Lambda(lam), mesh, None) == mesh_count(lam, mesh, method="enumerate")
+            assert count_distinct_sums(basis, domain) == len(members)
+    for _ in range(60):
+        p = int(rng.choice([2, 2, 3, 5]))
+        nu, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        basis = tuple(_fp(p, rng.integers(0, p, nu)) for _ in range(k))
+        rows = [tuple(int(c) for c in rng.integers(-2 * p, 2 * p, k)) for _ in range(5)]
+        rows += [tuple(c + p for c in rows[0]), tuple(c - 2 * p for c in rows[1])]  # repeat mod p
+        lam = [_fp(p, rng.integers(0, p, nu)) for _ in range(8)]
+        # heights with 2h+1 below, at and past p: boxes at p = 2 repeat every residue
+        for domain in (Box(int(rng.integers(0, p + 2))), ExplicitList(tuple(rows))):
+            mesh = Mesh(basis, domain)
+            assert _count_fp_vectorized(_Lambda(lam), mesh, None) == mesh_count(
+                lam, mesh, method="enumerate")
 
 
 def test_keyed_route_cap_uses_the_full_domain_size():

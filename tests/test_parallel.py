@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sidonlab.parallel import Parallelism
+from sidonlab.core import ConfigError
+from sidonlab.parallel import THREADS_MAX, Parallelism
 
 
 def test_serial_and_threaded_maps_agree():
@@ -29,6 +30,20 @@ def test_threaded_cli_report_matches_serial():
         report.pop("meta")
         report["provenance"].pop("threads")
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+
+
+def test_threads_above_the_ceiling_are_refused_before_any_work(tmp_path):
+    # only parse_config sees these values: no pool of that size is started
+    from sidonlab.cli import parse_config
+
+    assert parse_config(["select", "--threads", str(THREADS_MAX)]).threads == THREADS_MAX
+    for bad in (THREADS_MAX + 1, 10**6):
+        with pytest.raises(ConfigError, match=f"--threads must be <= {THREADS_MAX}"):
+            parse_config(["select", "--threads", str(bad)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads={THREADS_MAX + 1}\n")
+    with pytest.raises(ConfigError, match="--threads must be <="):
+        parse_config(["theorem1", "--config", str(cfg)])
 
 
 def test_threads_below_one_are_refused():
