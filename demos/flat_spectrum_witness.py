@@ -15,7 +15,7 @@ from sidonlab import analyticity_witness, sample_flat_lambda
 NU, ELL = 22, 40000
 
 t0 = time.perf_counter()
-sample = sample_flat_lambda(NU, ELL, seed=0)
+sample = sample_flat_lambda(NU, ELL, seed=0, rho=3)
 print(f"sampled (Z/2Z)^{NU} at alpha = {sample.alpha:.4f} "
       f"({time.perf_counter() - t0:.1f}s, {sample.retries_used} draw(s))")
 print(f"  mass at trivial character: {sample.sigma1:,.0f} (>= ell*nu = {ELL * NU:,})")
@@ -23,7 +23,7 @@ print(f"  sup over nontrivial characters: {sample.sup_offpeak:,.0f}")
 print(f"  flatness threshold (20/sqrt(ell)) * mass: {sample.flatness_threshold:,.0f}")
 print()
 
-report = analyticity_witness(sample, rho=3)
+report = analyticity_witness(sample)
 print(f"rho = {report.rho} (rule value log2(sqrt(ell)/20) = {report.rho_exact:.3f})")
 print(f"  algebra norm of f: {report.f_algebra_norm:.1f} (one unit coefficient per character)")
 print(f"  sup |mu^|: {report.sup_mu:,.0f}")

@@ -188,6 +188,7 @@ class Report:
     checks: tuple[Check, ...]
     artifacts: dict
     runtime_seconds: float
+    meta: dict  # how the run got its answer, beside runtime_seconds under "meta"
 
     @property
     def all_passed(self) -> bool:
@@ -207,7 +208,7 @@ class Report:
             "checks": [c.to_dict() for c in self.checks],
             "all_passed": self.all_passed,
             "artifacts": self.artifacts,
-            "meta": {"runtime_seconds": self.runtime_seconds},
+            "meta": {"runtime_seconds": self.runtime_seconds, **self.meta},
         }
 
     def to_json(self) -> str:
@@ -635,14 +636,14 @@ def _run_analyticity(params, seed, pool):
     nu, ell, budget = params["nu"], params["ell"], params["max-retries"]
     if params["rho"] > nu:
         raise ConfigError(f"--rho {params['rho']} exceeds --nu {nu}")
+    rho = None if params["rho"] == -1 else params["rho"]
     try:
-        sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=budget)
+        sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=budget, rho=rho)
     except FlatnessFailure as exc:  # an exhausted retry budget is a failed check
         # no flat sample within the budget: it needs at least budget + 1 draws
         checks = [Check("flat-sample-retries", float(budget + 1), "<=", float(budget))]
         return checks, {"search_error": str(exc)}
-    rho = None if params["rho"] == -1 else params["rho"]
-    report = analyticity_witness(sample, rho=rho)
+    report = analyticity_witness(sample)
 
     checks = [
         Check("flat-sample-retries", float(sample.retries_used), "<=", float(budget)),
@@ -661,7 +662,7 @@ def _run_analyticity(params, seed, pool):
             for y in top:
                 writer.writerow([int(y), float(mags[y])])
     artifacts = {"witness": report.to_dict()}
-    return checks, artifacts
+    return checks, artifacts, {"counters": sample.counters()}
 
 
 def _run_appendix(params, seed, pool):
@@ -729,12 +730,13 @@ def run(config: ExperimentConfig) -> Report:
     """Dispatch to the owning module and assemble the report."""
     pool = Parallelism(config.threads)
     t0 = time.perf_counter()
-    checks, artifacts = _HANDLERS[config.subcommand](config.params, config.seed, pool)
+    checks, artifacts, *meta = _HANDLERS[config.subcommand](config.params, config.seed, pool)
     return Report(
         config=config,
         checks=tuple(checks),
         artifacts=artifacts,
         runtime_seconds=time.perf_counter() - t0,
+        meta=meta[0] if meta else {},
     )
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ConfigError, FpVector, ResourceCapError, fp_rank, is_free, is_prime
-from .rng import stream
+from .rng import bernoulli, stream
 
 __all__ = [
     "SelectionConfig",
@@ -110,7 +110,7 @@ def sample_lambda_rows(cfg: SelectionConfig, trial: int = 0) -> np.ndarray:
         )
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 0)
     hits = [
-        start + np.flatnonzero(rng.random(min(_CHUNK, size - start)) < cfg.alpha)
+        start + np.flatnonzero(bernoulli(rng, cfg.alpha, min(_CHUNK, size - start)))
         for start in range(0, size, _CHUNK)
     ]
     rows = _digits(np.concatenate(hits), cfg.p, cfg.nu)
@@ -126,7 +126,7 @@ def sample_lambda(cfg: SelectionConfig, trial: int = 0) -> set[FpVector]:
 def _thin_mask(n: int, cfg: SelectionConfig, trial: int, beta: float) -> np.ndarray:
     """Which of n coordinate-sorted points stage two keeps."""
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 1)
-    return rng.random(n) < beta
+    return bernoulli(rng, beta, n)
 
 
 def trial_statistics(cfg: SelectionConfig, trial: int) -> tuple[int, bool]:

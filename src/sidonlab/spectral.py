@@ -8,16 +8,22 @@ selections until the nontrivial spectrum is flat relative to the mass at
 the trivial character; ``analyticity_witness`` then certifies, by duality,
 a lower bound on the restriction-algebra norm of exp(i pi/4 f) on such a
 sample's set, f the sum of the first rho coordinate characters
-(-1)^(bit b of x), b < rho.  Its sup |mu^| comes, at every rho, from one
-exact int64 transform of a unit-valued spectrum, whose near-maximal
-characters alone get fwht's float values (see ``_sup_mu``); mu's full
-complex transform is its oracle, and is taken only when more than
-``_MAX_CANDIDATES`` characters are near the maximum.
-The flatness test and the witness read their exact int64 transforms in
-``_PIECES`` contiguous output pieces (see ``_exact_pieces``), each built
-and transformed in place in one buffer of 2^nu / ``_PIECES`` int64s, so
-neither holds a transform of 2^nu entries, nor a piece's input beside its
-output.
+(-1)^(bit b of x), b < rho.
+
+Each draw takes one exact pass (``_exact_pass``) over two int64 spectra:
+sigma^ of the mask, for the flatness test, and U, the spectrum of a
+unit-valued function on the low rho bits times the mask, with |U| = |mu^|
+(see ``_packed_unit``), for the witness.  The pass reads both in
+``_PIECES`` contiguous output pieces, each built from the mask's bool
+blocks in one buffer of 2^nu / ``_PIECES`` entries and transformed there in
+place, and keeps only sigma^(0), max |sigma^| off it, the square sum of
+sigma^ and the ``_MAX_CANDIDATES`` + 1 largest |U|^2.  At small rho the
+stages of the bits at and above rho run once for both spectra (see
+``_shares_stages``).  The witness's sup |mu^| is
+fwht's float maximum: only the characters near the exact maximum get fwht's
+float values (see ``_sup_mu``); mu's full complex transform is their
+oracle, and is taken only when more than ``_MAX_CANDIDATES`` characters are
+near the maximum.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ConfigError, ResourceCapError
-from .rng import stream
+from .rng import bernoulli, stream
 
 __all__ = [
     "fwht",
@@ -56,17 +62,19 @@ _TILE_BITS = 16
 # The witness's sup |mu^| (see _sup_mu).  EPS_IN bounds |v_k - e^(i pi k/4)|
 # for the float phases v_k of _phases, |k| <= NU_CAP (the worst is 2.45e-15,
 # about 2^-48.5).  _UNITS holds (Re, Im) of (-i)^b for b = 0..3, the values
-# of the unit-valued spectrum (see _unit_phases).  Past _MAX_CANDIDATES
-# near-maximal characters the full complex transform is cheaper than their
-# cones.  The exact scan and the cones run _CHUNK elements at a time.
+# of the unit-valued function whose spectrum is U (see _packed_unit).  Past
+# _MAX_CANDIDATES near-maximal characters the full complex transform is
+# cheaper than their cones.  The cones run _CHUNK elements at a time.
 EPS_IN = 2.0**-48
 _UNITS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 _MAX_CANDIDATES = 8
 _CHUNK = 1 << 16
 
-# _exact_pieces builds an exact transform as this many output pieces (a
-# power of two) in one int64 array of 2^nu / _PIECES entries.
+# _exact_pass builds its spectra as this many output pieces (a power of
+# two), each in one array of 2^nu / _PIECES entries, and runs the low stages
+# and reads the spectra _LOW_CHUNK entries at a time (a power of two).
 _PIECES = 4
+_LOW_CHUNK = 1 << 14
 
 
 class FlatnessFailure(RuntimeError):
@@ -232,61 +240,185 @@ def _check_parseval(lhs: int, mask: np.ndarray) -> None:
         raise AssertionError("Parseval identity violated beyond tolerance")
 
 
-def _spectrum_summary(mask: np.ndarray) -> tuple[float, float]:
-    """sigma^(0) and max |sigma^| over the nontrivial characters, bit for
-    bit as the float64 transform of the mask gives them, after a check of
-    the Parseval identity sum_y sigma^(y)^2 = 2^nu |Lambda|.
+class _Spectra:
+    """What an exact pass keeps of sigma^ and U, read chunk by chunk:
+    sigma1 = sigma^(0), sup = max |sigma^| off it, squares = sum_y
+    sigma^(y)^2, and top, the _MAX_CANDIDATES + 1 largest pairs (Q(y), y),
+    largest first, Q(y) = |U(y)|^2.
 
-    The exact spectrum is read in pieces (see _exact_pieces): every value
-    is an integer of modulus at most 2^nu, so its float is the float64
-    transform's value, and its maximum and square sum are exact in any
-    order.  Beyond the mask this holds one int64 array of 2^nu / _PIECES
-    entries and a few tile-sized chunks.
+    Every value is an exact integer of modulus at most 2^nu, so sigma1 and
+    sup are, as floats, the float64 transform's values, and the maximum and
+    the square sum are exact in any order.  top holds the largest Q values;
+    where Q ties at its last place the y kept depends on the order read,
+    which no near-maximum test sees (see _near_maxima).
     """
-    _check_nu_cap(mask.shape[0].bit_length() - 1)
-    at_one, sup = None, 0
-    # no enumerate: its cached tuple would keep the last piece alive
-    for piece in _exact_pieces(mask.view(np.int8), np.arange(2)):
-        if at_one is None:  # the first piece starts with the trivial character
-            at_one = int(piece[0])
-            lhs, piece = at_one * at_one, piece[1:]
-        for part in _abs_chunks(piece, np.int64):
-            sup = max(sup, int(part.max()))
-            lhs += _square_sum(part)
-        piece = part = None  # the piece and its abs chunk, before the next is built
-    _check_parseval(lhs, mask)
-    return float(at_one), float(sup)
+
+    def __init__(self, chunk: int):
+        self.sigma1: Optional[int] = None
+        self.sup = self.squares = 0
+        self.top: list[tuple[int, int]] = []
+        self._low = np.empty(chunk, np.int64)
+
+    def read_sigma(self, part: np.ndarray) -> None:
+        """Fold in a chunk of sigma^ (an int64 array or view, overwritten);
+        the first chunk read starts at the trivial character."""
+        if self.sigma1 is None:
+            self.sigma1, part.flat[0] = int(part.flat[0]), 0
+            self.squares = self.sigma1 * self.sigma1
+        np.abs(part, out=part)
+        self.sup = max(self.sup, int(part.max()))
+        self.squares += _square_sum(part)
+
+    def read_units(self, part: np.ndarray, base: int, width: int, rows: int) -> None:
+        """Fold in a chunk of U packed as A + 2^31 B (int64, overwritten by
+        Q); entry k is U(y) at y = base + (k % width) rows + k // width.
+
+        |A| and |B| are at most |Lambda| <= 2^NU_CAP < 2^30, so the chunk
+        unpacks by bit operations, and Q = A^2 + B^2 <= 2^(2 NU_CAP).  A
+        chunk is searched only when it may change top.
+        """
+        a = self._low[:part.shape[0]]
+        np.add(part, 1 << 30, out=a)
+        a &= (1 << 31) - 1
+        a -= 1 << 30  # A, the low 31 bits read as signed
+        part -= a
+        part >>= 31  # B
+        np.multiply(part, part, out=part)
+        np.multiply(a, a, out=a)
+        part += a
+        keep = _MAX_CANDIDATES + 1
+        if len(self.top) < keep or part.max() > self.top[-1][0]:  # a full top takes only a larger Q
+            most = min(keep, part.shape[0])
+            found = np.argpartition(part, -most)[-most:].tolist()
+            pairs = [(int(part[k]), base + k % width * rows + k // width) for k in found]
+            self.top = heapq.nlargest(keep, self.top + pairs)
 
 
-def _exact_pieces(codes: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
-    """fwht(table[codes]) for an integer table, exactly, as P = min(_PIECES,
-    n) contiguous int64 pieces of m = n / P entries, in order.
+def _exact_pass(mask: np.ndarray, rho: int) -> _Spectra:
+    """sigma^ = fwht(mask) and U = fwht(u * mask), read exactly in one pass,
+    for u(x) = (-i)^popcount(x mod 2^rho), whose U has the modulus of mu^
+    (see _packed_unit).
 
-    With x_i the i-th block of m entries of table[codes], out[j m + y] is
-    sum_i (-1)^popcount(i & j) fwht(x_i)[y], so piece j is the length-m
-    fwht of sum_i (-1)^popcount(i & j) x_i.  That input is built _CHUNK
-    entries at a time into one buffer of m int64s, transformed there in
-    place and yielded: every piece is that same buffer, so a piece is valid
-    only until the next one is requested, and the transform holds one
-    m-entry array and fwht's two tiles.  Every value is an exact integer
-    (int64 sums wrap, so only the transform's own values must fit), so the
-    pieces have the bytes of fwht(table[codes]).  The codes must index the
-    table.
+    Both are read as P = min(_PIECES, n) contiguous pieces of m = n / P
+    entries.  With x_i the i-th block of m entries of the input, out[j m + y]
+    is sum_i (-1)^popcount(i & j) fwht(x_i)[y], so piece j is the length-m
+    fwht of sum_i (-1)^popcount(i & j) x_i, built from the mask's bool
+    blocks in one buffer and transformed there in place.  Every value is an
+    exact integer, so the stages may run in any order and any grouping.
+    Where _shares_stages holds, _shared_pieces runs the stages of the bits u
+    does not read once for both spectra; else _separate_pieces transforms
+    each piece twice.
     """
-    n = codes.shape[0]
+    n = mask.shape[0]
+    _check_nu_cap(n.bit_length() - 1)
     count = min(_PIECES, n)
-    m = n // count
-    blocks = codes.reshape(count, m)
-    table = np.asarray(table, dtype=np.int64)
+    blocks = mask.reshape(count, n // count)
+    spectra = _Spectra(min(n // count, _LOW_CHUNK))
+    (_shared_pieces if _shares_stages(n, rho) else _separate_pieces)(blocks, rho, spectra)
+    return spectra
+
+
+def _shares_stages(n: int, rho: int) -> bool:
+    """Whether the pass over 2^nu = n entries runs the stages of the bits at
+    and above rho once for sigma^ and U (see _shared_pieces).  Sharing saves
+    a piece's second transform, whose stages outnumber those of the bits u
+    does not read, and costs the 2 rho row stages run again per chunk; it
+    pays when 2 rho is at most those bits, b - rho for a piece of 2^b
+    entries (3 rho <= b), and a chunk must hold 2^rho rows."""
+    bits = (n // min(_PIECES, n)).bit_length() - 1
+    return 3 * rho <= bits and 1 << rho <= _LOW_CHUNK
+
+
+def _combine(parts, j: int, out: np.ndarray) -> np.ndarray:
+    """out = sum_i (-1)^popcount(i & j) parts[i], for bool parts, in an int8
+    out (at most _PIECES parts, and _PIECES < 128)."""
+    np.copyto(out, parts[0])
+    for i in range(1, len(parts)):
+        (np.subtract if (i & j).bit_count() % 2 else np.add)(out, parts[i].view(np.int8), out=out)
+    return out
+
+
+def _shared_pieces(blocks: np.ndarray, rho: int, spectra: _Spectra) -> None:
+    """Each piece laid out with the low rho bits as the slow axis: row r of
+    its (2^rho, m / 2^rho) int64 buffer holds the x with x mod 2^rho = r, in
+    one contiguous run.  fwht then gives sigma^ there, every stage once, with
+    int32 tiles (every partial sum of the mask is at most n <= 2^NU_CAP in
+    modulus).  u is constant on a row, so U differs from sigma^ only in the
+    stages of the row bits: for each chunk of 2^rho rows by w columns
+    (2^rho w <= _LOW_CHUNK), those rho stages, run again on sigma^, give
+    2^rho M, M the transform over the other bits alone (the stages of a bit
+    square to 2), and run on M times the packed units Re u + 2^31 Im u of
+    its rows they give U.
+    """
+    count, m = blocks.shape
+    rows, cols = 1 << rho, m >> rho
+    width = min(cols, _LOW_CHUNK >> rho)
+    buf = np.empty(m, np.int64)
+    grid = buf.reshape(rows, cols)
+    units = np.array([_packed_unit(r.bit_count()) for r in range(rows)], np.int64)[:, None]
+    low = np.empty((2, rows, width), np.int64)
+    sums = np.empty(rows * width, np.int8)
+    for j in range(count):
+        for c in range(0, cols, width):  # the x in [c 2^rho, (c + w) 2^rho), transposed
+            span = slice(c * rows, (c + width) * rows)
+            part = _combine([block[span] for block in blocks], j, sums)
+            grid[:, c:c + width] = part.reshape(width, rows).T
+        fwht(buf, out=buf)
+        for c in range(0, cols, width):
+            chunk = grid[:, c:c + width]
+            np.copyto(low[0], chunk)
+            spectra.read_sigma(chunk)
+            x, y = _low_stages(*low, rho)
+            x >>= rho
+            np.multiply(x, units, out=x)
+            x = _low_stages(x, y, rho)[0]
+            spectra.read_units(x.reshape(-1), j * m + c * rows, width, rows)
+
+
+def _low_stages(x: np.ndarray, y: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stages of the row bits [0, bits) of x, a (2^bits, w) array,
+    ping-ponging with y of its shape: (the result, the other array)."""
+    for b in range(bits):
+        _butterfly(x, y, x.shape[1] << b)
+        x, y = y, x
+    return x, y
+
+
+def _separate_pieces(blocks: np.ndarray, rho: int, spectra: _Spectra) -> None:
+    """Each piece in index order, transformed twice by fwht in one int64
+    buffer: built from the mask, then from u times the mask.
+
+    For x = i m + k + t in block i, with k a multiple of the chunk length
+    and t below it, popcount(x mod 2^rho) is popcount(t mod 2^rho) plus
+    popcount((i m + k) mod 2^rho), so over a chunk u is one of two patterns
+    (an even or an odd count of bits past t), times 1 or -1; the sign of x_i
+    in piece j, (-i)^(2 popcount(i & j)), folds in the same way.
+    """
+    count, m = blocks.shape
+    step = min(m, _LOW_CHUNK)
+    low = (1 << rho) - 1
+    units = np.array([_packed_unit(b) for b in range(4)], np.int64)
+    ones = np.bitwise_count(np.arange(step) & low)
+    patterns = [units[(ones + r) % 4] for r in (0, 1)]
+    term = np.empty(step, np.int64)
+    sums = np.empty(step, np.int8)
     buf = np.empty(m, np.int64)
     for j in range(count):
-        for k in range(0, m, _CHUNK):
-            part = buf[k:k + _CHUNK]
-            np.take(table, blocks[0, k:k + _CHUNK], out=part, mode="clip")
-            for i in range(1, count):
-                op = np.subtract if (i & j).bit_count() % 2 else np.add
-                op(part, table.take(blocks[i, k:k + _CHUNK], mode="clip"), out=part)
-        yield fwht(buf, out=buf)
+        for k in range(0, m, step):
+            buf[k:k + step] = _combine([block[k:k + step] for block in blocks], j, sums)
+        fwht(buf, out=buf)
+        for k in range(0, m, step):
+            spectra.read_sigma(buf[k:k + step])
+        for k in range(0, m, step):
+            part = buf[k:k + step]
+            part[...] = 0
+            for i, block in enumerate(blocks):
+                r = ((i * m + k) & low).bit_count() + 2 * (i & j).bit_count()
+                np.multiply(patterns[r % 2], block[k:k + step], out=term)
+                (np.subtract if r % 4 >= 2 else np.add)(part, term, out=part)
+        fwht(buf, out=buf)
+        for k in range(0, m, step):
+            spectra.read_units(buf[k:k + step], j * m + k, step, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +427,13 @@ class FlatSample:
 
     Of the spectrum fwht(mask) it keeps only the two numbers that the
     flatness test and the witness read: sigma1, the value at the trivial
-    character, and sup_offpeak, the largest modulus off it.  They are read
-    from the exact spectrum in pieces (see _spectrum_summary), one buffer
-    of 2^nu / _PIECES int64s at a time, so no spectrum of 2^nu entries is
-    ever held.  A FlatSample is the witness's whole input: it reads nu from
-    the mask's length, and ell and these two numbers from their fields.
+    character, and sup_offpeak, the largest modulus off it.  Of U, the
+    spectrum with |U| = |mu^| for f on the first rho characters, it keeps
+    top, the _MAX_CANDIDATES + 1 largest pairs (|U(y)|^2, y) (see
+    _Spectra).  All of them come from the draw's one exact pass (see
+    _exact_pass), so no spectrum of 2^nu entries is ever held.  A FlatSample
+    is the witness's whole input: it reads nu from the mask's length, and
+    the rest from the fields.
     """
 
     nu: int
@@ -309,10 +443,29 @@ class FlatSample:
     sigma1: float
     sup_offpeak: float
     retries_used: int
+    rho: int
+    top: tuple[tuple[int, int], ...]
 
     @property
     def flatness_threshold(self) -> float:
         return (20.0 / math.sqrt(self.ell)) * self.sigma1
+
+    def counters(self) -> dict:
+        """How the sample and its witness were computed: the draws, the
+        exact transforms of 2^nu entries they took (one a draw when the
+        stages are shared, else two), whether the stages were shared, and
+        how many kept characters lie near the maximum of |U| (more than
+        _MAX_CANDIDATES send the witness to mu's complex transform)."""
+        shared = _shares_stages(self.mask.shape[0], self.rho)
+        delta = _rounding_bound(self.nu, int(np.count_nonzero(self.mask)))
+        near = _near_maxima(self.top, 2 * delta)[1]
+        return {
+            "flat_draws": self.retries_used,
+            "exact_passes": self.retries_used * (1 if shared else 2),
+            "shared_stages": shared,
+            "near_max_characters": len(near),
+            "complex_fallback": len(near) > _MAX_CANDIDATES,
+        }
 
 
 def sample_flat_lambda(
@@ -320,12 +473,16 @@ def sample_flat_lambda(
     ell: int,
     seed: int = 0,
     max_retries: int = FLAT_RETRY_BUDGET,
+    rho: Optional[int] = None,
 ) -> FlatSample:
     """Resample Bernoulli(alpha) subsets until the spectrum is flat.
 
     alpha = 2*ell*nu*2^(-nu) must be < 1 and ell > FLAT_ELL_LIMIT (400).
     Success means the trivial value is at least ell*nu and every nontrivial
-    value is at most (20/sqrt(ell)) times the trivial one.
+    value is at most (20/sqrt(ell)) times the trivial one, after a check of
+    the Parseval identity.  rho is the witness's number of characters, kept
+    with the sample: None means default_rho(ell), a negative rho is a
+    ValueError and rho > nu a ConfigError.
     """
     _check_nu_cap(nu)
     if ell <= FLAT_ELL_LIMIT:
@@ -334,13 +491,20 @@ def sample_flat_lambda(
     alpha = 2 * ell * nu / n
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha = {alpha} must lie in (0, 1)")
+    rho = default_rho(ell)[0] if rho is None else rho
+    if rho < 0:
+        raise ValueError(f"rho = {rho} is negative")
+    if rho > nu:
+        raise ConfigError("rho cannot exceed nu")
     ratio = 20.0 / math.sqrt(ell)
     mask = np.empty(n, dtype=bool)
     for t in range(max_retries):
         rng = stream(seed, nu, ell, t)
-        for i in range(0, n, _CHUNK):  # the uniforms of rng.random(n), a chunk at a time
-            np.less(rng.random(min(_CHUNK, n - i)), alpha, out=mask[i:i + _CHUNK])
-        s1, sup = _spectrum_summary(mask)
+        for i in range(0, n, _CHUNK):  # the draws of rng.random(n) < alpha, a chunk at a time
+            mask[i:i + _CHUNK] = bernoulli(rng, alpha, min(_CHUNK, n - i))
+        spectra = _exact_pass(mask, rho)
+        _check_parseval(spectra.squares, mask)
+        s1, sup = float(spectra.sigma1), float(spectra.sup)
         if s1 >= ell * nu and sup <= ratio * s1:
             return FlatSample(
                 nu=nu,
@@ -350,6 +514,8 @@ def sample_flat_lambda(
                 sigma1=s1,
                 sup_offpeak=sup,
                 retries_used=t + 1,
+                rho=rho,
+                top=tuple(spectra.top),
             )
     raise FlatnessFailure(f"no flat sample in {max_retries} retries")
 
@@ -406,10 +572,10 @@ def default_rho(ell: int) -> tuple[int, float]:
     return max(0, round(exact)), exact
 
 
-def analyticity_witness(sample: FlatSample, rho: Optional[int] = None) -> WitnessReport:
+def analyticity_witness(sample: FlatSample) -> WitnessReport:
     """Duality lower bound for the restriction norm of v = exp(i pi/4 f) on
-    the sample's set, f the sum of the first rho coordinate characters
-    chi_b(x) = (-1)^(bit b of x).
+    the sample's set, f the sum of the first rho = sample.rho coordinate
+    characters chi_b(x) = (-1)^(bit b of x).
 
     Since v = 2^(-rho/2) prod_b (1 + i chi_b), |v^| is 2^(-rho/2) on the
     masks below 2^rho and 0 elsewhere.  With sigma the counting measure of
@@ -418,27 +584,18 @@ def analyticity_witness(sample: FlatSample, rho: Optional[int] = None) -> Witnes
     unimodular v.  Alongside it: the algebra norm of f itself, rho, and the
     chain value (2^(-rho/2) + (20/sqrt(ell)) 2^(rho/2))^(-1).
 
-    nu comes from the mask's length, ell and sigma's two numbers from the
-    sample; rho defaults to default_rho(ell), rho > nu is refused
-    (ConfigError) and a negative rho is a ValueError.  sup |mu^| is fwht's
-    float maximum bit for bit, found by _sup_mu from the exact int64
-    transform of the unit-valued spectrum u * mask (|mu^| = |U|, see
-    _unit_phases), read in pieces: beyond the mask the peak holds about
-    3 * 2^nu bytes (the int8 codes, one int64 piece of 2^nu / _PIECES
-    entries, fwht's tiles), and 16 * 2^nu more only when more than
+    nu comes from the mask's length, ell, rho, sigma's two numbers and the
+    top of |mu^|^2 from the sample.  sup |mu^| is fwht's float maximum bit
+    for bit, found by _sup_mu: beyond the mask the peak holds the int8 codes
+    and the cones' chunks, and 16 * 2^nu more only when more than
     _MAX_CANDIDATES characters are near the maximum (mu's complex
     transform).  nu above NU_CAP is refused (ResourceCapError): the cap
-    keeps f in int8 and the exact transform packable.
+    keeps f in int8.
     """
-    mask, ell = sample.mask, sample.ell
+    mask, ell, rho = sample.mask, sample.ell, sample.rho
     nu = mask.shape[0].bit_length() - 1
     _check_nu_cap(nu)
-    rho_default, rho_exact = default_rho(ell)
-    rho = rho_default if rho is None else rho
-    if rho < 0:
-        raise ValueError(f"rho = {rho} is negative")
-    if rho > nu:
-        raise ConfigError("rho cannot exceed nu")
+    rho_exact = default_rho(ell)[1]
     s1, sup_off = sample.sigma1, sample.sup_offpeak
 
     # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
@@ -446,14 +603,13 @@ def analyticity_witness(sample: FlatSample, rho: Optional[int] = None) -> Witnes
     # mask is set) from the table of v's values times False, then times
     # True: the complex products np.multiply(v, mask) makes, signed zeros
     # included.  The codes overwrite f in its int8 array (4 rho + 1 < 128);
-    # the mask folds in as 0/1 int8s times 2 rho + 1, whose temporary is
-    # freed before the pieces are built.
+    # the mask folds in as 0/1 int8s times 2 rho + 1.
     v = _phases(rho)
     table = np.concatenate((v * False, v * True))
     codes = _character_sum(nu, rho)
     codes += rho
     codes += mask.view(np.int8) * np.int8(2 * rho + 1)
-    sup_mu = _sup_mu(codes, table, rho, int(np.count_nonzero(mask)))
+    sup_mu = _sup_mu(codes, table, sample.top, int(np.count_nonzero(mask)))
 
     ratio = 20.0 / math.sqrt(ell)
     lower = s1 / sup_mu if sup_mu > 0 else math.inf
@@ -481,17 +637,17 @@ def _phases(rho: int) -> np.ndarray:
     return np.exp(1j * (math.pi / 4) * np.arange(-rho, rho + 1))
 
 
-def _unit_phases(rho: int) -> list[tuple[int, int]]:
-    """(Re, Im) of u_k = (-i)^((rho - k)/2) for k = -rho..rho, exactly.
+def _packed_unit(b: int) -> int:
+    """Re + 2^31 Im of u = (-i)^b, exactly: the unit-valued function at a
+    point with b of the first rho characters at -1.
 
-    f(x) = k means b = (rho - k)/2 characters at -1.  Each factor 1 + i
-    chi_j(x) is 1 + i or 1 - i = -i (1 + i), so prod_j (1 + i chi_j(x)) =
-    (1 + i)^rho (-i)^b, and e^(i pi k/4) = e^(i pi rho/4) u_k: the
-    spectra of u * mask and of e^(i pi f/4) * mask have the same modulus.
-    k of the other parity never occurs and gets 0.
+    There f = rho - 2b.  Each factor 1 + i chi_j(x) is 1 + i or
+    1 - i = -i (1 + i), so prod_j (1 + i chi_j(x)) = (1 + i)^rho (-i)^b, and
+    e^(i pi f/4) = e^(i pi rho/4) u: the spectra of u * mask and of
+    e^(i pi f/4) * mask have the same modulus.
     """
-    return [_UNITS[(rho - k) // 2 % 4] if (rho - k) % 2 == 0 else (0, 0)
-            for k in range(-rho, rho + 1)]
+    re, im = _UNITS[b % 4]
+    return re + (im << 31)
 
 
 def _rounding_bound(nu: int, count: int) -> float:
@@ -510,12 +666,11 @@ def _rounding_bound(nu: int, count: int) -> float:
     return count * (gamma * (1 + EPS_IN) + EPS_IN + 16 * u)
 
 
-def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float:
+def _sup_mu(codes: np.ndarray, table: np.ndarray, top, count: int) -> float:
     """max |fwht(table[codes])|, bit for bit, mostly without that complex
-    transform.
+    transform; top holds the largest pairs (Q(y), y) of Q = |mu^|^2 (see
+    _Spectra) and count = |Lambda|.
 
-    |mu^| = |U| with U the exact transform of u * mask (see _unit_phases),
-    so one int64 transform gives Q = |U|^2 = |mu^|^2 for every character.
     Only characters whose exact modulus lies within 2 delta of the exact
     maximum (delta from _rounding_bound) can hold the float maximum; their
     float values come from _cone_values, and their maximum from _max_abs.
@@ -525,8 +680,8 @@ def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float
     _gather, transformed in place.
     """
     delta = _rounding_bound(codes.shape[0].bit_length() - 1, count)
-    q_max, ys = _near_maxima(codes, rho, 2 * delta)
-    if ys is None:
+    q_max, ys = _near_maxima(top, 2 * delta)
+    if len(ys) > _MAX_CANDIDATES:
         x = _gather(codes, table)
         sup = _max_abs(fwht(x, out=x))
     else:
@@ -536,50 +691,21 @@ def _sup_mu(codes: np.ndarray, table: np.ndarray, rho: int, count: int) -> float
     return sup
 
 
-def _near_maxima(codes: np.ndarray, rho: int, slack: float) -> tuple[int, Optional[list[int]]]:
-    """max Q and the y with sqrt(Q(y)) >= sqrt(max Q) - slack, for Q = |U|^2
-    and U the exact transform of u * mask; None for the y's when there are
-    more than _MAX_CANDIDATES of them.
+def _near_maxima(top, slack: float) -> tuple[int, list[int]]:
+    """max Q and, sorted, the y of the pairs (Q(y), y) in top with
+    sqrt(Q(y)) >= sqrt(max Q) - slack.
 
-    U = A + iB is read in pieces (see _exact_pieces) of the int64 transform
-    of the table Re u + 2^31 Im u, indexed by the witness's codes (0 where
-    the mask is unset).  |A| and |B| are at most |Lambda| <= 2^NU_CAP <
-    2^30, so each chunk unpacks by bit operations and is overwritten in
-    place by Q = A^2 + B^2 <= 2^(2 NU_CAP).  Only the _MAX_CANDIDATES + 1
-    largest (Q, y) pairs seen are kept: the y's above the threshold are all
-    among them when there are at most _MAX_CANDIDATES, and fill them when
-    there are more.
+    top holds the _MAX_CANDIDATES + 1 largest Q (see _Spectra), so when at
+    most _MAX_CANDIDATES characters lie that near they are all in it, and
+    when more do, every pair in it does: the answer does not depend on which
+    of the y tied at top's last place were kept.
     """
-    u = _unit_phases(rho)
-    packed = np.array([0] * len(u) + [re + (im << 31) for re, im in u], dtype=np.int64)
-    keep = _MAX_CANDIDATES + 1
-    top: list[tuple[int, int]] = []
-    low = np.empty(min(codes.shape[0], _CHUNK), np.int64)
-    offset = 0
-    for piece in _exact_pieces(codes, packed):
-        for i in range(0, piece.shape[0], _CHUNK):
-            part, a = piece[i:i + _CHUNK], low[:min(_CHUNK, piece.shape[0] - i)]
-            np.add(part, 1 << 30, out=a)
-            a &= (1 << 31) - 1
-            a -= 1 << 30  # A, the low 31 bits read as signed
-            part -= a
-            part >>= 31  # B
-            np.multiply(part, part, out=part)
-            np.multiply(a, a, out=a)
-            part += a
-            if len(top) < keep or part.max() > top[-1][0]:  # a full top takes only a larger Q
-                most = min(keep, len(part))
-                found = np.argpartition(part, -most)[-most:].tolist()
-                top = heapq.nlargest(keep, top + [(int(part[k]), offset + i + k) for k in found])
-        offset += piece.shape[0]
-        del piece, part  # before the next piece is built
     q_max = top[0][0]
     # keep Q >= floor(t^2 / 2^64) with t <= 2^32 (sqrt(max Q) - slack), so
     # no y within slack of the maximum is dropped
     t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
     threshold = (t * t) >> 64 if t > 0 else 0
-    ys = sorted(y for q, y in top if q >= threshold)
-    return q_max, ys if len(ys) <= _MAX_CANDIDATES else None
+    return q_max, sorted(y for q, y in top if q >= threshold)
 
 
 def _cone_values(codes: np.ndarray, table: np.ndarray, ys: Sequence[int]) -> np.ndarray:
@@ -623,16 +749,11 @@ def _gather(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
     return x
 
 
-def _abs_chunks(a: np.ndarray, dtype) -> Iterator[np.ndarray]:
-    """|a| one tile-sized chunk at a time, each written into the same
-    buffer of dtype, instead of into an array-sized temporary."""
-    step = 1 << _TILE_BITS
-    buf = np.empty(min(a.shape[0], step), dtype)
-    for i in range(0, a.shape[0], step):
-        yield np.abs(a[i:i + step], out=buf[:min(step, a.shape[0] - i)])
-
-
 def _max_abs(a: np.ndarray) -> float:
-    """max |a| in float64 (a maximum is exact in any order)."""
-    return float(max(part.max() for part in _abs_chunks(a, np.float64)))
-
+    """max |a| in float64 (a maximum is exact in any order), one tile-sized
+    chunk at a time written into one buffer, instead of into an array-sized
+    temporary."""
+    step = 1 << _TILE_BITS
+    buf = np.empty(min(a.shape[0], step), np.float64)
+    return float(max(np.abs(a[i:i + step], out=buf[:min(step, a.shape[0] - i)]).max()
+                     for i in range(0, a.shape[0], step)))

@@ -90,6 +90,13 @@ def _exact_sums(indices: np.ndarray, length: int, start: int, sign: int, rows: l
         exact_rows(np.pad(sign * signs, pad), rows) for _, signs in _sign_rows(indices, length)])
 
 
+def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """The run of equal keys each sorted key lies in, numbered from 0 (int32)."""
+    runs = np.zeros(len(sorted_keys), np.int32)
+    np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=runs[1:], dtype=np.int32)
+    return runs
+
+
 def verify_qi_exhaustive(
     elements: Sequence,
     n_max: Optional[int] = None,
@@ -143,9 +150,13 @@ def verify_qi_exhaustive(
     by_need = np.argsort(need)  # need: the key sum of each right vector, negated
     hits = np.sort(by_need[key_hits(left, need[by_need])])[1:]  # not the zero vector
     del by_need  # 4 MiB at 3^11 left sums, not held while the chunks join
+    runs = _key_runs(left) if len(hits) else None
     for chunk in filter(len, np.split(hits, [_SIGN_CHUNK])):  # the first hits, for an early exit
-        # the left sums whose key some hit of the chunk needs, in index order
-        found = np.sort(order[key_hits(np.sort(need[chunk]), left)])
+        # the left sums whose key some hit of the chunk needs, in index order:
+        # each hit's key is in left, so searchsorted finds its run
+        wanted = np.zeros(int(runs[-1]) + 1, dtype=bool)
+        wanted[runs[np.searchsorted(left, need[chunk])]] = True
+        found = np.sort(order[wanted[runs]])
         match = first_matches(_exact_sums(found, n_left, 0, 1, rows),
                               _exact_sums(chunk, n - n_left, n_left, -1, rows))
         first = np.flatnonzero(match >= 0)[:1]

@@ -153,9 +153,9 @@ def test_criterion_6_flatness_witness():
     assert chain == pytest.approx(1.5713484, abs=1e-6)
     lows = []
     for seed in range(5):
-        sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=20)
+        sample = sample_flat_lambda(nu, ell, seed=seed, max_retries=20, rho=rho)
         assert sample.retries_used <= 20
-        report = analyticity_witness(sample, rho=rho)
+        report = analyticity_witness(sample)
         assert report.lower_bound >= target
         assert report.lower_bound >= chain - 1e-9
         lows.append(report.lower_bound)

@@ -551,6 +551,25 @@ def test_analyticity_exhausted_flat_sample_is_a_failed_check(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("rho, shared", [("2", True), ("13", False)])
+def test_analyticity_meta_counters_are_deterministic(rho, shared, tmp_path):
+    # at --rho 13 u reads every bit of a quarter of 2^14 entries, so each
+    # draw transforms twice
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"r{i}.json"
+        main(["analyticity-demo", "--nu", "14", "--ell", "401", "--rho", rho, "--out", str(out)])
+        reports.append(json.loads(out.read_text()))
+    first, second = (r["meta"]["counters"] for r in reports)
+    assert first == second
+    assert first["shared_stages"] is shared
+    assert first["exact_passes"] == first["flat_draws"] * (1 if shared else 2) >= 1
+    assert 1 <= first["near_max_characters"] <= 9
+    assert first["complex_fallback"] is (first["near_max_characters"] > 8)
+    # the rest of the report does not carry them
+    assert "counters" not in json.dumps({k: v for k, v in reports[0].items() if k != "meta"})
+
+
 def test_analyticity_csv_lists_the_top_spectrum_magnitudes(tmp_path):
     import csv
 
@@ -682,14 +701,12 @@ def test_one_config_error_type():
 
 
 def _library_refusals():
-    import numpy as np
-
     from sidonlab.blocks import build_theorem2_prefix
     from sidonlab.construction import build_matrix, embed_theorem1
     from sidonlab.growth import DoubleLog
     from sidonlab.mesh import BoundSpec
     from sidonlab.selection import SelectionConfig, lemma_search
-    from sidonlab.spectral import FlatSample, analyticity_witness, sample_flat_lambda
+    from sidonlab.spectral import sample_flat_lambda
     from sidonlab.spread import Schedule
 
     return {
@@ -701,9 +718,8 @@ def _library_refusals():
         "theorem2-L": lambda: build_theorem2_prefix(p=3, w=DoubleLog(1.0), L=1),
         "flat-ell": lambda: sample_flat_lambda(16, 400),
         "flat-alpha": lambda: sample_flat_lambda(16, 5000),
-        "witness-rho": lambda: analyticity_witness(
-            FlatSample(nu=4, ell=401, alpha=0.3, mask=np.arange(16) < 2, sigma1=2.0,
-                       sup_offpeak=2.0, retries_used=1), rho=5),
+        # the witness's rho is drawn with its sample
+        "witness-rho": lambda: sample_flat_lambda(16, 401, rho=17),
         "schedule-J": lambda: Schedule.default(7),
         "schedule-p": lambda: Schedule.default(2).p(7),
         "matrix-nu": lambda: build_matrix(13),

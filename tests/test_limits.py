@@ -15,7 +15,7 @@ from sidonlab.selection import (
     sample_lambda_rows,
     trial_statistics,
 )
-from sidonlab.spectral import _spectrum_summary, analyticity_witness, sample_flat_lambda
+from sidonlab.spectral import _exact_pass, analyticity_witness, sample_flat_lambda
 from sidonlab.spread import v_p_size, well_spread_check
 from sidonlab.verify import verify_qi_exhaustive
 
@@ -30,19 +30,17 @@ _CERT = LemmaCertificate(
     checked_subset_size=2, mode="bernoulli", use_eighth=False,
     seed=0, trial_found=0,
 )
-# a sample of (Z/2Z)^4 with its spectrum summary (sigma^(1) = sup = 5)
-_FLAT = spectral.FlatSample(nu=4, ell=401, alpha=0.3, mask=np.arange(16) < 5, sigma1=5.0,
-                            sup_offpeak=5.0, retries_used=1)
-
-
-def _witness_of_a_raw_mask():
-    """The witness on a sample whose summary _spectrum_summary reads from
-    a raw mask, as sample_flat_lambda does."""
+def _sample_of_a_raw_mask():
+    """A sample of (Z/2Z)^4 at rho = 0 whose spectra _exact_pass reads from
+    a raw mask, as sample_flat_lambda does (sigma^(1) = sup = 5)."""
     mask = np.arange(16) < 5
-    s1, sup = _spectrum_summary(mask)
-    sample = spectral.FlatSample(nu=4, ell=401, alpha=0.3, mask=mask, sigma1=s1,
-                                 sup_offpeak=sup, retries_used=1)
-    return analyticity_witness(sample, rho=0)
+    spectra = _exact_pass(mask, 0)
+    return spectral.FlatSample(nu=4, ell=401, alpha=0.3, mask=mask, sigma1=float(spectra.sigma1),
+                               sup_offpeak=float(spectra.sup), retries_used=1, rho=0,
+                               top=tuple(spectra.top))
+
+
+_FLAT = _sample_of_a_raw_mask()
 
 
 # 9 members by the keyed route: 1 and 2 are not super-increasing at height 1
@@ -56,10 +54,10 @@ LIMITS = [
     (selection, "SUBSET_BUDGET", 0, _CERT.verify),
     # select's statistics draw through the same sampler
     (selection, "SAMPLING_CAP", 15, lambda: trial_statistics(SelectionConfig(2, 4, 1), 0)),
-    (spectral, "NU_CAP", 3, lambda: _spectrum_summary(np.arange(16) < 3)),
+    (spectral, "NU_CAP", 3, lambda: _exact_pass(np.arange(16) < 3, 0)),
     (spectral, "NU_CAP", 13, lambda: sample_flat_lambda(14, 401)),
-    # a sample built from a raw mask through _spectrum_summary
-    (spectral, "NU_CAP", 3, _witness_of_a_raw_mask),
+    # a sample built from a raw mask through _exact_pass
+    (spectral, "NU_CAP", 3, lambda: analyticity_witness(_sample_of_a_raw_mask())),
     # the theorem2 and theorem3 mesh reports give no cap, so ENUM_CAP applies
     (mesh, "ENUM_CAP", 8,
      lambda: check_mesh_condition([ip(3)], [_MESH], BoundSpec("sidon_log", C=1.0))),
@@ -70,8 +68,8 @@ LIMITS = [
     # the pointwise search draws its sets through sample_lambda
     (selection, "SAMPLING_CAP", 15, lambda: sample_lambda(SelectionConfig(2, 4, 1))),
     (verify, "N_MAX_DEFAULT", 2, lambda: verify_qi_exhaustive([ip(1), ip(2), ip(4)])),
-    # a FlatSample carries its spectrum summary, so no _spectrum_summary call checks the cap
-    (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT, rho=0)),
+    # a FlatSample carries its spectra, so no _exact_pass call checks the cap
+    (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT)),
 ]
 
 

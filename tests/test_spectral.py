@@ -12,7 +12,7 @@ from sidonlab.spectral import (
     FlatnessFailure,
     FlatSample,
     _character_sum,
-    _spectrum_summary,
+    _exact_pass,
     analyticity_witness,
     default_rho,
     fwht,
@@ -47,13 +47,13 @@ def _independent(masks):
     return True
 
 
-def _sample_of(mask):
-    """A FlatSample at ell = 401 of any mask of length 2^nu, flat or not,
-    its spectrum summary read by _spectrum_summary as sample_flat_lambda
-    reads it."""
-    sigma1, sup = _spectrum_summary(mask)
+def _sample_of(mask, rho):
+    """A FlatSample at ell = 401 and rho of any mask of length 2^nu, flat or
+    not, its spectra read by _exact_pass as sample_flat_lambda reads them."""
+    spectra = _exact_pass(mask, rho)
     return FlatSample(nu=mask.shape[0].bit_length() - 1, ell=401, alpha=float(mask.mean()),
-                      mask=mask, sigma1=sigma1, sup_offpeak=sup, retries_used=1)
+                      mask=mask, sigma1=float(spectra.sigma1), sup_offpeak=float(spectra.sup),
+                      retries_used=1, rho=rho, top=tuple(spectra.top))
 
 
 def test_fwht_delta_and_constant():
@@ -339,22 +339,20 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
 
 
 def test_witness_peak_memory():
-    # above the sample, the witness holds at most the codes, the exact
-    # spectrum's one piece (see _exact_pieces: n / _PIECES int64s,
-    # transformed in place), fwht's two int64 tiles, the scan's chunks and the
-    # ufunc buffers of the butterflies: neither mu's complex transform, a
-    # whole int64 transform nor v = exp(i pi/4 f) times the mask is ever
-    # built.  The cones' chunks (about 33 * _CHUNK bytes) come after the
-    # pieces are released.  rho = 3 makes the packed table need int64 tiles.
+    # above the sample, the witness holds at most the codes and the cones'
+    # chunks (about 33 * _CHUNK bytes): the sample carries the top of the
+    # exact spectrum, and neither mu's complex transform, a whole int64
+    # transform nor v = exp(i pi/4 f) times the mask is ever built.  The
+    # bound leaves room for an exact piece, fwht's tiles and a scan's chunks.
     import tracemalloc
 
     from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
 
-    sample = sample_flat_lambda(nu=20, ell=401, seed=0)
+    sample = sample_flat_lambda(nu=20, ell=401, seed=0, rho=3)
     n = sample.mask.shape[0]
     tracemalloc.start()
     try:
-        analyticity_witness(sample, rho=3)
+        analyticity_witness(sample)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,11 +364,11 @@ def test_witness_peak_memory():
 
 def test_flat_sample_and_witness_peak_memory(small_flat):
     # the CLI's path: the sample stays alive through the witness.  The peak
-    # may hold the mask, the int8 codes, the exact spectrum's one piece,
-    # fwht's two int64 tiles and the scan's chunks; neither sigma's
-    # spectrum, mu's complex transform, a whole int64 transform nor f's
-    # transform may join them.  (small_flat is drawn before tracing starts,
-    # so numpy.random's import is not counted.)
+    # may hold the mask, the int8 codes, the exact pass's one piece, fwht's
+    # two tiles and the chunks; neither sigma's spectrum, mu's complex
+    # transform, a whole int64 transform nor f's transform may join them.
+    # (small_flat is drawn before tracing starts, so numpy.random's import
+    # is not counted.)
     import tracemalloc
 
     from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
@@ -390,12 +388,11 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
 
 
 def test_flat_sample_peak_memory(small_flat):
-    # sigma's spectrum is read in pieces of n / _PIECES int64s, each
-    # transformed in place in one buffer (see _spectrum_summary), and the
-    # uniforms are drawn a chunk at a time, so beside the mask the sample
-    # holds only that piece and two tile-sized chunks (fwht's two int32
-    # tiles, or the absolute values and a temporary of the square sum; the
-    # absolute values are released with their piece).
+    # both spectra are read in pieces of n / _PIECES int64s, each
+    # transformed in place in one buffer (see _exact_pass), and the draws
+    # are made a chunk at a time, so beside the mask the sample holds only
+    # that piece and about two tile-sized chunks (fwht's two int32 tiles, the
+    # row-stage chunks of U and the square sum's temporaries).
     import tracemalloc
 
     from sidonlab.spectral import _PIECES, _TILE_BITS
@@ -441,9 +438,10 @@ def test_convolution_identity():
 def test_sigma_hat_counts_and_parseval():
     mask = np.zeros(8, dtype=bool)
     mask[[0b01, 0b10, 0b11]] = True
-    assert _spectrum_summary(mask)[0] == 3
-    assert int((fwht(mask) ** 2).sum()) == 8 * 3
-    assert _spectrum_summary(np.ones(16, dtype=bool)) == (16.0, 0.0)
+    assert _exact_pass(mask, 0).sigma1 == 3
+    assert int((fwht(mask) ** 2).sum()) == _exact_pass(mask, 1).squares == 8 * 3
+    full = _exact_pass(np.ones(16, dtype=bool), 2)
+    assert (full.sigma1, full.sup, full.squares) == (16, 0, 16 * 16)
 
 
 def test_max_abs_takes_tile_chunks():
@@ -515,30 +513,31 @@ def test_sample_flat_lambda_validation():
 
 
 def test_witness_rho_zero(small_flat):
-    rep = analyticity_witness(small_flat, rho=0)
+    rep = analyticity_witness(sample_flat_lambda(nu=14, ell=401, seed=0, rho=0))
     assert rep.lower_bound == pytest.approx(1.0)
     assert rep.target == pytest.approx(0.5)
     assert rep.passed
-    # the sample's summary is the one _spectrum_summary reads from its mask
-    assert analyticity_witness(_sample_of(small_flat.mask), rho=0) == rep
+    # the sample's spectra are the ones _exact_pass reads from its mask
+    assert analyticity_witness(_sample_of(small_flat.mask, 0)) == rep
 
 
 def test_witness_structure(small_flat):
-    rep = analyticity_witness(small_flat, rho=2)
+    rep = analyticity_witness(sample_flat_lambda(nu=14, ell=401, seed=0, rho=2))
     assert rep.f_algebra_norm == pytest.approx(2.0)  # rho unit coefficients
     assert rep.flatness_holds
     # computed duality bound is at least as strong as the analytic chain
     assert rep.lower_bound >= rep.chain_bound - 1e-9
     assert rep.sigma1 == small_flat.sigma1
-    assert analyticity_witness(_sample_of(small_flat.mask), rho=2) == rep
+    assert analyticity_witness(_sample_of(small_flat.mask, 2)) == rep
 
 
 def test_witness_validation(small_flat):
+    # the witness's rho is fixed when the sample is drawn
     for rho in (small_flat.nu + 1, 20):
         with pytest.raises(ConfigError, match="rho cannot exceed nu"):
-            analyticity_witness(small_flat, rho=rho)
+            sample_flat_lambda(nu=14, ell=401, seed=0, rho=rho)
     with pytest.raises(ValueError, match="negative"):
-        analyticity_witness(small_flat, rho=-1)
+        sample_flat_lambda(nu=14, ell=401, seed=0, rho=-1)
 
 
 @pytest.mark.parametrize("nu", range(13))
@@ -587,6 +586,27 @@ def _mu_inputs(nu, y_masks, mask):
     codes = _popcount_sum(nu, y_masks) + rho
     np.add(codes, 2 * rho + 1, out=codes, where=mask)
     return codes, np.concatenate((v * False, v * True)), rho
+
+
+def _exact_q(codes, rho, transform=fwht):
+    """Q = |mu^|^2 at every character, exactly, for the witness's codes of
+    any characters: Re and Im of the unit-valued function times the mask,
+    transformed separately."""
+    from sidonlab.spectral import _UNITS
+
+    # code c + rho of a point in the set has f = c, so (rho - c) / 2 characters at -1
+    units = [_UNITS[(rho - c) // 2 % 4] for c in range(-rho, rho + 1)]
+    re = transform(np.array([0] * len(units) + [a for a, _ in units])[codes]).astype(object)
+    im = transform(np.array([0] * len(units) + [b for _, b in units])[codes]).astype(object)
+    return re * re + im * im
+
+
+def _full_top(codes, rho):
+    """The _MAX_CANDIDATES + 1 largest pairs (Q(y), y) of _exact_q."""
+    from sidonlab.spectral import _MAX_CANDIDATES
+
+    q = _exact_q(codes, rho)
+    return sorted(((int(v), y) for y, v in enumerate(q)), reverse=True)[:_MAX_CANDIDATES + 1]
 
 
 def _independent_masks(nu, rho, rng):
@@ -639,7 +659,7 @@ def test_sup_mu_equals_the_full_transform_property(nu_rho, density, seed):
     mask = rng.random(2**nu) < density
     codes, table, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), mask)
     want = _max_abs(fwht(table[codes]))
-    assert _sup_mu(codes, table, rho, int(mask.sum())).hex() == want.hex()
+    assert _sup_mu(codes, table, _full_top(codes, rho), int(mask.sum())).hex() == want.hex()
 
 
 def test_sup_mu_fallbacks_agree(monkeypatch):
@@ -656,14 +676,16 @@ def test_sup_mu_fallbacks_agree(monkeypatch):
         assert want == 2.0 ** (nu - rho / 2)
         if nu <= 8:  # the quadratic oracle
             assert want == pytest.approx(np.abs(naive_wht(table[codes])).max(), rel=1e-12)
+        top = sp._exact_pass(full, rho).top
         with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
             m.setattr(sp, "_cone_values", unused)
-            assert sp._sup_mu(codes, table, rho, 2**nu).hex() == want.hex()
+            assert sp._sup_mu(codes, table, top, 2**nu).hex() == want.hex()
             # the witness on the full mask, f on the same four characters
-            assert analyticity_witness(_sample_of(full), rho=rho).sup_mu.hex() == want.hex()
+            assert analyticity_witness(_sample_of(full, rho)).sup_mu.hex() == want.hex()
     # an empty mask ties all 2^nu characters at 0
-    codes, table, rho = _mu_inputs(nu, [1, 2], np.zeros(2**nu, dtype=bool))
-    assert sp._sup_mu(codes, table, rho, 0) == 0.0
+    empty = np.zeros(2**nu, dtype=bool)
+    codes, table, rho = _mu_inputs(nu, [1, 2], empty)
+    assert sp._sup_mu(codes, table, sp._exact_pass(empty, rho).top, 0) == 0.0
 
 
 # (nu, rho, density, seed) of a random mask
@@ -679,56 +701,64 @@ def test_duality_bound_at_most_the_norm_ceiling(nu, rho, density, seed, monkeypa
 
     mask = np.random.default_rng(seed).random(2**nu) < density
     mask[0] = True
-    codes, _, _ = _mu_inputs(nu, [1 << b for b in range(rho)], mask)
-    q_max, _ = sp._near_maxima(codes, rho, 0.0)
+    q_max = sp._exact_pass(mask, rho).top[0][0]
     count = int(mask.sum())
     assert count**2 <= 2**rho * q_max
     ceiling = 2 ** (rho / 2) * (1 + 2**-40)
-    assert analyticity_witness(_sample_of(mask), rho=rho).lower_bound <= ceiling
+    assert analyticity_witness(_sample_of(mask, rho)).lower_bound <= ceiling
     # the float form catches a sup |mu^| that is too small: halved, the
     # bound is at least twice the exact one, which reaches past half the
     # ceiling on these masks
     sup_mu = sp._sup_mu
     monkeypatch.setattr(sp, "_sup_mu", lambda *args: sup_mu(*args) / 2)
-    assert not analyticity_witness(_sample_of(mask), rho=rho).lower_bound <= ceiling
+    assert not analyticity_witness(_sample_of(mask, rho)).lower_bound <= ceiling
 
 
 def test_phase_tables_within_eps_in():
     import mpmath
 
-    from sidonlab.spectral import EPS_IN, NU_CAP, _phases, _unit_phases
+    from sidonlab.spectral import EPS_IN, NU_CAP, _packed_unit, _phases
 
     with mpmath.workprec(200):
         for rho in range(NU_CAP + 1):
             v = _phases(rho)
             assert (v * True).tobytes() == v.tobytes()  # the witness's masked values
-            for k, vk, (re, im) in zip(range(-rho, rho + 1), v, _unit_phases(rho)):
+            for k, vk in zip(range(-rho, rho + 1), v):
                 exact = mpmath.expjpi(mpmath.mpf(k) / 4)
                 assert abs(mpmath.mpc(vk.real, vk.imag) - exact) <= EPS_IN
                 if (rho - k) % 2 == 0:
-                    # (1 + i)^rho u_k = 2^(rho/2) e^(i pi k/4), so |U| = |mu^|
+                    # f = k at a point with b = (rho - k) / 2 characters at -1:
+                    # (1 + i)^rho u = 2^(rho/2) e^(i pi k/4), so |U| = |mu^|
+                    packed = _packed_unit((rho - k) // 2)
+                    re = (packed + 2**30) % 2**31 - 2**30
+                    im = (packed - re) >> 31
                     lhs = mpmath.mpc(1, 1) ** rho * mpmath.mpc(re, im)
                     assert abs(lhs - 2 ** (mpmath.mpf(rho) / 2) * exact) < 1e-50
                     assert re * re + im * im == 1
-                else:
-                    assert (re, im) == (0, 0)
 
 
 def test_witness_rejects_a_wrong_exact_transform(small_flat, monkeypatch):
     import sidonlab.spectral as sp
 
     monkeypatch.setattr(sp, "_UNITS", tuple((2 * a, 2 * b) for a, b in sp._UNITS))
+    sample = sample_flat_lambda(nu=14, ell=401, seed=0, rho=2)
     with pytest.raises(AssertionError, match="exact sup"):
-        analyticity_witness(small_flat, rho=2)
+        analyticity_witness(sample)
+
+
+def _large_rho_flat():
+    # |Lambda| 2^ceil(rho/2) >= 2^30: the spectrum of 2^(rho/2) mu would
+    # not pack into int64, the unit-valued spectrum does.  At rho = 20 u
+    # reads every bit of a piece, so the pass shares no stages.
+    sample = sample_flat_lambda(nu=21, ell=40000, seed=0, rho=20)
+    assert int(sample.mask.sum()) << 10 >= 1 << 30
+    assert not sample.counters()["shared_stages"]
+    return sample
 
 
 @pytest.fixture(scope="module")
 def large_rho_flat():
-    # |Lambda| 2^ceil(rho/2) >= 2^30: the spectrum of 2^(rho/2) mu would
-    # not pack into int64, the unit-valued spectrum does
-    sample = sample_flat_lambda(nu=21, ell=40000, seed=0)
-    assert int(sample.mask.sum()) << 10 >= 1 << 30
-    return sample
+    return _large_rho_flat()
 
 
 def test_witness_peak_memory_at_large_rho(large_rho_flat):
@@ -741,7 +771,7 @@ def test_witness_peak_memory_at_large_rho(large_rho_flat):
     n = large_rho_flat.mask.shape[0]
     tracemalloc.start()
     try:
-        analyticity_witness(large_rho_flat, rho=20)
+        analyticity_witness(large_rho_flat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -750,115 +780,148 @@ def test_witness_peak_memory_at_large_rho(large_rho_flat):
     assert peak <= piece + n + tiles + chunks + slack
 
 
-def test_witness_cross_check_runs_at_large_rho(large_rho_flat, monkeypatch):
+def test_flat_sample_peak_memory_at_large_rho():
+    # the sampler at rho = 20 transforms each int64 piece twice in place:
+    # beside the mask (n bytes) it holds that piece, fwht's two int64 tiles
+    # and the pass's chunks, the bound of test_witness_peak_memory_at_large_rho
+    import tracemalloc
+
+    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
+
+    n = 2**21
+    tracemalloc.start()
+    try:
+        sample_flat_lambda(nu=21, ell=40000, seed=0, rho=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
+    slack = 3 * np.getbufsize() * 16 + 64 * 1024
+    assert peak <= piece + n + tiles + chunks + slack
+
+
+def test_witness_cross_check_runs_at_large_rho(monkeypatch):
     import sidonlab.spectral as sp
 
     monkeypatch.setattr(sp, "_UNITS", tuple((2 * a, 2 * b) for a, b in sp._UNITS))
+    sample = _large_rho_flat()  # drawn with the doubled units
     with pytest.raises(AssertionError, match="exact sup"):
-        analyticity_witness(large_rho_flat, rho=20)
+        analyticity_witness(sample)
 
 
 # ---------------------------------------------------------------------------
-# exact transforms in pieces
+# the exact pass
 # ---------------------------------------------------------------------------
 
 
-def _packed_parts(nu):
-    """Re and Im parts of a packed table entry, up to the largest modulus
-    whose transform stays below 2^30, where Re + 2^31 Im unpacks."""
-    bound = ((1 << 30) - 1) >> nu
-    return st.one_of(st.sampled_from([bound, -bound, bound - 1, 1 - bound, 0]),
-                     st.integers(-bound, bound))
+def _low_codes(mask, rho):
+    """The witness's codes for f on the first rho characters."""
+    return _mu_inputs(mask.shape[0].bit_length() - 1, [1 << b for b in range(rho)], mask)[0]
 
 
-@settings(max_examples=200, deadline=None)
+# every rho in 0..nu, so both the shared route (1 << rho below the piece and
+# within a chunk) and the separate one run; chunks of 1 to 2^14 entries
+@settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([1, 2, 4, 8]),
-    st.sampled_from([1, 4, 1 << 16]),
-    st.integers(0, 12).flatmap(
-        lambda nu: st.tuples(
-            st.just(nu),
-            st.lists(st.tuples(_packed_parts(nu), _packed_parts(nu)), min_size=1, max_size=12),
-        )
-    ),
+    st.sampled_from([1, 2, 8, 64, 1 << 14]),
+    st.sampled_from([1, 2, 16]),
+    st.integers(0, 10).flatmap(lambda nu: st.tuples(st.just(nu), st.integers(0, nu))),
+    st.sampled_from([0.0, 0.02, 0.3, 0.5, 1.0]),
     st.integers(0, 2**32 - 1),
 )
-def test_exact_pieces_equal_the_transform_property(pieces, chunk, case, seed):
+def test_exact_pass_equals_the_transform_property(pieces, chunk, tile_bits, nu_rho, density, seed):
     import sidonlab.spectral as sp
 
-    nu, parts = case
-    table = np.array([re + (im << 31) for re, im in parts], dtype=np.int64)
-    codes = np.random.default_rng(seed).integers(0, len(table), 2**nu).astype(np.int8)
-    saved = sp._PIECES, sp._CHUNK
-    sp._PIECES, sp._CHUNK = pieces, chunk
-    try:  # a piece is valid only until the next one is requested
-        got = [piece.copy() for piece in sp._exact_pieces(codes, table)]
+    nu, rho = nu_rho
+    mask = np.random.default_rng(seed).random(2**nu) < density
+    saved = sp._PIECES, sp._LOW_CHUNK, sp._TILE_BITS
+    sp._PIECES, sp._LOW_CHUNK, sp._TILE_BITS = pieces, chunk, tile_bits
+    try:
+        got = sp._exact_pass(mask, rho)
     finally:
-        sp._PIECES, sp._CHUNK = saved
-    assert len(got) == min(pieces, 2**nu)
-    assert all(p.dtype == np.int64 and p.shape == (2**nu // len(got),) for p in got)
-    assert np.concatenate(got).tobytes() == fwht(table[codes]).tobytes()
+        sp._PIECES, sp._LOW_CHUNK, sp._TILE_BITS = saved
+    transform = naive_wht if nu <= 8 else fwht  # the quadratic oracle where it is quick
+    sigma = transform(mask)
+    q = _exact_q(_low_codes(mask, rho), rho, transform)
+    assert got.sigma1 == int(sigma[0])
+    assert got.sup == (int(np.abs(sigma[1:]).max()) if nu else 0)
+    assert got.squares == int((sigma.astype(object) ** 2).sum())
+    # top: the largest Q values, largest first, each at a distinct y it holds
+    keep = sp._MAX_CANDIDATES + 1
+    assert [p for p, _ in got.top] == sorted(q.tolist(), reverse=True)[:keep]
+    assert all(q[y] == p for p, y in got.top)
+    assert len({y for _, y in got.top}) == len(got.top)
 
 
 @pytest.mark.parametrize("pieces", [1, 2, 4, 8])
 @pytest.mark.parametrize("nu", [0, 1, 2, 5, 11])
 def test_spectrum_summary_equals_sigma_hat(nu, pieces, monkeypatch):
     monkeypatch.setattr("sidonlab.spectral._PIECES", pieces)
-    monkeypatch.setattr("sidonlab.spectral._TILE_BITS", 3)  # several abs chunks a piece
+    monkeypatch.setattr("sidonlab.spectral._LOW_CHUNK", 8)  # several chunks a piece
     rng = np.random.default_rng(nu + 10 * pieces)
     for mask in (np.zeros(2**nu, bool), np.ones(2**nu, bool), rng.random(2**nu) < 0.3):
         mags = np.abs(fwht(mask.astype(np.float64)))  # analyticity-demo --csv's spectrum
         want = [float(mags[0]), float(mags[1:].max()) if nu else 0.0]
-        assert [x.hex() for x in _spectrum_summary(mask)] == [x.hex() for x in want]
+        for rho in sorted({0, nu // 2, nu}):
+            spectra = _exact_pass(mask, rho)
+            assert [float(spectra.sigma1).hex(), float(spectra.sup).hex()] == [x.hex() for x in want]
 
 
-def _full_scan(codes, rho, slack):
+def _full_scan(mask, rho, slack):
     """_near_maxima's answer from the whole exact transform: Re and Im of
     u * mask transformed separately, every Q kept."""
-    from sidonlab.spectral import _MAX_CANDIDATES, _unit_phases
+    from sidonlab.spectral import _MAX_CANDIDATES
 
-    u = _unit_phases(rho)
-    re = fwht(np.array([0] * len(u) + [a for a, _ in u])[codes]).astype(object)
-    im = fwht(np.array([0] * len(u) + [b for _, b in u])[codes]).astype(object)
-    q = re * re + im * im
+    q = _exact_q(_low_codes(mask, rho), rho)
     q_max = int(q.max())
     t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
     ys = np.flatnonzero(q >= ((t * t) >> 64 if t > 0 else 0)).tolist()
     return q_max, ys if len(ys) <= _MAX_CANDIDATES else None
 
 
+def _near(mask, rho, slack):
+    """_near_maxima of the pass's top, None past _MAX_CANDIDATES characters,
+    as _sup_mu reads it."""
+    from sidonlab.spectral import _MAX_CANDIDATES, _near_maxima
+
+    q_max, ys = _near_maxima(_exact_pass(mask, rho).top, slack)
+    return q_max, ys if len(ys) <= _MAX_CANDIDATES else None
+
+
 @pytest.mark.parametrize("pieces", [1, 4, 8])
 @pytest.mark.parametrize("nu", [1, 4, 6, 9])
 def test_near_maxima_match_a_full_scan(nu, pieces, monkeypatch):
-    from sidonlab.spectral import _MAX_CANDIDATES, _near_maxima
+    from sidonlab.spectral import _MAX_CANDIDATES
 
     monkeypatch.setattr("sidonlab.spectral._PIECES", pieces)
-    monkeypatch.setattr("sidonlab.spectral._CHUNK", 4)  # several chunks a piece
+    monkeypatch.setattr("sidonlab.spectral._LOW_CHUNK", 4)  # several chunks a piece
     rng = np.random.default_rng(nu)
-    # rho = 0: W is sigma's integer spectrum, and slack = max|W| - level puts
-    # the threshold exactly at level^2, so every |W| = level ties on it
+    # rho = 0: U is sigma's integer spectrum, and slack = max|U| - level puts
+    # the threshold exactly at level^2, so every |U| = level ties on it
     mask = rng.random(2**nu) < 0.4
     s = np.abs(fwht(mask))
     for level in sorted(set(s.tolist())):
         want = np.flatnonzero(s >= level).tolist()
-        got = _near_maxima(mask.astype(np.int8), 0, float(s.max() - level))
+        got = _near(mask, 0, float(s.max() - level))
         assert got == (int(s.max()) ** 2, want if len(want) <= _MAX_CANDIDATES else None)
     # a full mask ties 2^rho characters at the maximum: 8 are kept, 16 are not
     for rho in [r for r in (3, 4) if r <= nu]:
-        codes, _, _ = _mu_inputs(nu, [1 << b for b in range(rho)], np.ones(2**nu, bool))
-        q_max, ys = _near_maxima(codes, rho, 0.0)
+        full = np.ones(2**nu, bool)
+        q_max, ys = _near(full, rho, 0.0)
         assert q_max == 4**nu >> rho and (len(ys) == 8 if rho == 3 else ys is None)
-        assert (q_max, ys) == _full_scan(codes, rho, 0.0)
+        assert (q_max, ys) == _full_scan(full, rho, 0.0)
     for rho in range(nu + 1):
-        codes, _, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), rng.random(2**nu) < 0.5)
+        mask = rng.random(2**nu) < 0.5
         for slack in (0.0, 0.5, 3.0, 2.0**nu):
-            assert _near_maxima(codes, rho, slack) == _full_scan(codes, rho, slack)
+            assert _near(mask, rho, slack) == _full_scan(mask, rho, slack)
 
 
 @pytest.mark.parametrize("nu", [1, 3, 8, 12])
 def test_f_algebra_norm_is_the_transform_sum(nu):
-    sample = _sample_of(np.random.default_rng(nu).random(2**nu) < 0.5)
+    mask = np.random.default_rng(nu).random(2**nu) < 0.5
     for rho in sorted({0, 1, nu // 2, nu}):
-        report = analyticity_witness(sample, rho=rho)
+        report = analyticity_witness(_sample_of(mask, rho))
         f = _character_sum(nu, rho)
         assert report.f_algebra_norm.hex() == (float(np.abs(fwht(f)).sum()) / 2**nu).hex()
+
