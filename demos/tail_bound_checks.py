@@ -44,7 +44,7 @@ print("difference of two binomials, exact by double convolution:")
 for N, alpha, lam in [(100, 0.5, 2.0), (400, 0.3, 2.0), (2000, 0.1, 1.5)]:
     r = difference_tail_check(N, alpha, lam)
     print(f"  N={N:4d} a={alpha}: tail {r.tail:.3e} <= {r.bound:.3e} "
-          f"at threshold {r.threshold:.1f} (exact: {r.exact})")
+          f"at threshold {r.threshold:.1f}")
 print()
 print("outside the window no claim is made:")
 try:

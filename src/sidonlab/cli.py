@@ -33,7 +33,6 @@ from .mesh import ENUM_CAP
 from .parallel import THREADS_MAX, Parallelism
 from .selection import LEMMA_NU_MIN, RETRY_BUDGET, TIED_MIN_TRIALS
 from .spectral import FLAT_ELL_LIMIT, FLAT_RETRY_BUDGET
-from .tails import MIN_TRIALS
 from .verify import N_MAX_DEFAULT
 
 _USAGE_EXIT = 2
@@ -129,7 +128,8 @@ _SUBCOMMANDS: dict[str, list[Opt]] = {
     "appendix-check": [
         Opt("alpha-points", int, 99, "alpha grid size", 1),
         Opt("u-points", int, 1001, "u samples per alpha", 1),
-        Opt("trials", int, MIN_TRIALS, "Monte Carlo trials beyond the exact range", MIN_TRIALS),
+        # echoed in the report's config only: every difference tail is exact
+        Opt("trials", int, 10**4, "unused; kept for the report's config", 10**4),
     ],
 }
 
@@ -368,21 +368,21 @@ def _run_verify_qi(params, seed, pool):
 
 
 def _run_theorem1(params, seed, pool):
-    from .construction import build_matrix, embed_theorem1, n_nu, witness_counts
+    from .construction import embed_theorem1, n_nu, witness_counts
     from .verify import verify_qi_exhaustive, verify_qi_structural
 
     nu_max = params["nu-max"]
     construction = embed_theorem1(nu_max)  # refuses a nu_max outside [1, NU_CAP] first
+    matrices = [m for _, m in construction.blocks]  # A_1 .. A_nu_max
     checks = []
     table = {}
-    for nu in range(1, nu_max + 1):
-        m = build_matrix(nu)
-        table[nu] = m.cols
-        ok = m.entries.shape == (2**nu, n_nu(nu)) and verify_qi_structural(m)
-        checks.append(_flag(f"matrix-shape-and-structure nu={nu}", ok))
-    for nu in range(1, min(3, nu_max) + 1):
-        qi, _ = verify_qi_exhaustive(build_matrix(nu).columns_as_points())
-        checks.append(_flag(f"columns-exhaustively-qi nu={nu}", qi))
+    for m in matrices:
+        table[m.nu] = m.cols
+        # QiMatrix enforces the 2^nu x N_nu shape on construction
+        checks.append(_flag(f"matrix-shape-and-structure nu={m.nu}", verify_qi_structural(m)))
+    for m in matrices[:3]:
+        qi, _ = verify_qi_exhaustive(m.columns_as_points())
+        checks.append(_flag(f"columns-exhaustively-qi nu={m.nu}", qi))
 
     ks = range(2, 2 ** (nu_max + 1))
     counts = witness_counts(construction, ks)
@@ -403,8 +403,8 @@ def _run_theorem1(params, seed, pool):
         import os
 
         os.makedirs(params["export-dir"], exist_ok=True)
-        for nu in range(1, nu_max + 1):
-            build_matrix(nu).to_csv(os.path.join(params["export-dir"], f"matrix_{nu}.csv"))
+        for m in matrices:
+            m.to_csv(os.path.join(params["export-dir"], f"matrix_{m.nu}.csv"))
         construction.to_json(os.path.join(params["export-dir"], "construction.json"))
     return checks, {"column_counts": table, "lambda_size": len(construction.lambda_points)}
 
@@ -703,12 +703,9 @@ def _run_appendix(params, seed, pool):
         for alpha in (0.1, 0.3, 0.5):
             for lam in (0.5, 1.0, 2.0):
                 try:
-                    r = difference_tail_check(
-                        N, alpha, lam, trials=params["trials"], seed=seed
-                    )
+                    r = difference_tail_check(N, alpha, lam)
                 except DomainError:  # lam outside the window: no claim to check
                     continue
-                # every N here is at most tails.EXACT_LIMIT: the tails are exact
                 checks.append(Check(f"difference-tail N={N} a={alpha} lam={lam}", r.tail, "<=",
                                     r.bound))
     return checks, {"grid": {"alpha_points": params["alpha-points"], "u_points": params["u-points"]}}

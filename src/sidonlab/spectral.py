@@ -398,7 +398,7 @@ def _separate_pieces(blocks: np.ndarray, rho: int, spectra: _Spectra) -> None:
     step = min(m, _LOW_CHUNK)
     low = (1 << rho) - 1
     units = np.array([_packed_unit(b) for b in range(4)], np.int64)
-    ones = np.bitwise_count(np.arange(step) & low)
+    ones = (rho - _character_sum(step.bit_length() - 1, rho)) // 2  # popcount(t mod 2^rho)
     patterns = [units[(ones + r) % 4] for r in (0, 1)]
     term = np.empty(step, np.int64)
     sums = np.empty(step, np.int8)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .rng import stream
+from .core import ResourceCapError
 
 __all__ = [
     "SubGaussianSpec",
@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 MGF_SURROGATE_WINDOW = 50.0  # finite stand-in for the unbounded alpha=1/2 window
-EXACT_LIMIT = 2000  # difference_tail_check is exact for N up to this
-MIN_TRIALS = 10**4  # and samples at least this many trials beyond it
+BINOMIAL_N_CAP = 10**6  # binomial_tail_exact sums N + 1 terms at most this N
+EXACT_LIMIT = 2000  # difference_tail_check convolves at most this N
 
 
 class DomainError(ValueError):
@@ -111,8 +111,10 @@ def binomial_tail_exact(N: int, alpha: float, t: float) -> float:
     """
     from scipy.special import gammaln, logsumexp  # lazy: keeps CLI start-up light
 
-    if N < 0 or N > 10**6:
-        raise ValueError("need 0 <= N <= 1e6")
+    if N < 0:
+        raise ValueError("need N >= 0")
+    if N > BINOMIAL_N_CAP:
+        raise ResourceCapError(f"N = {N} exceeds the cap {BINOMIAL_N_CAP}")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if t >= N:
@@ -166,7 +168,7 @@ def _binom_pmf(k: np.ndarray, N: int, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DifferenceTailReport:
-    """Exact (or sampled) tail of Y - Y' against 2 exp(-lambda^2/2)."""
+    """Exact tail of Y - Y' against 2 exp(-lambda^2/2)."""
 
     N: int
     alpha: float
@@ -174,29 +176,23 @@ class DifferenceTailReport:
     threshold: float
     tail: float
     bound: float
-    exact: bool
-    trials: Optional[int]
     passed: bool
 
 
-def difference_tail_check(
-    N: int,
-    alpha: float,
-    lam: float,
-    trials: int = MIN_TRIALS,
-    seed: int = 0,
-) -> DifferenceTailReport:
+def difference_tail_check(N: int, alpha: float, lam: float) -> DifferenceTailReport:
     """Tail of Z = Y - Y' (independent B(N, alpha)) at 2 lam sqrt(2N a(1-a)).
 
     Valid only for lam < sqrt(N*alpha*(1-alpha)/|1-2*alpha|) (vacuously all
     lam at alpha = 1/2); outside that window no claim is made and a
-    DomainError is raised.  Exact double-convolution tail for N up to
-    EXACT_LIMIT, Monte Carlo with 3-sigma slack beyond.
+    DomainError is raised.  The tail is the exact double convolution of the
+    pmf, for N up to EXACT_LIMIT; a larger N raises ResourceCapError.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    if N > EXACT_LIMIT:
+        raise ResourceCapError(f"N = {N} exceeds the exact limit {EXACT_LIMIT}")
     if alpha != 0.5:
         window = math.sqrt(N * alpha * (1 - alpha) / abs(1 - 2 * alpha))
         if lam >= window:
@@ -205,22 +201,8 @@ def difference_tail_check(
             )
     threshold = 2 * lam * math.sqrt(2 * N * alpha * (1 - alpha))
     bound = 2 * math.exp(-0.5 * lam * lam)
-    if N <= EXACT_LIMIT:
-        pmf = _binom_pmf(np.arange(N + 1), N, alpha)
-        pmf_z = np.convolve(pmf, pmf[::-1])  # support -N..N
-        z = np.arange(-N, N + 1)
-        tail = float(pmf_z[np.abs(z) > threshold].sum())
-        return DifferenceTailReport(
-            N, alpha, lam, threshold, tail, bound, True, None, tail <= bound
-        )
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need trials >= {MIN_TRIALS} for the sampled route")
-    rng = stream(seed, N, 0xD1FF)
-    z = rng.binomial(N, alpha, trials).astype(np.int64) - rng.binomial(
-        N, alpha, trials
-    )
-    tail = float((np.abs(z) > threshold).mean())
-    sigma = math.sqrt(bound * (1 - bound) / trials) if bound < 1 else 0.0
-    return DifferenceTailReport(
-        N, alpha, lam, threshold, tail, bound, False, trials, tail <= bound + 3 * sigma
-    )
+    pmf = _binom_pmf(np.arange(N + 1), N, alpha)
+    pmf_z = np.convolve(pmf, pmf[::-1])  # support -N..N
+    z = np.arange(-N, N + 1)
+    tail = float(pmf_z[np.abs(z) > threshold].sum())
+    return DifferenceTailReport(N, alpha, lam, threshold, tail, bound, tail <= bound)

@@ -223,6 +223,16 @@ def test_appendix_check_runs_clean():
     assert ns and max(ns) <= EXACT_LIMIT
 
 
+def test_appendix_check_trials_flag_is_inert(tmp_path):
+    # --trials is echoed in config and reaches no code: the checks stay the same bytes
+    checks = []
+    for extra in ([], ["--trials", "100000"]):
+        out = tmp_path / f"r{len(extra)}.json"
+        assert main(["appendix-check", "--out", str(out)] + extra) == 0
+        checks.append(json.dumps(json.loads(out.read_text())["checks"]))
+    assert checks[0] == checks[1]
+
+
 def test_select_exhausted_search_is_a_failed_check(tmp_path):
     out = tmp_path / "r.json"
     argv = ["select", "--max-retries", "0", "--trials", "120", "--out", str(out)]

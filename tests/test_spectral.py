@@ -841,6 +841,14 @@ def test_exact_pass_equals_the_transform_property(pieces, chunk, tile_bits, nu_r
         got = sp._exact_pass(mask, rho)
     finally:
         sp._PIECES, sp._LOW_CHUNK, sp._TILE_BITS = saved
+    _assert_equals_the_transform(got, mask, rho)
+
+
+def _assert_equals_the_transform(got, mask, rho):
+    """got, _exact_pass(mask, rho), against the transforms of the mask."""
+    from sidonlab.spectral import _MAX_CANDIDATES
+
+    nu = mask.shape[0].bit_length() - 1
     transform = naive_wht if nu <= 8 else fwht  # the quadratic oracle where it is quick
     sigma = transform(mask)
     q = _exact_q(_low_codes(mask, rho), rho, transform)
@@ -848,10 +856,23 @@ def test_exact_pass_equals_the_transform_property(pieces, chunk, tile_bits, nu_r
     assert got.sup == (int(np.abs(sigma[1:]).max()) if nu else 0)
     assert got.squares == int((sigma.astype(object) ** 2).sum())
     # top: the largest Q values, largest first, each at a distinct y it holds
-    keep = sp._MAX_CANDIDATES + 1
-    assert [p for p, _ in got.top] == sorted(q.tolist(), reverse=True)[:keep]
+    assert [p for p, _ in got.top] == sorted(q.tolist(), reverse=True)[:_MAX_CANDIDATES + 1]
     assert all(q[y] == p for p, y in got.top)
     assert len({y for _, y in got.top}) == len(got.top)
+
+
+# numpy < 2.0 has no np.bitwise_count; the separate route must not need it
+@pytest.mark.parametrize("nu, rho", [(4, 3), (6, 6), (9, 4), (10, 10)])
+def test_separate_route_runs_without_bitwise_count(nu, rho, monkeypatch):
+    import sidonlab.spectral as sp
+
+    mask = np.random.default_rng(nu + rho).random(2**nu) < 0.3
+    monkeypatch.setattr(sp, "_LOW_CHUNK", 8)
+    with monkeypatch.context() as numpy_1:
+        numpy_1.delattr(np, "bitwise_count", raising=False)
+        assert not sp._shares_stages(mask.shape[0], rho)
+        got = sp._exact_pass(mask, rho)
+    _assert_equals_the_transform(got, mask, rho)
 
 
 @pytest.mark.parametrize("pieces", [1, 2, 4, 8])

@@ -1,9 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from sidonlab.core import ResourceCapError
 from sidonlab.tails import (
+    BINOMIAL_N_CAP,
+    EXACT_LIMIT,
     DomainError,
     SubGaussianSpec,
     binomial_subgaussian_spec,
@@ -135,7 +139,7 @@ def test_binomial_tails_below_bound_within_window():
 
 def test_difference_exact_small():
     r = difference_tail_check(100, 0.5, 2.0)
-    assert r.exact and r.passed
+    assert r.passed
     assert r.threshold == pytest.approx(4 * math.sqrt(50))
     assert r.bound == pytest.approx(2 * math.exp(-2))
 
@@ -145,13 +149,13 @@ def test_difference_window_enforced():
         difference_tail_check(400, 0.3, 20.0)
     # alpha = 1/2 leaves the window unbounded
     r = difference_tail_check(50, 0.5, 5.0)
-    assert r.exact
+    assert r.passed
 
 
 def test_difference_at_window_edge():
     window = math.sqrt(400 * 0.3 * 0.7 / abs(1 - 0.6))
     r = difference_tail_check(400, 0.3, window * 0.999)
-    assert r.exact and r.passed
+    assert r.passed
 
 
 def test_difference_small_lambda_vacuous():
@@ -160,10 +164,22 @@ def test_difference_small_lambda_vacuous():
     assert r.passed
 
 
-def test_difference_monte_carlo_route():
-    r = difference_tail_check(5000, 0.5, 1.5, trials=2 * 10**4, seed=0)
-    assert not r.exact and r.trials == 2 * 10**4
-    assert r.passed
+def test_difference_tail_check_takes_n_alpha_lambda():
+    assert list(inspect.signature(difference_tail_check).parameters) == ["N", "alpha", "lam"]
+
+
+def test_difference_above_the_exact_limit_is_a_cap():
+    assert difference_tail_check(EXACT_LIMIT, 0.5, 1.5).passed
+    with pytest.raises(ResourceCapError):
+        difference_tail_check(EXACT_LIMIT + 1, 0.5, 1.5)
+
+
+def test_binomial_tail_cap_and_negative_n():
+    assert binomial_tail_exact(0, 0.3, 0.5) == 0.0
+    with pytest.raises(ResourceCapError):
+        binomial_tail_exact(BINOMIAL_N_CAP + 1, 0.3, 1.0)
+    with pytest.raises(ValueError):
+        binomial_tail_exact(-1, 0.3, 1.0)
 
 
 def test_difference_exact_matches_simulation_roughly():
@@ -215,5 +231,4 @@ def test_difference_tail_falls_back_to_scipy_stats(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
     slow = [difference_tail_check(N, alpha, lam) for N, alpha, lam in _CLI_EXACT_CASES]
     assert len(calls) == len(_CLI_EXACT_CASES)
-    assert all(r.exact for r in fast)
     assert slow == fast
