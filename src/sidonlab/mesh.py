@@ -25,6 +25,7 @@ by ``core.first_matches`` (on ``exact_rows`` for integers, as ``count_distinct_s
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
@@ -92,15 +93,24 @@ Domain = Union[Box, ExplicitList]
 
 @dataclass(frozen=True)
 class Mesh:
-    """A basis plus a coefficient domain."""
+    """A basis plus a coefficient domain.
+
+    An integer of any type (numpy's included) in the basis is a point of Z.
+    F_p vectors form a basis only with each other and of one (p, nu), else
+    ValueError.
+    """
 
     basis: tuple
     domain: Domain
 
     def __post_init__(self):
-        basis = tuple(self.basis)
+        basis = tuple(LatticePoint.from_int(b) if isinstance(b, numbers.Integral) else b
+                      for b in self.basis)
         if len(basis) < 1:
             raise ValueError("a mesh needs at least one basis element")
+        fp = {(b.p, b.nu) if isinstance(b, FpVector) else None for b in basis}
+        if len(fp) > 1 and any(fp):
+            raise ValueError("F_p vectors of one (p, nu) form a basis only with each other")
         if isinstance(self.domain, ExplicitList):
             if len(self.domain.coeffs[0]) != len(basis):
                 raise ValueError("coefficient width must match the basis size")
@@ -318,24 +328,24 @@ def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
 
 
 def _is_fp_basis(mesh: Mesh) -> bool:
-    first = mesh.basis[0]
-    return all(isinstance(b, FpVector) and (b.p, b.nu) == (first.p, first.nu) for b in mesh.basis)
+    return isinstance(mesh.basis[0], FpVector)  # then all are, of one (p, nu) (see Mesh)
 
 
 class _Lambda:
     """Lambda deduplicated and keyed once for every counting route.
 
-    Its integers (plain ints and points of Z) as a sorted list, deduplicated
-    by sorting (a set of ints sharing a residue mod KEY_MOD hashes to a
-    scan), and their sorted row keys with the order that sorts them; its other
-    points as a deduplicated list; its F_p points, per (p, nu), sorted by key.
+    Its integers (of any type, numpy's included, and points of Z) as a
+    sorted list, deduplicated by sorting (a set of ints sharing a residue
+    mod KEY_MOD hashes to a scan), and their sorted row keys with the order
+    that sorts them; its other points as a deduplicated list; its F_p
+    points, per (p, nu), sorted by key.
     """
 
     def __init__(self, lam: Iterable):
         values, points = [], []
         for v in lam:
-            if isinstance(v, int):
-                values.append(v)
+            if isinstance(v, numbers.Integral):
+                values.append(int(v))
             elif isinstance(v, LatticePoint) and v.dim <= 1:
                 values.append(v.as_int())
             else:
@@ -403,7 +413,7 @@ def mesh_count(
     sum_j max|n_j| <= 2^30), a vectorized route for F_p bases, and set
     enumeration otherwise; "enumerate" forces plain enumeration (the oracle
     route).  Integers of Lambda count once per
-    value, whether given as ints or as points of Z.
+    value, whether given as integers of any type or as points of Z.
     """
     lam = lam if isinstance(lam, _Lambda) else _Lambda(lam)
     if method == "enumerate":

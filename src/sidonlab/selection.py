@@ -36,6 +36,7 @@ __all__ = [
 
 # Desk limits; the caps and the budget of subsets are read at each call.
 SAMPLING_CAP = 2**26  # points of the space that pointwise sampling visits
+SAMPLE_ENTRY_CAP = 2**22  # int64 entries of a pointwise sample: about 2 ell nu rows of nu
 SUBSET_BUDGET = 2 * 10**6  # subsets the search or a re-verification checks
 RETRY_BUDGET = 10**4  # draws the certified search makes
 LEMMA_NU_MIN = 16  # least nu of the certified search
@@ -101,12 +102,19 @@ def sample_lambda_rows(cfg: SelectionConfig, trial: int = 0) -> np.ndarray:
     """Bernoulli(alpha) sample of the full space as an (n, nu) coordinate array.
 
     Rows are sorted by coordinates.  ``sample_lambda`` returns the same set
-    as ``FpVector``s; both are deterministic given the seed and trial.
+    as ``FpVector``s; both are deterministic given the seed and trial.  A
+    space past SAMPLING_CAP, or a sample whose 2 ell nu expected rows hold
+    more than SAMPLE_ENTRY_CAP entries, is refused before the draw.
     """
     size = cfg.space_size
     if size > SAMPLING_CAP:
         raise ResourceCapError(
             f"p^nu = {size} exceeds the pointwise sampling cap {SAMPLING_CAP}"
+        )
+    entries = 2 * cfg.ell * cfg.nu * cfg.nu
+    if entries > SAMPLE_ENTRY_CAP:
+        raise ResourceCapError(
+            f"the pointwise sample's about {entries} entries exceed the cap {SAMPLE_ENTRY_CAP}"
         )
     rng = stream(cfg.seed, cfg.p, cfg.nu, cfg.ell, trial, 0)
     hits = [

@@ -21,9 +21,9 @@ sigma^ and the ``_MAX_CANDIDATES`` + 1 largest |U|^2.  At small rho the
 stages of the bits at and above rho run once for both spectra (see
 ``_shares_stages``).  The witness's sup |mu^| is
 fwht's float maximum: only the characters near the exact maximum get fwht's
-float values (see ``_sup_mu``); mu's full complex transform is their
-oracle, and is taken only when more than ``_MAX_CANDIDATES`` characters are
-near the maximum.
+float values (see ``_sup_mu``), from mu read off the mask a chunk at a time
+(``_mu_chunk``); mu's full complex transform is their oracle, and is taken
+only when more than ``_MAX_CANDIDATES`` characters are near the maximum.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _TILE_BITS = 16
 # about 2^-48.5).  _UNITS holds (Re, Im) of (-i)^b for b = 0..3, the values
 # of the unit-valued function whose spectrum is U (see _packed_unit).  Past
 # _MAX_CANDIDATES near-maximal characters the full complex transform is
-# cheaper than their cones.  The cones run _CHUNK elements at a time.
+# cheaper than their cones.  Both read mu _CHUNK elements at a time.
 EPS_IN = 2.0**-48
 _UNITS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 _MAX_CANDIDATES = 8
@@ -457,8 +457,7 @@ class FlatSample:
         how many kept characters lie near the maximum of |U| (more than
         _MAX_CANDIDATES send the witness to mu's complex transform)."""
         shared = _shares_stages(self.mask.shape[0], self.rho)
-        delta = _rounding_bound(self.nu, int(np.count_nonzero(self.mask)))
-        near = _near_maxima(self.top, 2 * delta)[1]
+        near = self._near_max()[2]
         return {
             "flat_draws": self.retries_used,
             "exact_passes": self.retries_used * (1 if shared else 2),
@@ -466,6 +465,12 @@ class FlatSample:
             "near_max_characters": len(near),
             "complex_fallback": len(near) > _MAX_CANDIDATES,
         }
+
+    def _near_max(self) -> tuple[float, int, list[int]]:
+        """delta (_rounding_bound), max Q and the y of top within 2 delta of
+        it (_near_maxima): what the witness and the counters read of top."""
+        delta = _rounding_bound(self.nu, int(np.count_nonzero(self.mask)))
+        return (delta, *_near_maxima(self.top, 2 * delta))
 
 
 def sample_flat_lambda(
@@ -586,30 +591,18 @@ def analyticity_witness(sample: FlatSample) -> WitnessReport:
 
     nu comes from the mask's length, ell, rho, sigma's two numbers and the
     top of |mu^|^2 from the sample.  sup |mu^| is fwht's float maximum bit
-    for bit, found by _sup_mu: beyond the mask the peak holds the int8 codes
-    and the cones' chunks, and 16 * 2^nu more only when more than
+    for bit, found by _sup_mu: beyond the sample the peak holds only the
+    cones' chunks, whatever nu, and 16 * 2^nu more only when more than
     _MAX_CANDIDATES characters are near the maximum (mu's complex
     transform).  nu above NU_CAP is refused (ResourceCapError): the cap
     keeps f in int8.
     """
-    mask, ell, rho = sample.mask, sample.ell, sample.rho
-    nu = mask.shape[0].bit_length() - 1
+    ell, rho = sample.ell, sample.rho
+    nu = sample.mask.shape[0].bit_length() - 1
     _check_nu_cap(nu)
     rho_exact = default_rho(ell)[1]
     s1, sup_off = sample.sigma1, sample.sup_offpeak
-
-    # mu = v * sigma with v = exp(i pi/4 f).  f takes the 2 rho + 1 values
-    # -rho..rho, so mu is read through codes f + rho (+ 2 rho + 1 where the
-    # mask is set) from the table of v's values times False, then times
-    # True: the complex products np.multiply(v, mask) makes, signed zeros
-    # included.  The codes overwrite f in its int8 array (4 rho + 1 < 128);
-    # the mask folds in as 0/1 int8s times 2 rho + 1.
-    v = _phases(rho)
-    table = np.concatenate((v * False, v * True))
-    codes = _character_sum(nu, rho)
-    codes += rho
-    codes += mask.view(np.int8) * np.int8(2 * rho + 1)
-    sup_mu = _sup_mu(codes, table, sample.top, int(np.count_nonzero(mask)))
+    sup_mu = _sup_mu(sample)
 
     ratio = 20.0 / math.sqrt(ell)
     lower = s1 / sup_mu if sup_mu > 0 else math.inf
@@ -666,26 +659,27 @@ def _rounding_bound(nu: int, count: int) -> float:
     return count * (gamma * (1 + EPS_IN) + EPS_IN + 16 * u)
 
 
-def _sup_mu(codes: np.ndarray, table: np.ndarray, top, count: int) -> float:
-    """max |fwht(table[codes])|, bit for bit, mostly without that complex
-    transform; top holds the largest pairs (Q(y), y) of Q = |mu^|^2 (see
-    _Spectra) and count = |Lambda|.
+def _sup_mu(sample: FlatSample) -> float:
+    """max |fwht(v * mask)|, bit for bit, for the sample's mask and v =
+    exp(i pi/4 f), mostly without that complex transform.
 
     Only characters whose exact modulus lies within 2 delta of the exact
-    maximum (delta from _rounding_bound) can hold the float maximum; their
-    float values come from _cone_values, and their maximum from _max_abs.
-    The float maximum must lie within delta of sqrt(max Q), else
-    AssertionError.  The full transform is taken only when more than
-    _MAX_CANDIDATES characters are near the maximum: of table[codes] from
-    _gather, transformed in place.
+    maximum (FlatSample._near_max) can hold the float maximum; their float
+    values come from _cone_values, and their maximum from _max_abs.  The
+    float maximum must lie within delta of sqrt(max Q), else AssertionError.
+    The full transform is taken only when more than _MAX_CANDIDATES
+    characters are near the maximum: of v * mask, filled into one complex
+    array by _mu_chunk a chunk at a time and transformed in place.
     """
-    delta = _rounding_bound(codes.shape[0].bit_length() - 1, count)
-    q_max, ys = _near_maxima(top, 2 * delta)
+    mask, rho = sample.mask, sample.rho
+    delta, q_max, ys = sample._near_max()
     if len(ys) > _MAX_CANDIDATES:
-        x = _gather(codes, table)
+        x = np.empty(mask.shape[0], np.complex128)
+        for i in range(0, x.shape[0], _CHUNK):
+            x[i:i + _CHUNK] = _mu_chunk(mask, rho, i, min(x.shape[0], _CHUNK))
         sup = _max_abs(fwht(x, out=x))
     else:
-        sup = _max_abs(_cone_values(codes, table, ys))
+        sup = _max_abs(_cone_values(mask, rho, ys))
     if abs(sup - math.sqrt(q_max)) > delta:
         raise AssertionError("float and exact sup |mu^| disagree beyond rounding")
     return sup
@@ -708,26 +702,39 @@ def _near_maxima(top, slack: float) -> tuple[int, list[int]]:
     return q_max, sorted(y for q, y in top if q >= threshold)
 
 
-def _cone_values(codes: np.ndarray, table: np.ndarray, ys: Sequence[int]) -> np.ndarray:
-    """fwht(table[codes])[y] for each y in ys, bit for bit.
+def _cone_values(mask: np.ndarray, rho: int, ys: Sequence[int]) -> np.ndarray:
+    """fwht(v * mask)[y] for each y in ys, bit for bit, v = exp(i pi/4 f)
+    for f on the first rho characters.
 
     The stage of bit b pairs (x, x + 2^b) into a + b at x and a - b at
     x + 2^b, so out[y] needs after that stage only the entries that agree
     with y on bits 0..b: each stage halves the entries that y reads, in
     fwht's order and with its operands, about 2^nu additions in all.  The
-    inputs are gathered _CHUNK at a time, and each chunk is halved down to
-    one entry per y before the entries of all chunks are halved on.
+    inputs are read _CHUNK at a time by _mu_chunk, and each chunk is halved
+    down to one entry per y before the entries of all chunks are halved on.
     """
-    n = codes.shape[0]
+    n = mask.shape[0]
     step = min(n, _CHUNK)
     bits = step.bit_length() - 1
     tops = np.empty((len(ys), n // step), np.complex128)
     for c, i in enumerate(range(0, n, step)):
-        x = table[codes[i:i + step]]
+        x = _mu_chunk(mask, rho, i, step)
         for j, y in enumerate(ys):
             tops[j, c] = _halve(x, y, bits)[0]
     rest = n.bit_length() - 1 - bits
     return np.array([_halve(top, y >> bits, rest)[0] for top, y in zip(tops, ys)])
+
+
+def _mu_chunk(mask: np.ndarray, rho: int, i: int, step: int) -> np.ndarray:
+    """v * mask on [i, i + step), i a multiple of step (a power of two): the
+    complex products np.multiply(v, mask) makes there, signed zeros
+    included.  On the chunk f is its values on [0, step) less twice the
+    low rho bits set in i, and v is read from _phases at f + rho.
+    """
+    codes = _character_sum(step.bit_length() - 1, rho)
+    codes += rho - 2 * (i & ((1 << rho) - 1)).bit_count()
+    x = _phases(rho)[codes]
+    return np.multiply(x, mask[i:i + step], out=x)
 
 
 def _halve(x: np.ndarray, y: int, bits: int) -> np.ndarray:
@@ -736,16 +743,6 @@ def _halve(x: np.ndarray, y: int, bits: int) -> np.ndarray:
     for b in range(bits):
         pairs = x.reshape(-1, 2)
         x = (np.subtract if y >> b & 1 else np.add)(pairs[:, 0], pairs[:, 1])
-    return x
-
-
-def _gather(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """table[codes] in one array of the table's dtype, gathered _CHUNK codes
-    at a time: np.take widens its indices to intp, which for all the codes
-    at once would be a temporary of 8 bytes a code."""
-    x = np.empty(codes.shape[0], table.dtype)
-    for i in range(0, codes.shape[0], _CHUNK):
-        np.take(table, codes[i:i + _CHUNK], out=x[i:i + _CHUNK])
     return x
 
 

@@ -701,6 +701,46 @@ def test_every_default_meets_its_floor():
         assert opt.default >= opt.floor, (sub, opt.name)
 
 
+def _ceiled_opts():
+    from sidonlab.cli import _COMMON, _SUBCOMMANDS
+
+    return [(sub, opt) for sub, opts in _SUBCOMMANDS.items() for opt in opts + _COMMON
+            if opt.ceiling is not None]
+
+
+@pytest.mark.parametrize(
+    "sub, opt", _ceiled_opts(), ids=[f"{sub}--{opt.name}" for sub, opt in _ceiled_opts()]
+)
+def test_a_value_above_its_ceiling_is_refused(sub, opt):
+    assert opt.default <= opt.ceiling
+    config = parse_config([sub, f"--{opt.name}", str(opt.ceiling)])
+    assert opt.ceiling in (config.threads, config.params.get(opt.name))
+    with pytest.raises(ConfigError, match=f"--{opt.name} must be <= {opt.ceiling}, got "):
+        parse_config([sub, f"--{opt.name}", str(opt.ceiling + 1)])
+
+
+def test_a_pointwise_sample_past_its_cap_is_refused_before_any_draw(monkeypatch, capsys):
+    # about 2 ell nu = 3.2e7 rows of 16 int64s (4 GB): this run was killed
+    # for its memory
+    import sidonlab.selection
+    from sidonlab.cli import _SUBCOMMANDS
+
+    def drew(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    for name in ("stream", "bernoulli"):
+        monkeypatch.setattr(sidonlab.selection, name, drew)
+    argv = ["select", "--p", "3", "--nu", "16", "--ell", "1000000", "--out", os.devnull]
+    assert main(argv) == 2
+    cap = sidonlab.selection.SAMPLE_ENTRY_CAP
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("sidonlab: ResourceCapError: ") and str(cap) in line
+    # the cap passes select's default and theorem2's pointwise blocks (p^nu
+    # <= 2^26, so nu <= 26) up to its block ceiling
+    [blocks] = [o.ceiling for o in _SUBCOMMANDS["theorem2"] if o.name == "blocks"]
+    assert 2 * 4 * 16 * 16 <= 2 * blocks * 26 * 26 <= cap
+
+
 def test_one_config_error_type():
     import sidonlab.cli
     import sidonlab.core

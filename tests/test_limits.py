@@ -70,6 +70,8 @@ LIMITS = [
     (verify, "N_MAX_DEFAULT", 2, lambda: verify_qi_exhaustive([ip(1), ip(2), ip(4)])),
     # a FlatSample carries its spectra, so no _exact_pass call checks the cap
     (spectral, "NU_CAP", 3, lambda: analyticity_witness(_FLAT)),
+    # 2 ell nu = 8 expected rows of nu = 4 entries
+    (selection, "SAMPLE_ENTRY_CAP", 31, lambda: trial_statistics(SelectionConfig(2, 4, 1), 0)),
 ]
 
 

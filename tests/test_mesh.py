@@ -63,6 +63,12 @@ def test_explicit_list_dedup_and_validation():
         Mesh((), Box(1))
     with pytest.raises(ValueError):
         Box(-1)
+    # F_p vectors of one (p, nu) form a basis only with each other
+    for basis in ((FpVector(3, (1, 0)), ip(1)), (FpVector(3, (1, 0)), 2),
+                  (FpVector(3, (1, 0)), FpVector(5, (1, 0))),
+                  (FpVector(3, (1, 0)), FpVector(3, (1, 0, 1)))):
+        with pytest.raises(ValueError, match="F_p vectors"):
+            Mesh(basis, Box(1))
 
 
 def test_count_disjoint_lambda():
@@ -110,7 +116,12 @@ def test_digit_route_matches_enumeration():
         members = [p.as_int() for p in mesh_members(mesh)]
         lam = [ip(v) for v in members[::3]] + [ip(int(x)) for x in rng.integers(-100, 100, 20)]
         assert _digit_bounds(mesh) is not None
-        assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
+        want = mesh_count(lam, mesh, method="enumerate")
+        assert mesh_count(lam, mesh) == want
+        # integers of any type are points of Z, in Lambda and in the basis
+        ints = np.array([p.as_int() for p in lam])
+        for plain in (mesh, Mesh(tuple(betas), Box(h)), Mesh(tuple(np.array(betas)), Box(h))):
+            assert mesh_count(ints, plain) == mesh_count(ints, plain, method="enumerate") == want
 
 
 def test_digit_route_with_explicit_domain():
@@ -335,6 +346,11 @@ def test_keyed_route_matches_enumeration(case):
     assert want == len(_plain_sums(basis, mesh.domain) & {p.as_int() for p in lam})
     assert _count_keyed(_Lambda(lam), mesh, 10**7) == want
     assert mesh_count(lam, mesh) == want
+    # the basis as plain ints, mixed with points of Z, and Lambda as ints
+    for plain in (basis, [ip(b) if j % 2 else b for j, b in enumerate(basis)]):
+        ints = [p.as_int() for p in lam]
+        assert mesh_count(ints, Mesh(tuple(plain), mesh.domain)) == want
+        assert mesh_count(ints, Mesh(tuple(plain), mesh.domain), method="enumerate") == want
     assert count_distinct_sums(basis, mesh.domain) == len(_plain_sums(basis, mesh.domain))
 
 
@@ -375,6 +391,12 @@ def test_ints_and_points_of_z_count_once_per_value():
     # a basis of Z^2 whose members (1, 0) and (0, 0) are points of Z
     plane = Mesh((LatticePoint((1, 2)), LatticePoint((0, 2))), Box(1))
     assert mesh_count([1, 0, ip(1), LatticePoint((1, 2))], plane) == 3
+    # integers of any type, in Lambda and in the basis, on every route
+    for lam, basis, want in (([1, 2, 3], (1, 10), 1), (np.array([1, 2, 3]), (ip(1), ip(10)), 1),
+                             ([np.int8(1), 2, ip(3)], (np.int64(1), ip(10)), 1),
+                             ([1, 5, 6], (ip(2), 3), 2), ([1, 5, 6], (np.uint8(2), 3), 2)):
+        for method in ("auto", "enumerate"):
+            assert mesh_count(lam, Mesh(basis, Box(1)), method=method) == want
 
 
 # Lambda and the sums are multiples of KEY_MOD: every key is 0, and Python's

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,18 +34,6 @@ def _popcount_sum(nu, masks):
                 parity ^= x >> b & 1
         f += (1 - 2 * parity).astype(np.int8)
     return f
-
-
-def _independent(masks):
-    """Linear independence over F_2 of character masks."""
-    basis = []
-    for m in masks:
-        for b in basis:
-            m = min(m, m ^ b)
-        if m == 0:
-            return False
-        basis.append(m)
-    return True
 
 
 def _sample_of(mask, rho):
@@ -166,12 +155,9 @@ def test_fwht_tile_dtype_bound_property(tile_bits, nu, offset, log_bound, y0, si
 @pytest.mark.parametrize("block_bits", [1, 3, 16])
 @pytest.mark.parametrize("nu", [0, 1, 5, 9])
 def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatch):
-    # _sup_mu's full transform of codes into a table: table[codes] gathered
-    # a few codes at a time into one array, then transformed in place
-    from sidonlab.spectral import _gather
-
+    # fwht in place, as _sup_mu's complex fallback runs it, on an input
+    # gathered from a table of signed zeros and values far apart in scale
     monkeypatch.setattr("sidonlab.spectral._TILE_BITS", block_bits)
-    monkeypatch.setattr("sidonlab.spectral._CHUNK", 4)
     rng = np.random.default_rng(nu + block_bits)
     if kind == "int64":
         table = rng.integers(-(2**40), 2**40, 9)
@@ -180,24 +166,9 @@ def test_fwht_table_route_equals_gathered_input(nu, block_bits, kind, monkeypatc
         if kind == "complex128":
             table = table + 1j * table[::-1]
     codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
-    saved = codes.copy(), table.copy()
-    x = _gather(codes, table)
-    assert x.dtype == np.dtype(kind) and x.tobytes() == table[codes].tobytes()
+    x = table[codes]
     assert fwht(x, out=x) is x
-    assert x.tobytes() == fwht(table[codes]).tobytes()
-    assert codes.tobytes() == saved[0].tobytes() and table.tobytes() == saved[1].tobytes()
-
-
-def test_fwht_table_rejects_bad_codes():
-    # the gather keeps np.take's mode="raise": a code past the table or a
-    # float code is refused, not clipped or cast
-    from sidonlab.spectral import _gather
-
-    table = np.arange(3.0)
-    with pytest.raises(IndexError):
-        _gather(np.array([0, 3], dtype=np.int8), table)
-    with pytest.raises(TypeError):
-        _gather(np.array([0.0, 1.0]), table)
+    assert x.dtype == np.dtype(kind) and x.tobytes() == fwht(table[codes]).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.float64, np.complex128])
@@ -326,49 +297,52 @@ def test_fwht_bit_identical_pins_at_nu22(seed0_nu22):
         out = fwht(values)
         assert out.dtype == dtype
         assert _sha256(out.tobytes()) == digest
-    # the witness's route to the same complex transform: codes into a table
-    # of v's values times False, then times True, gathered and transformed
-    # in place
-    from sidonlab.spectral import _gather
+    # the witness's route to the same complex transform (_sup_mu's
+    # fallback): v * sigma filled a chunk at a time, transformed in place
+    from sidonlab.spectral import _CHUNK, _mu_chunk
 
-    table = np.exp(1j * (math.pi / 4) * np.arange(-3, 4))
-    codes = f + 3
-    np.add(codes, 7, out=codes, where=seed0_nu22.mask)
-    x = _gather(codes, np.concatenate((table * False, table * True)))
+    x = np.empty(2**22, np.complex128)
+    for i in range(0, 2**22, _CHUNK):
+        x[i:i + _CHUNK] = _mu_chunk(seed0_nu22.mask, 3, i, _CHUNK)
     assert _sha256(fwht(x, out=x).tobytes()) == pins[1][2]
 
 
-def test_witness_peak_memory():
-    # above the sample, the witness holds at most the codes and the cones'
-    # chunks (about 33 * _CHUNK bytes): the sample carries the top of the
-    # exact spectrum, and neither mu's complex transform, a whole int64
-    # transform nor v = exp(i pi/4 f) times the mask is ever built.  The
-    # bound leaves room for an exact piece, fwht's tiles and a scan's chunks.
+# Above the sample, the witness on the cone route holds one complex chunk of
+# mu (16 * _CHUNK bytes) and less than that again for the chunk's index and
+# halvings, whatever nu: it builds nothing of 2^nu entries.  The slack is
+# that of test_fwht_allocates_the_output_and_two_tiles.
+def _witness_peak(sample):
     import tracemalloc
 
-    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
-
-    sample = sample_flat_lambda(nu=20, ell=401, seed=0, rho=3)
-    n = sample.mask.shape[0]
     tracemalloc.start()
     try:
         analyticity_witness(sample)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
-    # slack as in test_fwht_allocates_the_output_and_two_tiles
-    slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= piece + n + tiles + chunks + slack
+
+
+def _cone_bound():
+    from sidonlab.spectral import _CHUNK
+
+    return 2 * 16 * _CHUNK + 3 * np.getbufsize() * 16 + 64 * 1024
+
+
+def test_witness_peak_memory(seed0_nu22):
+    # one bound at nu = 20 and 22: the peak does not grow with 2^nu
+    for sample in (sample_flat_lambda(nu=20, ell=401, seed=0, rho=3), seed0_nu22):
+        assert not sample.counters()["complex_fallback"]
+        assert _witness_peak(sample) <= _cone_bound() < 2**22
 
 
 def test_flat_sample_and_witness_peak_memory(small_flat):
-    # the CLI's path: the sample stays alive through the witness.  The peak
-    # may hold the mask, the int8 codes, the exact pass's one piece, fwht's
+    # the CLI's path: the sample stays alive through the witness.  The
+    # sample's peak may hold the mask, the exact pass's one piece, fwht's
     # two tiles and the chunks; neither sigma's spectrum, mu's complex
     # transform, a whole int64 transform nor f's transform may join them.
-    # (small_flat is drawn before tracing starts, so numpy.random's import
-    # is not counted.)
+    # The witness adds only the cones' chunks to the mask.  (small_flat
+    # is drawn before tracing starts, so numpy.random's import is not
+    # counted.)
     import tracemalloc
 
     from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
@@ -377,14 +351,17 @@ def test_flat_sample_and_witness_peak_memory(small_flat):
     tracemalloc.start()
     try:
         sample = sample_flat_lambda(nu=20, ell=4000, seed=0)
+        _, sample_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         analyticity_witness(sample)
-        _, peak = tracemalloc.get_traced_memory()
+        _, witness_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
     # slack as in test_fwht_allocates_the_output_and_two_tiles
     slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= piece + n + n + tiles + chunks + slack
+    assert sample_peak <= piece + n + tiles + chunks + slack
+    assert witness_peak <= n + _cone_bound()
 
 
 def test_flat_sample_peak_memory(small_flat):
@@ -410,13 +387,28 @@ def test_flat_sample_peak_memory(small_flat):
     assert peak <= piece + n + 2 * chunk + slack
 
 
-def test_witness_report_pin_at_nu22(seed0_nu22):
-    report = analyticity_witness(seed0_nu22).to_dict()
-    assert report["sup_mu"] == 622869.9163268361
-    text = json.dumps(report, sort_keys=True)
-    assert _sha256(text.encode()) == (
-        "09d8922f3877ca75ffe231cd0235e249fe9cbcb1fb16eefff07de7e94b180b67"
-    )
+# the spectral benchmark's three seeds at the defaults, and rho = 20 and 22,
+# where a cone chunk's start bits fall inside the low rho bits
+@pytest.mark.parametrize("seed, rho, sup_mu, lower_bound, digest", [
+    pytest.param(0, None, "0x1.3022bd528ca83p+19", "0x1.6995fee186deap+1",
+                 "09d8922f3877ca75ffe231cd0235e249fe9cbcb1fb16eefff07de7e94b180b67", id="seed0"),
+    pytest.param(1, None, "0x1.2fd5a7e6c096cp+19", "0x1.69b8624cc941cp+1",
+                 "dd178d2ce445899eb64fcb69f4f0e61069b4e3ecac3245159b2bba193ff693ac", id="seed1"),
+    pytest.param(2, None, "0x1.2fd9e8033dc65p+19", "0x1.69bbe83de7220p+1",
+                 "1554ec047e949fe82179fd133c75dcc6c6ce9a303201d53bc47bf745139adc97", id="seed2"),
+    pytest.param(0, 20, "0x1.46681ee1b9aafp+12", "0x1.50ea22bd8c662p+8",
+                 "bc553e423afb801007ae96a1394f1493efabf7bee4a8cf71c22b413e5e649eed", id="rho20"),
+    pytest.param(0, 22, "0x1.1e0dee34c8f24p+12", "0x1.807105dab9efdp+8",
+                 "bf6edeced2ab6f255a40a860b0583f114a1886338a0786f094c133acdca8c2cb", id="rho22"),
+])
+def test_witness_report_pin_at_nu22(seed, rho, sup_mu, lower_bound, digest, seed0_nu22):
+    if (seed, rho) == (0, None):
+        sample = seed0_nu22
+    else:
+        sample = sample_flat_lambda(nu=22, ell=40000, seed=seed, rho=rho)
+    report = analyticity_witness(sample).to_dict()
+    assert (report["sup_mu"].hex(), report["lower_bound"].hex()) == (sup_mu, lower_bound)
+    assert _sha256(json.dumps(report, sort_keys=True).encode()) == digest
 
 
 def test_convolution_identity():
@@ -577,21 +569,23 @@ def test_v_spectrum_is_flat_on_subgroup():
 # ---------------------------------------------------------------------------
 
 
-def _mu_inputs(nu, y_masks, mask):
-    """The witness's codes and complex table for mu = exp(i pi/4 f) * mask."""
+def _mu_inputs(mask, rho):
+    """mu = exp(i pi/4 f) * mask, f on the first rho characters, as codes
+    into a complex table, the oracle of _mu_chunk: codes f + rho (+ 2 rho
+    + 1 where the mask is set) into v's values times False, then times
+    True."""
     from sidonlab.spectral import _phases
 
-    rho = len(y_masks)
     v = _phases(rho)
-    codes = _popcount_sum(nu, y_masks) + rho
+    codes = _popcount_sum(mask.shape[0].bit_length() - 1, [1 << b for b in range(rho)]) + rho
     np.add(codes, 2 * rho + 1, out=codes, where=mask)
-    return codes, np.concatenate((v * False, v * True)), rho
+    return codes, np.concatenate((v * False, v * True))
 
 
 def _exact_q(codes, rho, transform=fwht):
-    """Q = |mu^|^2 at every character, exactly, for the witness's codes of
-    any characters: Re and Im of the unit-valued function times the mask,
-    transformed separately."""
+    """Q = |mu^|^2 at every character, exactly, for the codes of _mu_inputs:
+    Re and Im of the unit-valued function times the mask, transformed
+    separately."""
     from sidonlab.spectral import _UNITS
 
     # code c + rho of a point in the set has f = c, so (rho - c) / 2 characters at -1
@@ -606,16 +600,26 @@ def _full_top(codes, rho):
     from sidonlab.spectral import _MAX_CANDIDATES
 
     q = _exact_q(codes, rho)
-    return sorted(((int(v), y) for y, v in enumerate(q)), reverse=True)[:_MAX_CANDIDATES + 1]
+    return tuple(sorted(((int(v), y) for y, v in enumerate(q)), reverse=True)[:_MAX_CANDIDATES + 1])
 
 
-def _independent_masks(nu, rho, rng):
-    masks = []
-    while len(masks) < rho:
-        y = int(rng.integers(1, 2**nu))
-        if _independent(masks + [y]):
-            masks.append(y)
-    return masks
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10).flatmap(lambda nu: st.tuples(st.just(nu), st.integers(0, nu))),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([1, 4, 1 << 16]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mu_chunk_equals_the_gathered_codes_property(nu_rho, density, chunk, seed):
+    from sidonlab.spectral import _mu_chunk
+
+    nu, rho = nu_rho
+    mask = np.random.default_rng(seed).random(2**nu) < density
+    codes, table = _mu_inputs(mask, rho)
+    step = min(chunk, 2**nu)
+    for i in range(0, 2**nu, step):
+        got = _mu_chunk(mask, rho, i, step)
+        assert got.dtype == np.complex128 and got.tobytes() == table[codes[i:i + step]].tobytes()
 
 
 @pytest.mark.parametrize("tile_bits", [1, 3, 16])
@@ -624,25 +628,26 @@ def test_cone_values_equal_the_transform(nu, tile_bits, monkeypatch):
     from sidonlab.spectral import _cone_values
 
     monkeypatch.setattr("sidonlab.spectral._TILE_BITS", tile_bits)
-    rng = np.random.default_rng(nu + 100 * tile_bits)
-    table = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-300, 7.0, -0.5])
-    table = table + 1j * table[::-1]
-    codes = rng.integers(0, len(table), 2**nu).astype(np.int8)
-    full = fwht(table[codes])
-    assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
+    mask = np.random.default_rng(nu + 100 * tile_bits).random(2**nu) < 0.5
+    for rho in sorted({0, 1, nu // 2, nu}):
+        codes, table = _mu_inputs(mask, rho)
+        full = fwht(table[codes])
+        assert _cone_values(mask, rho, range(2**nu)).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("chunk_bits", [0, 1, 3])
 @pytest.mark.parametrize("nu", [1, 4, 8])
 def test_cone_values_across_chunks(nu, chunk_bits, monkeypatch):
-    # chunks smaller than the input: the per-chunk entries are halved on
+    # chunks smaller than the input, their start bits inside and past the
+    # low rho bits: the per-chunk entries are halved on
     from sidonlab.spectral import _cone_values
 
     monkeypatch.setattr("sidonlab.spectral._CHUNK", 1 << chunk_bits)
-    rng = np.random.default_rng(nu)
-    codes, table, _ = _mu_inputs(nu, _independent_masks(nu, nu // 2, rng), rng.random(2**nu) < 0.5)
-    full = fwht(table[codes])
-    assert _cone_values(codes, table, range(2**nu)).tobytes() == full.tobytes()
+    mask = np.random.default_rng(nu).random(2**nu) < 0.5
+    for rho in sorted({0, nu // 2, nu}):
+        codes, table = _mu_inputs(mask, rho)
+        full = fwht(table[codes])
+        assert _cone_values(mask, rho, range(2**nu)).tobytes() == full.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,11 +660,12 @@ def test_sup_mu_equals_the_full_transform_property(nu_rho, density, seed):
     from sidonlab.spectral import _max_abs, _sup_mu
 
     nu, rho = nu_rho
-    rng = np.random.default_rng(seed)
-    mask = rng.random(2**nu) < density
-    codes, table, _ = _mu_inputs(nu, _independent_masks(nu, rho, rng), mask)
+    mask = np.random.default_rng(seed).random(2**nu) < density
+    codes, table = _mu_inputs(mask, rho)
     want = _max_abs(fwht(table[codes]))
-    assert _sup_mu(codes, table, _full_top(codes, rho), int(mask.sum())).hex() == want.hex()
+    # the top of Q from the whole exact transform, not from the pass
+    sample = dataclasses.replace(_sample_of(mask, rho), top=_full_top(codes, rho))
+    assert _sup_mu(sample).hex() == want.hex()
 
 
 def test_sup_mu_fallbacks_agree(monkeypatch):
@@ -670,22 +676,21 @@ def test_sup_mu_fallbacks_agree(monkeypatch):
 
     for nu in (4, 6, 8, 10):
         full = np.ones(2**nu, dtype=bool)
-        codes, table, rho = _mu_inputs(nu, [1, 2, 4, 8], full)
+        codes, table = _mu_inputs(full, 4)
         want = sp._max_abs(fwht(table[codes]))
         # a full mask: |mu^| = 2^(nu - rho/2) on the 16 characters of the subgroup
-        assert want == 2.0 ** (nu - rho / 2)
+        assert want == 2.0 ** (nu - 2)
         if nu <= 8:  # the quadratic oracle
             assert want == pytest.approx(np.abs(naive_wht(table[codes])).max(), rel=1e-12)
-        top = sp._exact_pass(full, rho).top
+        sample = _sample_of(full, 4)
         with monkeypatch.context() as m:  # more than _MAX_CANDIDATES tied maxima
             m.setattr(sp, "_cone_values", unused)
-            assert sp._sup_mu(codes, table, top, 2**nu).hex() == want.hex()
-            # the witness on the full mask, f on the same four characters
-            assert analyticity_witness(_sample_of(full, rho)).sup_mu.hex() == want.hex()
+            m.setattr(sp, "_CHUNK", 8)  # mu filled in chunks, their start bits in f's
+            assert sample.counters()["complex_fallback"]
+            assert sp._sup_mu(sample).hex() == want.hex()
+            assert analyticity_witness(sample).sup_mu.hex() == want.hex()
     # an empty mask ties all 2^nu characters at 0
-    empty = np.zeros(2**nu, dtype=bool)
-    codes, table, rho = _mu_inputs(nu, [1, 2], empty)
-    assert sp._sup_mu(codes, table, sp._exact_pass(empty, rho).top, 0) == 0.0
+    assert sp._sup_mu(_sample_of(np.zeros(2**nu, dtype=bool), 2)) == 0.0
 
 
 # (nu, rho, density, seed) of a random mask
@@ -764,26 +769,13 @@ def large_rho_flat():
 def test_witness_peak_memory_at_large_rho(large_rho_flat):
     # the bound of test_witness_peak_memory: at rho = 20 too, mu's complex
     # transform (16 * 2^nu bytes) is never built
-    import tracemalloc
-
-    from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
-
-    n = large_rho_flat.mask.shape[0]
-    tracemalloc.start()
-    try:
-        analyticity_witness(large_rho_flat)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    piece, tiles, chunks = 8 * (n // _PIECES), 2 * (8 << _TILE_BITS), 16 * _CHUNK
-    slack = 3 * np.getbufsize() * 16 + 64 * 1024
-    assert peak <= piece + n + tiles + chunks + slack
+    assert _witness_peak(large_rho_flat) <= _cone_bound()
 
 
 def test_flat_sample_peak_memory_at_large_rho():
     # the sampler at rho = 20 transforms each int64 piece twice in place:
     # beside the mask (n bytes) it holds that piece, fwht's two int64 tiles
-    # and the pass's chunks, the bound of test_witness_peak_memory_at_large_rho
+    # and the pass's chunks
     import tracemalloc
 
     from sidonlab.spectral import _CHUNK, _PIECES, _TILE_BITS
@@ -812,11 +804,6 @@ def test_witness_cross_check_runs_at_large_rho(monkeypatch):
 # ---------------------------------------------------------------------------
 # the exact pass
 # ---------------------------------------------------------------------------
-
-
-def _low_codes(mask, rho):
-    """The witness's codes for f on the first rho characters."""
-    return _mu_inputs(mask.shape[0].bit_length() - 1, [1 << b for b in range(rho)], mask)[0]
 
 
 # every rho in 0..nu, so both the shared route (1 << rho below the piece and
@@ -851,7 +838,7 @@ def _assert_equals_the_transform(got, mask, rho):
     nu = mask.shape[0].bit_length() - 1
     transform = naive_wht if nu <= 8 else fwht  # the quadratic oracle where it is quick
     sigma = transform(mask)
-    q = _exact_q(_low_codes(mask, rho), rho, transform)
+    q = _exact_q(_mu_inputs(mask, rho)[0], rho, transform)
     assert got.sigma1 == int(sigma[0])
     assert got.sup == (int(np.abs(sigma[1:]).max()) if nu else 0)
     assert got.squares == int((sigma.astype(object) ** 2).sum())
@@ -894,7 +881,7 @@ def _full_scan(mask, rho, slack):
     u * mask transformed separately, every Q kept."""
     from sidonlab.spectral import _MAX_CANDIDATES
 
-    q = _exact_q(_low_codes(mask, rho), rho)
+    q = _exact_q(_mu_inputs(mask, rho)[0], rho)
     q_max = int(q.max())
     t = math.isqrt(q_max << 64) - math.ceil(math.ldexp(slack, 32))
     ys = np.flatnonzero(q >= ((t * t) >> 64 if t > 0 else 0)).tolist()
