@@ -22,13 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ConfigError, LatticePoint
+from .mesh import Box, Mesh, greedy_digits
 
 __all__ = [
     "BASE_MATRIX",
@@ -110,46 +110,36 @@ def build_matrix(nu: int) -> QiMatrix:
     return QiMatrix(nu, block)
 
 
-def _coefficient_bound(index: int) -> int:
-    """Coefficient bound for the dissociated sequence at a given index.
-
-    Index j with 2^nu <= j < 2^(nu+1) carries the bound N_nu; index 1 is
-    never used by the embedding and carries the bound 1.
-    """
-    if index < 1:
-        raise ValueError("indices start at 1")
-    if index == 1:
-        return 1
-    return n_nu(index.bit_length() - 1)
-
-
 @dataclass(frozen=True)
 class DissociatedBasis:
     """An increasing integer sequence with no bounded vanishing combination.
 
     Built by the super-increasing rule beta_1 = 1,
     beta_{j+1} = 2 * W_j + 1 with W_j = sum_{i<=j} H_i * beta_i, where H_i is
-    the per-index coefficient bound.  Any combination sum n_j beta_j with
-    |n_j| <= H_j then vanishes only trivially: the top nonzero term exceeds
-    everything below it (greedy-digit argument).
+    the per-index coefficient bound: N_nu for 2^nu <= i < 2^(nu+1), and 1
+    at index 1, which the embedding never uses.  Any combination
+    sum n_j beta_j with |n_j| <= H_j then vanishes only trivially: the top
+    nonzero term exceeds everything below it (greedy-digit argument).
 
-    betas[i] is beta_{i+1}; index arguments below are 1-based.
+    betas[i] is beta_{i+1} and bounds[i] is H_{i+1}; index arguments below
+    are 1-based.
     """
 
     betas: tuple[int, ...]
+    bounds: tuple[int, ...]
     nu_max: int
 
     @classmethod
     def build(cls, nu_max: int) -> "DissociatedBasis":
-        betas = [1]
-        weight = _coefficient_bound(1) * 1
         # Lambda uses indices [2, 2^(nu_max+1)); witness padding takes
         # fresh indices beyond, at most 2^nu_max - 1 of them.
-        for j in range(2, 2 ** (nu_max + 1) + 2**nu_max + 1):
-            beta = 2 * weight + 1
-            betas.append(beta)
-            weight += _coefficient_bound(j) * beta
-        return cls(tuple(betas), nu_max)
+        top = 2 ** (nu_max + 1) + 2**nu_max
+        bounds = (1,) + tuple(n_nu(j.bit_length() - 1) for j in range(2, top + 1))
+        betas, weight = [], 0
+        for bound in bounds:
+            betas.append(2 * weight + 1)
+            weight += bound * betas[-1]
+        return cls(tuple(betas), bounds, nu_max)
 
     def beta(self, index: int) -> int:
         return self.betas[index - 1]
@@ -158,27 +148,11 @@ class DissociatedBasis:
         return range(2**nu, 2 ** (nu + 1))
 
     def digits(self, x: int) -> Optional[dict[int, int]]:
-        """Greedy digit expansion of x over the full sequence.
-
-        Returns {index: digit} with digits bounded by the per-index
-        coefficient bounds, or None when no such expansion exists.  The
-        expansion, when it exists, is unique.
-        """
-        out: dict[int, int] = {}
-        j = len(self.betas)
-        while x != 0 and j >= 1:
-            # Skip indices whose digit is forced to zero: beta_j > 2|x|.
-            j = bisect_right(self.betas, 2 * abs(x), 0, j)
-            if j < 1:
-                break
-            beta = self.betas[j - 1]
-            n = (2 * x + beta) // (2 * beta)
-            if n == 0 or abs(n) > _coefficient_bound(j):
-                return None
-            out[j] = n
-            x -= n * beta
-            j -= 1
-        return out if x == 0 else None
+        """{index: digit} of x over the full sequence by ``mesh.greedy_digits``,
+        digits bounded by the per-index bounds, or None when no such
+        expansion exists.  The expansion, when it exists, is unique."""
+        digits = greedy_digits(x, self.betas, self.bounds)
+        return None if digits is None else {i + 1: n for i, n in digits.items()}
 
 
 @dataclass(frozen=True)
@@ -267,8 +241,6 @@ def theorem1_witness(k: int, construction: Theorem1Construction):
     Returns (mesh, count) where count = N_nu with 2^nu <= k < 2^(nu+1);
     the bound count >= (1/4) k log2 k holds for every such k.
     """
-    from .mesh import Box, Mesh
-
     nu, indices = _witness_indices(k, construction)
     basis_points = tuple(
         LatticePoint.from_int(construction.basis.beta(i)) for i in indices

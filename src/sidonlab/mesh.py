@@ -10,8 +10,9 @@ Counting routes (all exact):
 
 * generic enumeration of the member set (capped);
 * a digit route for one-dimensional super-increasing integer bases, where
-  membership is decided by greedy digit extraction without enumeration,
-  scanning only the integers of Lambda within reach of the mesh;
+  membership is decided by ``greedy_digits`` without enumeration, scanning
+  only the integers of Lambda within reach of the mesh (the same kernel
+  expands points over ``construction.DissociatedBasis``);
 * a keyed route for every other integer basis: the members' ``core.row_keys``
   keys are broadcast ``add_keys`` of the terms' keys;
 * a vectorized route for F_p vector bases: the domain is reduced mod p first
@@ -48,6 +49,7 @@ __all__ = [
     "count_distinct_sums",
     "check_enum_cap",
     "super_increasing",
+    "greedy_digits",
     "sidon_mesh_bound",
     "check_mesh_condition",
     "random_meshes",
@@ -229,31 +231,47 @@ def super_increasing(pairs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
+def greedy_digits(x: int, betas: Sequence[int], bounds: Sequence[int]) -> Optional[dict[int, int]]:
+    """The nonzero digits {i: n_i} of x = sum_i n_i * betas[i] with
+    |n_i| <= bounds[i], or None when x has no such expansion.
+
+    The betas ascend and are super-increasing relative to the bounds (see
+    super_increasing), so the expansion is unique and greedy digits from the
+    top find it: below beta_j every bounded sum is less than beta_j / 2, so
+    n_j is x / beta_j rounded.  The betas above 2|x| carry digit 0 and are
+    skipped by bisection.
+    """
+    out = {}
+    j = len(betas)
+    while x:
+        j = bisect_right(betas, 2 * abs(x), 0, j) - 1
+        if j < 0:
+            return None
+        beta = betas[j]
+        n = (2 * x + beta) // (2 * beta)
+        if abs(n) > bounds[j]:
+            return None
+        out[j] = n
+        x -= n * beta
+    return out
+
+
 def _count_by_digits(
     lambda_ints: Sequence[int], mesh: Mesh, triples: list[tuple[int, int, int]]
 ) -> int:
-    """Count by greedy digits, scanning only the sorted ints within reach."""
-    reach = sum(beta * bound for beta, bound, _ in triples)  # max |member|
+    """Count by greedy_digits, scanning only the sorted ints within reach: a
+    box holds every expansion found, an explicit list those of its rows."""
+    betas, bounds, positions = zip(*triples)
+    reach = sum(beta * bound for beta, bound in zip(betas, bounds))  # max |member|
     lo = bisect_left(lambda_ints, -reach)
     hi = bisect_right(lambda_ints, reach, lo)
-    explicit = (
-        set(mesh.domain.coeffs) if isinstance(mesh.domain, ExplicitList) else None
-    )
-    count = 0
-    for x in lambda_ints[lo:hi]:
-        coeffs = [0] * mesh.k
-        ok = True
-        for beta, bound, pos in reversed(triples):
-            n = (2 * x + beta) // (2 * beta)
-            if abs(n) > bound:
-                ok = False
-                break
-            coeffs[pos] = n
-            x -= n * beta
-        if ok and x == 0:
-            if explicit is None or tuple(coeffs) in explicit:
-                count += 1
-    return count
+    found = [d for d in (greedy_digits(x, betas, bounds) for x in lambda_ints[lo:hi])
+             if d is not None]
+    if isinstance(mesh.domain, Box):
+        return len(found)
+    rank = {pos: i for i, pos in enumerate(positions)}  # mesh position -> index in betas
+    rows = set(mesh.domain.coeffs)
+    return sum(tuple(d.get(rank[pos], 0) for pos in range(mesh.k)) in rows for d in found)
 
 
 def _sumset_keys(basis: Sequence[int], domain: Domain) -> np.ndarray:

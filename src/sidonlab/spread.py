@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import ConfigError, FpVector, LatticePoint, fp_rank, next_prime
+from .core import ConfigError, FpVector, fp_rank, next_prime
 from .growth import GrowthFunction
 from .mesh import (
     BoundSpec,
@@ -344,18 +344,18 @@ def theorem3_mesh_reports(
 ) -> list[MeshReport]:
     """Sampled height-h meshes on the system's (h, k) grid against the bound
     k*w(kh) for the system's w."""
-    lam = [LatticePoint.from_int(x) for x in system.lambda_union()]
-    pool = lam + [LatticePoint.from_int(b) for b in system.betas]
+    lam = system.lambda_union()
+    pool = lam + list(system.betas)
 
-    def random_int_point(rng):
+    def random_int(rng):
         x = 0
         while x == 0:
             x = int(rng.integers(-100, 101))
-        return LatticePoint.from_int(x)
+        return x
 
     meshes = random_meshes(
         pool,
-        random_int_point,
+        random_int,
         count=count,
         seed=seed,
         k_choices=system.grid_k,

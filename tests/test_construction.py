@@ -13,7 +13,6 @@ from sidonlab.construction import (
     n_nu,
     theorem1_witness,
     witness_counts,
-    _coefficient_bound,
     _support_counts,
 )
 from sidonlab.mesh import Box, _digit_bounds, mesh_count
@@ -77,15 +76,19 @@ def test_structural_holds_above_the_acceptance_range():
 
 
 def test_coefficient_bounds_follow_blocks():
-    assert _coefficient_bound(1) == 1
-    assert _coefficient_bound(2) == 3 and _coefficient_bound(3) == 3
-    assert _coefficient_bound(4) == 8 and _coefficient_bound(7) == 8
-    assert _coefficient_bound(8) == 20
+    assert DissociatedBasis.build(3).bounds[:8] == (1, 3, 3, 8, 8, 8, 8, 20)
+    for nu_max in (1, 2, 5):
+        basis = DissociatedBasis.build(nu_max)
+        assert len(basis.bounds) == len(basis.betas) == 2 ** (nu_max + 1) + 2**nu_max
+        assert basis.bounds[0] == 1
+        for index in range(2, len(basis.bounds) + 1):
+            nu = index.bit_length() - 1  # 2^nu <= index < 2^(nu+1)
+            assert basis.bounds[index - 1] == n_nu(nu)
 
 
 def test_dissociated_basis_bounded_combinations_distinct():
-    betas = DissociatedBasis.build(2).betas[:5]
-    bounds = [_coefficient_bound(i) for i in range(1, 6)]
+    basis = DissociatedBasis.build(2)
+    betas, bounds = basis.betas[:5], basis.bounds[:5]
     seen = set()
     for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
         value = sum(c * b for c, b in zip(coeffs, betas))
@@ -112,14 +115,14 @@ def test_digits_roundtrip_and_rejection():
         x = 0
         for i in support:
             idx = int(i) + 1
-            bound = _coefficient_bound(idx)
+            bound = basis.bounds[idx - 1]
             d = int(rng.integers(-bound, bound + 1))
             if d:
                 digits[idx] = d
                 x += d * basis.beta(idx)
         assert basis.digits(x) == digits
     # a value outside every bounded expansion is rejected
-    assert basis.digits(basis.beta(top) * (2 * _coefficient_bound(top) + 5)) is None
+    assert basis.digits(basis.beta(top) * (2 * basis.bounds[top - 1] + 5)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from sidonlab.mesh import (
     _Lambda,
     check_mesh_condition,
     count_distinct_sums,
+    greedy_digits,
     mesh_count,
     mesh_members,
     random_meshes,
     sidon_mesh_bound,
+    super_increasing,
 )
 
 
@@ -131,6 +133,34 @@ def test_digit_route_with_explicit_domain():
     lam = [ip(x) for x in (0, 1, 11, 199, 210, -9, 9)]
     assert _digit_bounds(mesh) is not None
     assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
+
+
+@st.composite
+def _super_increasing_bases(draw):
+    """(betas, bounds) with k <= 5 and bounds <= 3, super-increasing by
+    construction: each beta is above 2 W and its predecessor, W the weight
+    below it, plus a drawn gap."""
+    bounds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    betas, weight = [], 0
+    for bound in bounds:
+        betas.append(max(2 * weight, betas[-1] if betas else 0) + 1 + draw(st.integers(0, 3)))
+        weight += bound * betas[-1]
+    return betas, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_super_increasing_bases())
+def test_greedy_digits_matches_box_enumeration(basis):
+    betas, bounds = basis
+    assert super_increasing(zip(betas, bounds))
+    expansions = {}
+    for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        value = sum(n * beta for n, beta in zip(coeffs, betas))
+        assert value not in expansions
+        expansions[value] = {i: n for i, n in enumerate(coeffs) if n}
+    reach = sum(bound * beta for bound, beta in zip(bounds, betas))
+    for x in range(-reach - 3, reach + 4):
+        assert greedy_digits(x, betas, bounds) == expansions.get(x)
 
 
 def test_fp_vectorized_matches_enumeration():

@@ -436,6 +436,18 @@ def test_sigma_hat_counts_and_parseval():
     assert (full.sigma1, full.sup, full.squares) == (16, 0, 16 * 16)
 
 
+def test_parseval_is_checked_exactly(monkeypatch):
+    # a square sum one unit above 2^20 |Lambda| (about 1.7e10), which a
+    # relative tolerance of 1e-9 would let through
+    import sidonlab.spectral
+
+    square_sum, first = sidonlab.spectral._square_sum, [1]
+    monkeypatch.setattr(sidonlab.spectral, "_square_sum",
+                        lambda part: square_sum(part) + (first.pop() if first else 0))
+    with pytest.raises(AssertionError, match="Parseval identity violated"):
+        sample_flat_lambda(nu=20, ell=401, seed=0)
+
+
 def test_max_abs_takes_tile_chunks():
     import tracemalloc
 
