@@ -13,7 +13,6 @@ from sidonlab import (
     DoubleLog,
     ExplicitList,
     FpVector,
-    LatticePoint,
     Mesh,
     check_mesh_condition,
     mesh_count,
@@ -21,14 +20,12 @@ from sidonlab import (
     sidon_mesh_bound,
 )
 
-ip = LatticePoint.from_int
-
-m = Mesh((ip(1), ip(2)), Box(1))
-print("basis {1, 2}, height 1:", sorted(p.as_int() for p in mesh_members(m)),
+m = Mesh((1, 2), Box(1))
+print("basis {1, 2}, height 1:", sorted(mesh_members(m)),
       "(9 combinations collapse to 7 values)")
 
-m = Mesh((ip(1), ip(10), ip(200)), Box(2))
-lam = [ip(x) for x in (0, 1, 12, 21, 222, 199, 500, -19)]
+m = Mesh((1, 10, 200), Box(2))
+lam = [0, 1, 12, 21, 222, 199, 500, -19]
 print("count via digits:     ", mesh_count(lam, m))  # super-increasing basis
 print("count via enumeration:", mesh_count(lam, m, method="enumerate"))
 
@@ -44,13 +41,13 @@ print(f"  C k log(1 + sup_l1) at k=4, sup=4, C=1: {sidon_mesh_bound(4, 4, 1.0):.
 w = DoubleLog(1.0)
 up = BoundSpec("k_w_k", w=w)
 low = BoundSpec("lower_quarter_k_log2_k")
-meshes = [Mesh((ip(3), ip(50)), Box(2)), Mesh((ip(1),), ExplicitList(((0,), (1,))))]
+meshes = [Mesh((3, 50), Box(2)), Mesh((1,), ExplicitList(((0,), (1,))))]
 # {3, 50, 53} is dense in the first mesh on purpose: three members on a
 # rank-2 mesh violate the slow-growth upper bound and the report says so.
-for r in check_mesh_condition([ip(3), ip(50), ip(53)], meshes, up):
+for r in check_mesh_condition([3, 50, 53], meshes, up):
     print(f"  upper check: k={r.k} count={r.count} bound={r.bound:.2f} passed={r.passed}")
-for r in check_mesh_condition([ip(3), ip(50), ip(53)], meshes, low):
+for r in check_mesh_condition([3, 50, 53], meshes, low):
     print(f"  lower check: k={r.k} count={r.count} bound={r.bound:.2f} passed={r.passed}")
 print()
 print(f"a height-h box on k generators has sup_l1 = k*h: "
-      f"{Mesh((ip(1), ip(7), ip(9)), Box(2)).sup_l1()} for k=3, h=2")
+      f"{Mesh((1, 7, 9), Box(2)).sup_l1()} for k=3, h=2")

@@ -40,7 +40,7 @@ print()
 
 NU_MAX = 5
 construction = embed_theorem1(NU_MAX)
-print(f"Embedded set with blocks 1..{NU_MAX}: {len(construction.lambda_points)} integers;")
+print(f"Embedded set with blocks 1..{NU_MAX}: {len(construction.lambda_ints)} integers;")
 print(f"largest beta has {len(str(construction.basis.betas[-1]))} digits.")
 print()
 
@@ -52,6 +52,6 @@ for k in (2, 3, 4, 7, 8, 15, 16, 31, 32, 63):
 
 print()
 mesh, claimed = theorem1_witness(10, construction)
-recount = mesh_count(list(construction.lambda_points), mesh)
+recount = mesh_count(construction.lambda_ints, mesh)
 print(f"k = 10 witness mesh recounted through the mesh engine: {recount} "
       f"(claimed {claimed})")

@@ -320,9 +320,9 @@ def _json_int(value) -> Optional[int]:
     return None
 
 
-def _points_from_json(data, where: str) -> list[LatticePoint]:
-    """Points from a JSON list whose items are integers or lists of them;
-    an integer may also be given as a string."""
+def _points_from_json(data, where: str) -> list:
+    """Points from a JSON list: an integer item (or a string of one) is a
+    point of Z, read as an int; a list of them is a LatticePoint."""
     if isinstance(data, dict):
         data = _json_object(data, ["points"], "point list")["points"]
     if not isinstance(data, list):
@@ -335,7 +335,7 @@ def _points_from_json(data, where: str) -> list[LatticePoint]:
                 f"malformed {where}: point {i} is {json.dumps(item)}, "
                 "not an integer or a list of integers"
             )
-        out.append(LatticePoint(tuple(coords)))
+        out.append(LatticePoint(tuple(coords)) if isinstance(item, list) else coords[0])
     return out
 
 
@@ -407,7 +407,7 @@ def _run_theorem1(params, seed, pool):
         for m in matrices:
             m.to_csv(os.path.join(params["export-dir"], f"matrix_{m.nu}.csv"))
         construction.to_json(os.path.join(params["export-dir"], "construction.json"))
-    return checks, {"column_counts": table, "lambda_size": len(construction.lambda_points)}
+    return checks, {"column_counts": table, "lambda_size": len(construction.lambda_ints)}
 
 
 def _bound_from_json(data) -> "BoundSpec":

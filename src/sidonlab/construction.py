@@ -162,14 +162,11 @@ class Theorem1Construction:
     nu_max: int
     basis: DissociatedBasis
     blocks: tuple[tuple[range, QiMatrix], ...]
-    lambda_points: tuple[LatticePoint, ...]
+    lambda_ints: tuple[int, ...]
 
-    def lambda_ints(self) -> list[int]:
-        return [p.as_int() for p in self.lambda_points]
-
-    def block_points(self, nu: int) -> list[LatticePoint]:
+    def block_points(self, nu: int) -> list[int]:
         offset = sum(n_nu(v) for v in range(1, nu))
-        return list(self.lambda_points[offset : offset + n_nu(nu)])
+        return list(self.lambda_ints[offset : offset + n_nu(nu)])
 
     def to_json(self, path) -> None:
         payload = {
@@ -184,7 +181,7 @@ class Theorem1Construction:
                 }
                 for rng, m in self.blocks
             ],
-            "lambda": [str(x) for x in self.lambda_ints()],
+            "lambda": [str(x) for x in self.lambda_ints],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -203,7 +200,7 @@ def embed_theorem1(nu_max: int) -> Theorem1Construction:
         raise ConfigError(f"nu_max must lie in [1, {NU_CAP}], got {nu_max}")
     basis = DissociatedBasis.build(nu_max)
     blocks = []
-    points: list[LatticePoint] = []
+    points: list[int] = []
     for nu in range(1, nu_max + 1):
         m = build_matrix(nu)
         idx = basis.block_indices(nu)
@@ -211,7 +208,7 @@ def embed_theorem1(nu_max: int) -> Theorem1Construction:
         for row, beta in zip(m.entries, (basis.beta(i) for i in idx)):
             nz = np.flatnonzero(row)
             vals[nz] += row[nz].astype(object) * beta
-        points.extend(LatticePoint.from_int(x) for x in vals)
+        points.extend(vals.tolist())
         blocks.append((idx, m))
     if len(set(points)) != len(points):
         raise AssertionError("embedded gamma values are not distinct")
@@ -242,10 +239,7 @@ def theorem1_witness(k: int, construction: Theorem1Construction):
     the bound count >= (1/4) k log2 k holds for every such k.
     """
     nu, indices = _witness_indices(k, construction)
-    basis_points = tuple(
-        LatticePoint.from_int(construction.basis.beta(i)) for i in indices
-    )
-    mesh = Mesh(basis=basis_points, domain=Box(1))
+    mesh = Mesh(basis=tuple(construction.basis.beta(i) for i in indices), domain=Box(1))
     count = n_nu(nu)
     if count < 0.25 * k * math.log2(k):
         raise AssertionError(f"witness bound violated at k={k}")
@@ -264,7 +258,7 @@ def witness_counts(
     """
     basis = construction.basis
     supports = []
-    for x in construction.lambda_ints():
+    for x in construction.lambda_ints:
         d = basis.digits(x)
         if d is None:
             raise AssertionError("embedded point has no digit expansion")

@@ -154,17 +154,13 @@ class LatticePoint:
     """A point of Z^n with exact integer coordinates.
 
     Canonical form strips trailing zeros so that (2, 0) == (2,); the zero
-    point is the empty tuple.  Integers embed as one-coordinate points.
+    point is the empty tuple.  The lab keeps a point of Z as a plain int.
     """
 
     coords: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _strip(self.coords))
-
-    @classmethod
-    def from_int(cls, x: int) -> "LatticePoint":
-        return cls((int(x),))
 
     @classmethod
     def zero(cls) -> "LatticePoint":
@@ -176,12 +172,6 @@ class LatticePoint:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def as_int(self) -> int:
-        """The value of a point of Z (dimension <= 1)."""
-        if self.dim > 1:
-            raise ValueError("not a one-dimensional point")
-        return self.coords[0] if self.coords else 0
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":
         n = max(self.dim, other.dim)

@@ -70,6 +70,7 @@ class Box:
     height: int
 
     def __post_init__(self):
+        object.__setattr__(self, "height", operator.index(self.height))
         if self.height < 0:
             raise ValueError("height must be >= 0")
 
@@ -81,7 +82,7 @@ class ExplicitList:
     coeffs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(dict.fromkeys(tuple(int(c) for c in row) for row in self.coeffs))
+        rows = tuple(dict.fromkeys(tuple(map(operator.index, row)) for row in self.coeffs))
         if not rows:
             raise ValueError("ExplicitList needs at least one coefficient vector")
         width = len(rows[0])
@@ -97,17 +98,16 @@ Domain = Union[Box, ExplicitList]
 class Mesh:
     """A basis plus a coefficient domain.
 
-    An integer of any type (numpy's included) in the basis is a point of Z.
-    F_p vectors form a basis only with each other and of one (p, nu), else
-    ValueError.
+    A point of Z in the basis, an integer of any type (numpy's included) or
+    a LatticePoint of dimension <= 1, is stored as an int.  F_p vectors form
+    a basis only with each other and of one (p, nu), else ValueError.
     """
 
     basis: tuple
     domain: Domain
 
     def __post_init__(self):
-        basis = tuple(LatticePoint.from_int(b) if isinstance(b, numbers.Integral) else b
-                      for b in self.basis)
+        basis = tuple(map(_as_z, self.basis))
         if len(basis) < 1:
             raise ValueError("a mesh needs at least one basis element")
         fp = {(b.p, b.nu) if isinstance(b, FpVector) else None for b in basis}
@@ -153,8 +153,18 @@ class Mesh:
 # ---------------------------------------------------------------------------
 
 
+def _as_z(v):
+    """A point of Z (an integer of any type, or a LatticePoint of dimension
+    <= 1) as an int; any other point as it is."""
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, LatticePoint) and v.dim <= 1:
+        return v.coords[0] if v.coords else 0
+    return v
+
+
 def _is_int_basis(mesh: Mesh) -> bool:
-    return all(isinstance(b, LatticePoint) and b.dim <= 1 for b in mesh.basis)
+    return all(isinstance(b, int) for b in mesh.basis)
 
 
 def check_enum_cap(size: int, cap: Optional[int] = None) -> None:
@@ -165,17 +175,16 @@ def check_enum_cap(size: int, cap: Optional[int] = None) -> None:
         raise MeshResourceError(f"domain of size {size} exceeds the cap {cap}")
 
 
-def _members(mesh: Mesh, cap: Optional[int]) -> set:
-    """Every sum over the domain, by a plain set loop (the oracle route).
+def mesh_members(mesh: Mesh, cap: Optional[int] = None) -> set:
+    """The set of all sums over the domain (duplicates collapse), by a plain
+    set loop (the oracle route); a member in Z is an int.
 
-    A basis of points of Z is summed as plain ints, any other basis as its
-    own elements.
+    A basis of ints is summed as ints, any other basis as its own elements,
+    its ints as LatticePoints.
     """
     check_enum_cap(mesh.domain_size(), cap)
-    if _is_int_basis(mesh):
-        basis = [b.as_int() for b in mesh.basis]
-    else:
-        basis = list(mesh.basis)
+    ints = _is_int_basis(mesh)
+    basis = [LatticePoint((b,)) if isinstance(b, int) and not ints else b for b in mesh.basis]
     zero = basis[0] - basis[0]
     if isinstance(mesh.domain, Box):
         h = mesh.domain.height
@@ -183,23 +192,15 @@ def _members(mesh: Mesh, cap: Optional[int]) -> set:
         for b in basis:
             scaled = [n * b for n in range(-h, h + 1)]
             values = {v + s for v in values for s in scaled}
-        return values
-    out = set()
-    for row in mesh.domain.coeffs:
-        acc = zero
-        for n, b in zip(row, basis):
-            if n:
-                acc = acc + n * b
-        out.add(acc)
-    return out
-
-
-def mesh_members(mesh: Mesh, cap: Optional[int] = None) -> set:
-    """The set of all sums over the domain (duplicates collapse)."""
-    members = _members(mesh, cap)
-    if _is_int_basis(mesh):
-        return {LatticePoint.from_int(v) for v in members}
-    return members
+    else:
+        values = set()
+        for row in mesh.domain.coeffs:
+            acc = zero
+            for n, b in zip(row, basis):
+                if n:
+                    acc = acc + n * b
+            values.add(acc)
+    return values if ints else set(map(_as_z, values))
 
 
 def _digit_bounds(mesh: Mesh) -> Optional[list[tuple[int, int, int]]]:
@@ -212,7 +213,7 @@ def _digit_bounds(mesh: Mesh) -> Optional[list[tuple[int, int, int]]]:
     """
     if not _is_int_basis(mesh):
         return None
-    betas = [b.as_int() for b in mesh.basis]
+    betas = mesh.basis
     bounds = mesh.coefficient_bounds()
     if any(b <= 0 for b in betas) or len(set(betas)) != len(betas):
         return None
@@ -334,7 +335,7 @@ def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
     """|Lambda ∩ M| for an integer basis: members whose key Lambda has and the ints of
     Lambda sharing a key with one, in one ``core.exact_rows`` call, joined exactly."""
     check_enum_cap(mesh.domain_size(), cap)
-    basis = [b.as_int() for b in mesh.basis]
+    basis = list(mesh.basis)
     keys = _sumset_keys(basis, mesh.domain)
     hits = np.flatnonzero(key_hits(lam.int_keys, keys))
     if not len(hits):
@@ -352,22 +353,17 @@ def _is_fp_basis(mesh: Mesh) -> bool:
 class _Lambda:
     """Lambda deduplicated and keyed once for every counting route.
 
-    Its integers (of any type, numpy's included, and points of Z) as a
-    sorted list, deduplicated by sorting (a set of ints sharing a residue
-    mod KEY_MOD hashes to a scan), and their sorted row keys with the order
-    that sorts them; its other points as a deduplicated list; its F_p
-    points, per (p, nu), sorted by key.
+    Its points of Z (see _as_z) as a sorted list of ints, deduplicated by
+    sorting (a set of ints sharing a residue mod KEY_MOD hashes to a scan),
+    and their sorted row keys with the order that sorts them; its other
+    points as a deduplicated list; its F_p points, per (p, nu), sorted by
+    key.
     """
 
     def __init__(self, lam: Iterable):
         values, points = [], []
-        for v in lam:
-            if isinstance(v, numbers.Integral):
-                values.append(int(v))
-            elif isinstance(v, LatticePoint) and v.dim <= 1:
-                values.append(v.as_int())
-            else:
-                points.append(v)
+        for v in map(_as_z, lam):
+            (values if isinstance(v, int) else points).append(v)
         values.sort()
         self.ints = [x for i, x in enumerate(values) if i == 0 or x != values[i - 1]]
         keys = row_keys([(x,) for x in self.ints])
@@ -435,11 +431,8 @@ def mesh_count(
     """
     lam = lam if isinstance(lam, _Lambda) else _Lambda(lam)
     if method == "enumerate":
-        members = _members(mesh, cap)
-        if _is_int_basis(mesh):
-            return sum(1 for x in lam.ints if x in members)
-        in_z = sum(1 for x in lam.ints if LatticePoint.from_int(x) in members)
-        return in_z + len(members.intersection(lam.points))
+        members = mesh_members(mesh, cap)
+        return len(members.intersection(lam.ints)) + len(members.intersection(lam.points))
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     triples = _digit_bounds(mesh)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -58,8 +59,21 @@ class DependencyWitness:
     def validates(self, elements: Sequence) -> bool:
         if len(elements) != len(self.eps):
             return False
-        s = signed_combination(elements, self.eps)
-        return s.is_zero()
+        rows = _lattice_rows(elements)
+        if rows is None:
+            return signed_combination(elements, self.eps).is_zero()
+        return not any(sum(map(operator.mul, self.eps.signs, col)) for col in zip(*rows))
+
+
+def _lattice_rows(elements: Sequence) -> Optional[list[tuple[int, ...]]]:
+    """The points as zero-padded int tuples of one common length (at least
+    1): an integer of any type is a point of Z, a LatticePoint its
+    coordinates.  None when some element is neither."""
+    if not all(isinstance(el, (numbers.Integral, LatticePoint)) for el in elements):
+        return None
+    coords = [el.coords if isinstance(el, LatticePoint) else (int(el),) for el in elements]
+    dim = max([1, *map(len, coords)])
+    return [c + (0,) * (dim - len(c)) for c in coords]
 
 
 def _extend(sums: np.ndarray, key) -> np.ndarray:
@@ -90,13 +104,6 @@ def _exact_sums(indices: np.ndarray, length: int, start: int, sign: int, rows: l
         exact_rows(np.pad(sign * signs, pad), rows) for _, signs in _sign_rows(indices, length)])
 
 
-def _key_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """The run of equal keys each sorted key lies in, numbered from 0 (int32)."""
-    runs = np.zeros(len(sorted_keys), np.int32)
-    np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=runs[1:], dtype=np.int32)
-    return runs
-
-
 def verify_qi_exhaustive(
     elements: Sequence,
     n_max: Optional[int] = None,
@@ -111,14 +118,15 @@ def verify_qi_exhaustive(
     the first exactly vanishing prefix in index order is returned.  The
     right half's sums, in ``itertools.product((0, 1, -1))`` order, that
     ``core.key_hits`` finds among the left keys are joined by ``first_matches``
-    to the left sums sharing their key, the first _SIGN_CHUNK of them alone
-    for an early exit: the first nonzero right vector with an exact match
-    gives the witness, with the smallest left index among its matches.
+    to the left sums sharing their key (``key_hits`` with the roles swapped),
+    the first _SIGN_CHUNK of them alone for an early exit: the first nonzero
+    right vector with an exact match gives the witness, with the smallest
+    left index among its matches.
 
     Returns (True, None) when quasi-independent, else (False, witness).
     Raises QiResourceError when len(elements) > n_max (N_MAX_DEFAULT when
-    None), and TypeError when an element is not a LatticePoint
-    (``verify_qi_naive`` takes any type).
+    None), and TypeError when an element is neither an integer (a point of
+    Z) nor a LatticePoint (``verify_qi_naive`` takes any type).
     """
     n = len(elements)
     n_max = N_MAX_DEFAULT if n_max is None else n_max
@@ -126,11 +134,9 @@ def verify_qi_exhaustive(
         raise QiResourceError(f"{n} elements exceed the cap of {n_max} (3^{n} sign vectors)")
     if n == 0:
         return True, None
-    for el in elements:
-        if not isinstance(el, LatticePoint):
-            raise TypeError(f"verify_qi_exhaustive takes LatticePoints, got {type(el).__name__}")
-    dim = max(1, max(el.dim for el in elements))  # the zero point keeps one coordinate
-    rows = [el.coords + (0,) * (dim - el.dim) for el in elements]
+    rows = _lattice_rows(elements)
+    if rows is None:
+        raise TypeError("verify_qi_exhaustive takes integers and LatticePoints")
     keys = row_keys(rows)
     n_left = n // 2
 
@@ -150,13 +156,9 @@ def verify_qi_exhaustive(
     by_need = np.argsort(need)  # need: the key sum of each right vector, negated
     hits = np.sort(by_need[key_hits(left, need[by_need])])[1:]  # not the zero vector
     del by_need  # 4 MiB at 3^11 left sums, not held while the chunks join
-    runs = _key_runs(left) if len(hits) else None
     for chunk in filter(len, np.split(hits, [_SIGN_CHUNK])):  # the first hits, for an early exit
-        # the left sums whose key some hit of the chunk needs, in index order:
-        # each hit's key is in left, so searchsorted finds its run
-        wanted = np.zeros(int(runs[-1]) + 1, dtype=bool)
-        wanted[runs[np.searchsorted(left, need[chunk])]] = True
-        found = np.sort(order[wanted[runs]])
+        # the left sums whose key some hit of the chunk needs, in index order
+        found = np.sort(order[key_hits(np.sort(need[chunk]), left)])
         match = first_matches(_exact_sums(found, n_left, 0, 1, rows),
                               _exact_sums(chunk, n - n_left, n_left, -1, rows))
         first = np.flatnonzero(match >= 0)[:1]
@@ -173,20 +175,19 @@ def verify_qi_naive(
 ) -> tuple[bool, Optional[DependencyWitness]]:
     """Single-loop enumeration of all 3^N sign vectors (independent oracle).
 
-    LatticePoints are converted once to zero-padded int tuples and summed
-    coordinate by coordinate; any other element type is summed with its own
-    + and -, starting from e - e.  Returns the first annihilating sign
-    vector in ``itertools.product((0, 1, -1))`` order.
+    Integers and LatticePoints are converted once to zero-padded int tuples
+    and summed coordinate by coordinate; any other element type is summed
+    with its own + and -, starting from e - e.  Returns the first
+    annihilating sign vector in ``itertools.product((0, 1, -1))`` order.
     """
     n = len(elements)
     if n > n_max:
         raise QiResourceError(f"{n} elements exceed the naive cap of {n_max}")
     if n == 0:
         return True, None
-    if all(isinstance(el, LatticePoint) for el in elements):
-        dim = max(el.dim for el in elements)
-        items = [el.coords + (0,) * (dim - el.dim) for el in elements]
-        zero = (0,) * dim
+    items = _lattice_rows(elements)
+    if items is not None:
+        zero = (0,) * len(items[0])
 
         def add(a, b):
             return tuple(map(operator.add, a, b))

@@ -74,7 +74,7 @@ def test_criterion_2_theorem1_witnesses():
     for k in (4, 8, 16, 32, 64, 128):
         assert counts[k] >= 0.5 * k * math.log2(k)
     # independent count route on a sample of witness meshes
-    lam = list(construction.lambda_points)
+    lam = list(construction.lambda_ints)
     for k in (2, 5, 16, 100, 255):
         mesh, claimed = theorem1_witness(k, construction)
         assert mesh_count(lam, mesh) == claimed
@@ -204,11 +204,11 @@ def test_criterion_8_oracle_equivalences():
         n = int(rng.integers(0, 10))
         pts = [LatticePoint(tuple(int(x) for x in rng.integers(-3, 4, 2))) for _ in range(n)]
         assert verify_qi_exhaustive(pts)[0] == verify_qi_naive(pts)[0]
-    worst = [LatticePoint.from_int(3**i) for i in range(12)]
+    worst = [3**i for i in range(12)]
     assert verify_qi_exhaustive(worst)[0] == verify_qi_naive(worst, n_max=12)[0] is True
     # digit route vs enumeration on witness meshes
     construction = embed_theorem1(4)
-    lam = list(construction.lambda_points)
+    lam = list(construction.lambda_ints)
     for k in (2, 4, 7, 10):
         mesh, _ = theorem1_witness(k, construction)
         assert _digit_bounds(mesh) is not None

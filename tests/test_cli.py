@@ -538,11 +538,9 @@ def test_points_from_json_accepts_ints_and_integer_strings_only():
     from sidonlab.cli import _points_from_json
     from sidonlab.core import LatticePoint
 
-    points = _points_from_json({"points": [3, "-12", [1, "2", 0], 10**30]}, "input")
-    assert points == [
-        LatticePoint((3,)), LatticePoint((-12,)), LatticePoint((1, 2)),
-        LatticePoint((10**30,)),
-    ]
+    points = _points_from_json({"points": [3, "-12", [1, "2", 0], 10**30, [4]]}, "input")
+    assert points == [3, -12, LatticePoint((1, 2)), 10**30, LatticePoint((4,))]
+    assert [type(x) for x in points] == [int, int, LatticePoint, int, LatticePoint]
     for bad in ([True], [None], [2.0], ["1.5"], [[1, [2]]], [{"x": 1}], 7, "12"):
         with pytest.raises(ConfigError, match="malformed input"):
             _points_from_json(bad, "input")

@@ -97,10 +97,8 @@ def test_dissociated_basis_bounded_combinations_distinct():
 
 
 def test_dissociated_betas_pass_the_qi_oracle():
-    from sidonlab.core import LatticePoint
-
     basis = DissociatedBasis.build(2)
-    points = [LatticePoint.from_int(basis.beta(i)) for i in range(2, 12)]
+    points = [basis.beta(i) for i in range(2, 12)]
     qi, _ = verify_qi_exhaustive(points)
     assert qi
 
@@ -133,7 +131,7 @@ def test_digits_roundtrip_and_rejection():
 def test_embed_block_one_points():
     c = embed_theorem1(1)
     b2, b3 = c.basis.beta(2), c.basis.beta(3)
-    assert set(c.lambda_ints()) == {b2 + b3, b2 - b3, b2}
+    assert set(c.lambda_ints) == {b2 + b3, b2 - b3, b2}
 
 
 @pytest.mark.parametrize("nu_max", [1, 4, 7])
@@ -145,15 +143,17 @@ def test_embed_equals_the_plain_column_sums(nu_max):
         betas = [c.basis.beta(i) for i in c.basis.block_indices(nu)]
         for j in range(n_nu(nu)):
             want.append(sum(row[j] * beta for row, beta in zip(entries, betas)))
-    assert c.lambda_ints() == want
+    assert list(c.lambda_ints) == want
+    assert all(type(x) is int for x in c.lambda_ints)
 
 
 def test_embed_sizes_and_distinctness():
     c = embed_theorem1(2)
-    assert len(c.lambda_points) == 3 + 8 == 11
+    assert len(c.lambda_ints) == 3 + 8 == 11
     for nu in (1, 2):
         assert len(c.block_points(nu)) == n_nu(nu)
-    assert len(set(c.lambda_points)) == 11
+        assert all(type(x) is int for x in c.block_points(nu))
+    assert len(set(c.lambda_ints)) == 11
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
@@ -165,7 +165,7 @@ def test_embedded_blocks_are_qi(nu):
 
 def test_union_of_small_blocks_is_qi():
     c = embed_theorem1(2)
-    qi, _ = verify_qi_exhaustive(list(c.lambda_points))
+    qi, _ = verify_qi_exhaustive(list(c.lambda_ints))
     assert qi
 
 
@@ -193,7 +193,7 @@ def test_witness_range_errors():
 
 def test_witness_count_agrees_with_mesh_count():
     c = embed_theorem1(3)
-    lam = list(c.lambda_points)
+    lam = list(c.lambda_ints)
     for k in (2, 3, 4, 6, 8, 12, 15):
         mesh, claimed = theorem1_witness(k, c)
         assert mesh.domain == Box(1)
@@ -240,7 +240,7 @@ def _loop_counts(supports, nu_max, ks):
 def test_witness_counts_match_the_per_support_loop(nu_max):
     c = embed_theorem1(nu_max)
     ks = range(2, 2 ** (nu_max + 1))
-    supports = [c.basis.digits(x) for x in c.lambda_ints()]
+    supports = [c.basis.digits(x) for x in c.lambda_ints]
     assert witness_counts(c, ks) == _loop_counts(supports, nu_max, ks)
 
 
@@ -276,7 +276,7 @@ def test_export_roundtrip(tmp_path):
     path = tmp_path / "construction.json"
     c.to_json(path)
     data = json.loads(path.read_text())
-    assert [int(x) for x in data["lambda"]] == c.lambda_ints()
+    assert [int(x) for x in data["lambda"]] == list(c.lambda_ints)
     assert int(data["betas"][1]) == c.basis.beta(2)
 
     m = build_matrix(2)

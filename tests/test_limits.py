@@ -21,7 +21,7 @@ from sidonlab.verify import verify_qi_exhaustive
 
 
 def ip(x):
-    return LatticePoint.from_int(x)
+    return LatticePoint((x,))
 
 
 # C(2, 2) = 1 subset to re-verify

@@ -29,17 +29,17 @@ from sidonlab.mesh import (
 
 
 def ip(x):
-    return LatticePoint.from_int(x)
+    return LatticePoint((x,))
 
 
 def test_members_single_generator():
     m = Mesh((ip(1),), Box(1))
-    assert {p.as_int() for p in mesh_members(m)} == {-1, 0, 1}
+    assert mesh_members(m) == {-1, 0, 1}
 
 
 def test_members_collisions_collapse():
     m = Mesh((ip(1), ip(2)), Box(1))
-    assert {p.as_int() for p in mesh_members(m)} == set(range(-3, 4))
+    assert mesh_members(m) == set(range(-3, 4))
 
 
 def test_members_independent_generators():
@@ -115,13 +115,14 @@ def test_digit_route_matches_enumeration():
         mesh = Mesh(basis, Box(h))
         if mesh.domain_size() > 10**5:
             continue
-        members = [p.as_int() for p in mesh_members(mesh)]
-        lam = [ip(v) for v in members[::3]] + [ip(int(x)) for x in rng.integers(-100, 100, 20)]
+        members = sorted(mesh_members(mesh))
+        values = members[::3] + [int(x) for x in rng.integers(-100, 100, 20)]
+        lam = [ip(v) for v in values]
         assert _digit_bounds(mesh) is not None
         want = mesh_count(lam, mesh, method="enumerate")
         assert mesh_count(lam, mesh) == want
         # integers of any type are points of Z, in Lambda and in the basis
-        ints = np.array([p.as_int() for p in lam])
+        ints = np.array(values)
         for plain in (mesh, Mesh(tuple(betas), Box(h)), Mesh(tuple(np.array(betas)), Box(h))):
             assert mesh_count(ints, plain) == mesh_count(ints, plain, method="enumerate") == want
 
@@ -212,7 +213,7 @@ def test_theorem1_witness_passes_lower_bound_check():
     from sidonlab.construction import embed_theorem1, theorem1_witness
 
     c = embed_theorem1(3)
-    lam = list(c.lambda_points)
+    lam = list(c.lambda_ints)
     meshes = [theorem1_witness(k, c)[0] for k in (4, 7, 11)]
     reports = check_mesh_condition(lam, meshes, BoundSpec("lower_quarter_k_log2_k"))
     assert all(r.passed for r in reports)
@@ -365,20 +366,20 @@ def int_meshes(draw):
     picked = draw(st.lists(st.sampled_from(members), max_size=6))
     lam = picked + [x + s * KEY_MOD for x in picked[:3] for s in (1, -2)]
     lam += draw(st.lists(key_ints, max_size=6))
-    return Mesh(tuple(ip(b) for b in basis), domain), basis, [ip(x) for x in lam]
+    return Mesh(tuple(ip(b) for b in basis), domain), basis, lam
 
 
 @settings(max_examples=150, deadline=None)
 @given(int_meshes())
 def test_keyed_route_matches_enumeration(case):
-    mesh, basis, lam = case
+    mesh, basis, ints = case
+    lam = [ip(x) for x in ints]
     want = mesh_count(lam, mesh, method="enumerate")
-    assert want == len(_plain_sums(basis, mesh.domain) & {p.as_int() for p in lam})
+    assert want == len(_plain_sums(basis, mesh.domain) & set(ints))
     assert _count_keyed(_Lambda(lam), mesh, 10**7) == want
     assert mesh_count(lam, mesh) == want
     # the basis as plain ints, mixed with points of Z, and Lambda as ints
     for plain in (basis, [ip(b) if j % 2 else b for j, b in enumerate(basis)]):
-        ints = [p.as_int() for p in lam]
         assert mesh_count(ints, Mesh(tuple(plain), mesh.domain)) == want
         assert mesh_count(ints, Mesh(tuple(plain), mesh.domain), method="enumerate") == want
     assert count_distinct_sums(basis, mesh.domain) == len(_plain_sums(basis, mesh.domain))
@@ -418,6 +419,39 @@ def test_ints_and_points_of_z_count_once_per_value():
         assert mesh_count(lam, mesh, method=method) == 2
     digits = Mesh((ip(1), ip(10)), Box(1))
     assert mesh_count(lam, digits) == mesh_count(lam, digits, method="enumerate") == 1
+    # Python ints, numpy int64s, 1-D LatticePoints and a mix of them, in the
+    # basis and in Lambda, count alike on every integer route
+    forms = (list, lambda xs: list(np.array(xs, dtype=np.int64)), lambda xs: [ip(x) for x in xs],
+             lambda xs: [(int, np.int64, ip)[i % 3](x) for i, x in enumerate(xs)])
+    values = [0, 5, 7, 11, 13, -3, 21, 5]
+    for basis, digit_route, want in (((2, 3), False, 3), ((1, 10), True, 2)):
+        for form_basis in forms:
+            mesh = Mesh(tuple(form_basis(basis)), Box(1))
+            assert mesh.basis == basis and all(type(b) is int for b in mesh.basis)
+            assert (_digit_bounds(mesh) is not None) == digit_route  # else the keyed route
+            assert all(type(v) is int for v in mesh_members(mesh))
+            for form_lam in forms:
+                for method in ("auto", "enumerate"):
+                    assert mesh_count(form_lam(values), mesh, method=method) == want
+
+
+def test_a_basis_mixing_points_of_z_and_z2_counts():
+    mesh = Mesh((1, LatticePoint((1, 2))), Box(1))
+    lam = [1, LatticePoint((2, 2)), LatticePoint((0, 2)), 5]
+    assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate") == 3
+    assert mesh_members(mesh) == {-1, 0, 1} | {
+        LatticePoint((a, 2 * s)) for s in (1, -1) for a in (s - 1, s, s + 1)
+    }
+
+
+def test_domains_take_integers_only():
+    with pytest.raises(TypeError):
+        ExplicitList(((1.5, 2.7),))
+    with pytest.raises(TypeError):
+        Box(1.5)
+    # bools and numpy integers are integers
+    assert Box(np.int64(2)) == Box(2) and type(Box(np.int64(2)).height) is int
+    assert ExplicitList(((True, np.int8(-1)),)).coeffs == ((1, -1),)
     # a basis of Z^2 whose members (1, 0) and (0, 0) are points of Z
     plane = Mesh((LatticePoint((1, 2)), LatticePoint((0, 2))), Box(1))
     assert mesh_count([1, 0, ip(1), LatticePoint((1, 2))], plane) == 3

@@ -57,6 +57,22 @@ def test_zero_element_is_a_dependency():
     assert not qi and witness.validates([lp(2), LatticePoint.zero(), lp(5)])
 
 
+def test_exhaustive_reads_ints_and_points_of_z_alike():
+    forms = (list, lambda xs: list(np.array(xs, dtype=np.int64)), lambda xs: [lp(x) for x in xs])
+    for values, qi in (([3, 5, 8, 13, 40], False), ([1, 3, 9, 27, 81], True)):
+        results = []
+        for form in forms:
+            pts = form(values)
+            results.append(verify_qi_exhaustive(pts))
+            assert results[-1][0] == qi and (qi or results[-1][1].validates(pts))
+        assert results[0] == results[1] == results[2]
+    # ints mixed with points of Z^2: (4, 2) - (1, 2) - 3 = 0
+    mixed = [lp(1, 2), 3, lp(4, 2), np.int64(7), lp(1)]
+    qi, witness = verify_qi_exhaustive(mixed)
+    assert not qi and witness.validates(mixed) and verify_qi_naive(mixed)[0] is False
+    assert verify_qi_exhaustive([lp(1, 2), 3, lp(0, 7)]) == (True, None)
+
+
 def test_witness_must_be_nonzero():
     with pytest.raises(ValueError):
         DependencyWitness(SignVector((0, 0)))
