@@ -10,6 +10,7 @@ them on exact digit rows (``exact_rows``) joined by one sort (``first_matches``)
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -217,7 +218,9 @@ def signed_combination(elements: Sequence, eps: SignVector):
     """Sum eps_i * elements[i] with exact arithmetic.
 
     Works for LatticePoint and any element type supporting +, unary -, and
-    a zero obtainable as e - e.
+    a zero obtainable as e - e.  When any element is a LatticePoint, each
+    integer x among them is read as LatticePoint((x,)); a sum of integers
+    alone stays an integer.
     """
     if len(elements) != len(eps):
         raise ValueError(
@@ -225,6 +228,9 @@ def signed_combination(elements: Sequence, eps: SignVector):
         )
     if not elements:
         return LatticePoint.zero()
+    if any(isinstance(el, LatticePoint) for el in elements):
+        elements = [LatticePoint((int(el),)) if isinstance(el, numbers.Integral) else el
+                    for el in elements]
     acc = elements[0] - elements[0]
     for el, s in zip(elements, eps.signs):
         if s == 1:

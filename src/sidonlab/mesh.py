@@ -14,17 +14,21 @@ Counting routes (all exact):
   only the integers of Lambda within reach of the mesh (the same kernel
   expands points over ``construction.DissociatedBasis``);
 * a keyed route for every other integer basis: the members' ``core.row_keys``
-  keys are broadcast ``add_keys`` of the terms' keys;
+  keys are broadcast ``add_keys`` of the terms' keys; the members whose key
+  Lambda (keyed and sorted once) has are summed as Python ints and bisected
+  into Lambda's sorted ints;
 * a vectorized route for F_p vector bases: the domain is reduced mod p first
-  (a height-h box becomes min(2h+1, p)^k residue rows), the members are one
-  matrix product mod p.
-Both keep, by ``core.key_hits``, the members whose key Lambda (keyed and sorted
-once) has and the points of Lambda whose key such a member has, then confirm them
-by ``core.first_matches`` (on ``exact_rows`` for integers, as ``count_distinct_sums`` does).
+  (a height-h box becomes min(2h+1, p)^k residue rows), and each member is
+  keyed by its sketch, its product mod p with a fixed 0/1 matrix of at most
+  32 columns, computed from the residue rows without writing the member.
+  Only the members whose key Lambda has are written as whole rows and joined
+  by ``core.first_matches`` to the rows of Lambda sharing a key with one, so
+  a sketch collision costs confirmation work, never a wrong count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -332,22 +336,43 @@ def count_distinct_sums(basis: Sequence[int], domain: Domain) -> int:
 
 
 def _count_keyed(lam: "_Lambda", mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an integer basis: members whose key Lambda has and the ints of
-    Lambda sharing a key with one, in one ``core.exact_rows`` call, joined exactly."""
+    """|Lambda ∩ M| for an integer basis: the members whose key Lambda has are
+    summed as Python ints, sorted, and bisected into Lambda's sorted ints (a
+    set of ints sharing a residue mod KEY_MOD would hash to a scan)."""
     check_enum_cap(mesh.domain_size(), cap)
     basis = list(mesh.basis)
-    keys = _sumset_keys(basis, mesh.domain)
-    hits = np.flatnonzero(key_hits(lam.int_keys, keys))
-    if not len(hits):
-        return 0
-    near = lam.int_order[key_hits(np.sort(keys[hits]), lam.int_keys)]
-    rows = exact_rows(_coefficient_rows(mesh.domain, mesh.k, hits),
-                      basis + [lam.ints[i] for i in near.tolist()])
-    return int((first_matches(rows[: len(hits)], rows[len(hits) :]) >= 0).sum())
+    hits = np.flatnonzero(key_hits(lam.int_keys, _sumset_keys(basis, mesh.domain)))
+    rows = _coefficient_rows(mesh.domain, mesh.k, hits).tolist()
+    sums = sorted(sum(map(operator.mul, row, basis)) for row in rows)
+    ints, count = lam.ints, 0
+    for i, x in enumerate(sums):
+        if i and x == sums[i - 1]:
+            continue  # one member, the sum of two rows
+        j = bisect_left(ints, x)
+        count += j < len(ints) and ints[j] == x
+    return count
 
 
 def _is_fp_basis(mesh: Mesh) -> bool:
     return isinstance(mesh.basis[0], FpVector)  # then all are, of one (p, nu) (see Mesh)
+
+
+_SKETCH_WIDTH = 32  # columns of the F_p sketch (see _projection)
+
+
+@functools.lru_cache(maxsize=None)
+def _projection(nu: int) -> np.ndarray:
+    """The fixed nu x s matrix P of 0/1 entries, s = min(nu, _SKETCH_WIDTH), that
+    sketches an F_p row x as x P mod p, for every p.
+
+    Equal rows have equal sketches.  A fixed nonzero difference d has d P = 0
+    mod p with chance at most 2^-s over P: in each column r, with every entry
+    but one r_i (d_i != 0) fixed, at most one of r_i's two values makes
+    d . r vanish.  A collision costs only confirmation work.
+    """
+    projection = np.random.default_rng(nu).integers(0, 2, (nu, min(nu, _SKETCH_WIDTH)), np.int64)
+    projection.flags.writeable = False  # one cached array serves every caller
+    return projection
 
 
 class _Lambda:
@@ -355,9 +380,9 @@ class _Lambda:
 
     Its points of Z (see _as_z) as a sorted list of ints, deduplicated by
     sorting (a set of ints sharing a residue mod KEY_MOD hashes to a scan),
-    and their sorted row keys with the order that sorts them; its other
-    points as a deduplicated list; its F_p points, per (p, nu), sorted by
-    key.
+    and their sorted row keys; its other points as a deduplicated list; its
+    F_p points, per (p, nu), sorted by the key of their sketch (see
+    _projection).
     """
 
     def __init__(self, lam: Iterable):
@@ -366,9 +391,7 @@ class _Lambda:
             (values if isinstance(v, int) else points).append(v)
         values.sort()
         self.ints = [x for i, x in enumerate(values) if i == 0 or x != values[i - 1]]
-        keys = row_keys([(x,) for x in self.ints])
-        self.int_order = np.argsort(keys)
-        self.int_keys = keys[self.int_order]
+        self.int_keys = np.sort(row_keys([(x,) for x in self.ints]))
         self.points = list(dict.fromkeys(points))  # |Lambda ∩ M| is a set intersection
         rows: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         for v in self.points:
@@ -378,37 +401,53 @@ class _Lambda:
         self.fp = {}
         for (p, nu), group in rows.items():
             group = np.array(group, dtype=np.min_scalar_type(p - 1))
-            keys = row_keys(group)
+            keys = row_keys(group @ _projection(nu) % p)
             order = np.argsort(keys)
             self.fp[p, nu] = (group[order], keys[order])
+
+
+@functools.lru_cache(maxsize=16)  # bounded: a box's rows may near ENUM_CAP
+def _residue_box(k: int, h: int, p: int) -> np.ndarray:
+    """The rows of the height-h box in k coordinates reduced mod p, once each:
+    2h+1 >= p consecutive ints hit every residue, so every h >= p // 2 gives
+    the same rows and is read as p // 2."""
+    residues = np.arange(p) if 2 * h + 1 >= p else np.arange(-h, h + 1) % p
+    grids = np.meshgrid(*([residues] * k), indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=1)
+    box.flags.writeable = False
+    return box
 
 
 def _residue_coeffs(mesh: Mesh, p: int) -> np.ndarray:
     """The coefficient domain reduced mod p: a box's rows once each, an explicit
     list's rows in list order (two may share their residues)."""
     if isinstance(mesh.domain, Box):
-        h = mesh.domain.height  # 2h+1 >= p consecutive ints hit every residue
-        residues = np.arange(p) if 2 * h + 1 >= p else np.arange(-h, h + 1) % p
-        grids = np.meshgrid(*([residues] * mesh.k), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _residue_box(mesh.k, min(mesh.domain.height, p // 2), p)
     return np.array([[c % p for c in row] for row in mesh.domain.coeffs], dtype=np.int64)
 
 
 def _count_fp_vectorized(lam: _Lambda, mesh: Mesh, cap: Optional[int]) -> int:
-    """|Lambda ∩ M| for an F_p basis: the members whose key Lambda has are
-    joined by ``core.first_matches`` to the rows of Lambda sharing a key with one."""
+    """|Lambda ∩ M| for an F_p basis B (k x nu) and residue rows C (D x k).
+
+    The members C B mod p are keyed by their sketches C (B P mod p) mod p,
+    D x s work instead of D x nu; only those whose key Lambda has become
+    whole rows, joined by ``core.first_matches`` to the rows of Lambda
+    sharing a key with one.  No int64 overflows: Lambda P and B P sum at
+    most nu (p-1), C (B P mod p) and C B at most k (p-1)^2 (mesh_count's
+    guard).
+    """
     check_enum_cap(mesh.domain_size(), cap)
-    p = mesh.basis[0].p
-    fp = lam.fp.get((p, mesh.basis[0].nu))
+    p, nu = mesh.basis[0].p, mesh.basis[0].nu
+    fp = lam.fp.get((p, nu))
     if fp is None:
         return 0
     lam_rows, lam_keys = fp
     basis = np.array([b.coords for b in mesh.basis], dtype=np.int64)
-    members = _residue_coeffs(mesh, p) @ basis % p
-    keys = row_keys(members)
+    coeffs = _residue_coeffs(mesh, p)
+    keys = row_keys(coeffs @ (basis @ _projection(nu) % p) % p)
     hit = key_hits(lam_keys, keys)
     near = key_hits(np.sort(keys[hit]), lam_keys)
-    return int((first_matches(members[hit], lam_rows[near]) >= 0).sum())
+    return int((first_matches(coeffs[hit] @ basis % p, lam_rows[near]) >= 0).sum())
 
 
 def mesh_count(
@@ -438,7 +477,7 @@ def mesh_count(
     triples = _digit_bounds(mesh)
     if triples is not None:
         return _count_by_digits(lam.ints, mesh, triples)
-    if _is_int_basis(mesh) and sum(mesh.coefficient_bounds()) <= 2**30:  # exact_rows' bound
+    if _is_int_basis(mesh) and sum(mesh.coefficient_bounds()) <= 2**30:  # int64 coefficient rows
         return _count_keyed(lam, mesh, cap)
     # the F_p route's int64 matmul accumulates k (p-1)^2; huge primes enumerate
     if _is_fp_basis(mesh) and mesh.k * (mesh.basis[0].p - 1) ** 2 < 2**62:

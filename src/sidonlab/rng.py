@@ -17,12 +17,15 @@ __all__ = ["stream", "bernoulli"]
 def stream(seed: int, *path: int) -> np.random.Generator:
     """A Philox generator for the given (seed, path) coordinates.
 
-    Path elements may be arbitrarily large; each is split into 32-bit limbs
-    (with a length marker) so distinct paths never collide.
+    Path elements are nonnegative (else ValueError) and may be arbitrarily
+    large; each is split into 32-bit limbs (with a length marker) so
+    distinct paths never collide.
     """
     key: list[int] = []
     for p in path:
         p = int(p)
+        if p < 0:
+            raise ValueError(f"stream path elements must be >= 0, got {p}")
         limbs = []
         while True:
             limbs.append(p & 0xFFFFFFFF)

@@ -122,7 +122,9 @@ def sample_lambda_rows(cfg: SelectionConfig, trial: int = 0) -> np.ndarray:
         for start in range(0, size, _CHUNK)
     ]
     rows = _digits(np.concatenate(hits), cfg.p, cfg.nu)
-    return rows[np.lexsort(rows.T[::-1])]
+    # coordinate order: a row read as a base-p numeral, coordinate 0 its most
+    # significant digit, is distinct and below p^nu <= SAMPLING_CAP
+    return rows[np.argsort(rows @ cfg.p ** np.arange(cfg.nu - 1, -1, -1, dtype=np.int64))]
 
 
 def sample_lambda(cfg: SelectionConfig, trial: int = 0) -> set[FpVector]:

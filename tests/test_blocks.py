@@ -205,6 +205,28 @@ def test_default_prefix_has_a_mesh_past_its_bound():
     assert (report.count, report.bound, report.passed) == (5, 4, False)
 
 
+def test_default_mesh_reports_recount_by_enumeration(monkeypatch):
+    # every 10th of theorem2's 500 default meshes (seed 0), a fixed subset,
+    # recounted on the enumeration oracle
+    import sidonlab.blocks
+    from sidonlab.growth import parse_growth
+    from sidonlab.mesh import check_mesh_condition, mesh_count
+
+    seen = {}
+
+    def keep(union, meshes, bound):
+        seen.update(union=union, meshes=meshes)
+        return check_mesh_condition(union, meshes, bound)
+
+    monkeypatch.setattr(sidonlab.blocks, "check_mesh_condition", keep)
+    bc = build_theorem2_prefix(p=3, w=parse_growth("doublelog:1"), L=6, seed=0, nu_cap=24)
+    reports = theorem2_mesh_reports(bc, count=500, seed=0, k_choices=(1, 2, 3, 4, 5, 6),
+                                    heights=(1, 2))
+    counts = [mesh_count(seen["union"], mesh, method="enumerate") for mesh in seen["meshes"][::10]]
+    assert counts == [r.count for r in reports[::10]]
+    assert max(counts) == 5  # some meshes meet the union in several points
+
+
 def test_export(tmp_path):
     import json
 

@@ -129,6 +129,15 @@ def test_signed_combination_examples():
     assert signed_combination(triple, SignVector((1, 1, -1))).is_zero()
 
 
+def test_signed_combination_mixes_integers_and_lattice_points():
+    # an integer x among LatticePoints is read as the point (x,), in either order
+    assert signed_combination([1, lp(1, 2)], SignVector((1, 1))) == lp(2, 2)
+    assert signed_combination([lp(1, 2), 1], SignVector((1, -1))) == lp(0, 2)
+    assert signed_combination([np.int64(3), lp(3)], SignVector((1, -1))).is_zero()
+    total = signed_combination([3, 5], SignVector((1, -1)))
+    assert total == -2 and type(total) is int
+
+
 def test_signed_combination_length_mismatch():
     with pytest.raises(ValueError):
         signed_combination([lp(1)], SignVector((1, 1)))

@@ -284,6 +284,65 @@ def test_fp_route_rejects_forced_key_collisions(monkeypatch):
     assert collided >= 20
 
 
+@st.composite
+def fp_meshes(draw):
+    """An F_p mesh of nu from 1 to 40 (so at and past the sketch's 32
+    columns), its basis dependent or not, and a Lambda holding some of its
+    members, random rows and points of another (p, nu)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nu = draw(st.integers(1, 40))
+    residue = st.integers(0, p - 1)
+    vector = st.lists(residue, min_size=nu, max_size=nu).map(lambda c: _fp(p, c))
+    basis = draw(st.lists(vector, min_size=1, max_size=3))
+    if draw(st.booleans()):  # a combination of the others, or a repeat
+        weights = draw(st.lists(residue, min_size=len(basis), max_size=len(basis)))
+        basis.append(sum((w * b for w, b in zip(weights, basis)), FpVector.zero(p, nu)))
+    coeff = st.integers(-2 * p, 2 * p)
+    domain = draw(st.one_of(
+        st.builds(Box, st.integers(0, 2)),
+        st.lists(st.tuples(*[coeff] * len(basis)), min_size=1, max_size=10).map(
+            lambda rows: ExplicitList(tuple(rows))),
+    ))
+    mesh = Mesh(tuple(basis), domain)
+    members = sorted(mesh_members(mesh), key=lambda v: v.coords)
+    lam = draw(st.lists(st.sampled_from(members), max_size=6))
+    lam += draw(st.lists(vector, max_size=6))
+    lam += draw(st.lists(st.builds(lambda c: _fp(p, c + [1]), st.lists(residue, min_size=nu,
+                                                                        max_size=nu)), max_size=2))
+    return mesh, lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(fp_meshes())
+def test_fp_sketch_route_matches_enumeration(case):
+    mesh, lam = case
+    want = mesh_count(lam, mesh, method="enumerate")
+    assert _count_fp_vectorized(_Lambda(lam), mesh, None) == want
+    assert mesh_count(lam, mesh) == want
+
+
+def test_fp_route_confirms_every_member_when_every_sketch_is_zero(monkeypatch):
+    # a zero projection gives every member and every point of Lambda the
+    # sketch 0, so each match is decided by the whole-row confirmation alone
+    import sidonlab.mesh
+
+    monkeypatch.setattr(sidonlab.mesh, "_projection",
+                        lambda nu: np.zeros((nu, min(nu, 32)), np.int64))
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
+        nu, k = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        basis = [_fp(p, rng.integers(0, p, nu)) for _ in range(k)]
+        basis.append(basis[0] + basis[-1])  # dependent
+        rows = [tuple(int(c) for c in rng.integers(-2 * p, 2 * p, k + 1)) for _ in range(6)]
+        for domain in (Box(int(rng.integers(0, 3))), ExplicitList(tuple(rows))):
+            mesh = Mesh(tuple(basis), domain)
+            members = sorted(mesh_members(mesh), key=lambda v: v.coords)
+            lam = [members[i] for i in rng.choice(len(members), size=min(3, len(members)))]
+            lam += [_fp(p, rng.integers(0, p, nu)) for _ in range(5)]
+            assert mesh_count(lam, mesh) == mesh_count(lam, mesh, method="enumerate")
+
+
 def test_check_mesh_condition_mixed_meshes_match_mesh_count():
     rng = np.random.default_rng(5)
     p, nu = 3, 4

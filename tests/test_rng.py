@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from sidonlab.rng import bernoulli, stream
 
@@ -28,3 +29,10 @@ def test_bernoulli_equals_the_uniform_comparison():
         uniform = [(w >> 11) * 2.0**-53 for w in words]
         assert bernoulli(Words(words), p, 4).tolist() == [u < p for u in uniform] == [
             True, True, False, False]
+
+
+def test_negative_path_elements_are_refused():
+    for path in ((-1,), (0, -1), (2**40, -(2**40))):
+        with pytest.raises(ValueError, match=">= 0"):
+            stream(0, *path)
+    assert stream(0, 0, 2**40).random() != stream(0, 2**40, 0).random()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sidonlab.core import FpVector, is_free
@@ -244,6 +245,16 @@ def test_rows_and_trial_statistics_match_the_set_api(p, nu, ell):
             size, tied = trial_statistics(cfg, trial)
             assert size == len(lam)
             assert tied == (not is_free([FpVector(p, c) for c in _thinned(cfg, trial)]))
+
+
+def test_rows_come_in_the_lexsort_order():
+    # the base-p numeral order equals np.lexsort on the coordinates, the
+    # first coordinate most significant
+    for p, nu, ell in ((2, 3, 1), (2, 12, 1), (3, 4, 2), (5, 3, 1), (7, 5, 3), (101, 2, 1)):
+        for trial in range(3):
+            rows = sample_lambda_rows(SelectionConfig(p=p, nu=nu, ell=ell, seed=2), trial)
+            assert len(rows) > 1
+            assert np.array_equal(rows, rows[np.lexsort(rows.T[::-1])])
 
 
 def test_trial_statistics_finds_dependent_thinned_sets():
