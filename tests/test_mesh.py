@@ -307,8 +307,8 @@ def fp_meshes(draw):
     members = sorted(mesh_members(mesh), key=lambda v: v.coords)
     lam = draw(st.lists(st.sampled_from(members), max_size=6))
     lam += draw(st.lists(vector, max_size=6))
-    lam += draw(st.lists(st.builds(lambda c: _fp(p, c + [1]), st.lists(residue, min_size=nu,
-                                                                        max_size=nu)), max_size=2))
+    longer = st.lists(residue, min_size=nu + 1, max_size=nu + 1).map(lambda c: _fp(p, c))
+    lam += draw(st.lists(longer, max_size=2))
     return mesh, lam
 
 

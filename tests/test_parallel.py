@@ -17,9 +17,7 @@ def test_chunked_maps_keep_input_order():
     # item counts not a multiple of the threads, and fewer items than threads
     for threads in (2, 3, 4, 8):
         for n in (0, 1, 2, 3, 5, 7, 10, 11):
-            items = [(n, i) for i in range(n)]
-            assert list(Parallelism(threads).map(lambda x: x[1] - n, items)) == [
-                i - n for i in range(n)]
+            assert list(Parallelism(threads).map(lambda x: -x, range(n))) == [-x for x in range(n)]
 
 
 def test_pool_takes_a_positive_count():
